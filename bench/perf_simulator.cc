@@ -1,380 +1,33 @@
 /**
  * @file
- * Simulator performance trajectory: the event engine measured against
- * itself.
+ * Simulator microbenchmarks (google-benchmark).
  *
  * The profiler sweeps hundreds of transfer configurations per
  * application and the fleet elector re-runs narrowed sweeps on every
- * cache miss, so simulation throughput is a product feature. This
- * harness starts the repo's simulator perf trajectory
- * (BENCH_simulator.json, the BENCH_fleet.json pattern):
+ * cache miss, so simulation throughput is a product feature. These
+ * benches time its building blocks: event dispatch and cancellation
+ * on the slab/4-ary-heap EventQueue, FIFO channel booking, R-MAT
+ * graph generation, and one timing-only PROACT run (the profiler's
+ * unit of work). The committed perfbench baseline (sim.ns_per_event,
+ * simulate_s) is the regression record for the event core.
  *
- *  1. Serial core A/B — the BM_EventQueueDispatch workload measured
- *     on a faithful copy of the pre-rewrite engine (shared_ptr
- *     entries + std::priority_queue + per-event unordered_map) and on
- *     the current slab/4-ary-heap engine. Acceptance: >= 2x
- *     improvement (gated in optimized builds).
- *  2. Cancel-heavy A/B — same comparison with half the events
- *     descheduled, exercising the O(1) generation-checked cancel
- *     path against the hash-map one.
- *  3. Sharded trajectory — a synthetic ring-exchange traffic model
- *     (per-GPU shard, per-GPU egress channel, cross-shard deliveries
- *     at >= lookahead) run on ShardedEventEngine at 16..256 GPUs,
- *     sequential (1 worker) vs. sharded (PROACT_SIM_SHARDS or
- *     hardware concurrency), with a merged-stats determinism check.
- *
- * Default run executes the driver and writes the JSON; pass --gbench
- * [gbench args...] for the original google-benchmark microbenches.
+ * Usage: perf_simulator [google-benchmark flags]
  */
 
-#include "harness/paradigm.hh"
 #include "proact/runtime.hh"
-#include "system/platform.hh"
 #include "sim/channel.hh"
 #include "sim/event_queue.hh"
-#include "sim/sharded_engine.hh"
+#include "system/platform.hh"
 #include "workloads/graph.hh"
 #include "workloads/registry.hh"
 
 #include <benchmark/benchmark.h>
 
-#include <chrono>
-#include <cstdlib>
-#include <cstring>
-#include <fstream>
-#include <functional>
-#include <iostream>
-#include <memory>
-#include <queue>
-#include <sstream>
-#include <string>
-#include <thread>
-#include <unordered_map>
 #include <vector>
 
 using namespace proact;
 
 namespace {
-
-// ---------------------------------------------------------------------
-// Legacy engine: the pre-rewrite EventQueue, kept verbatim (minus the
-// run-until paths the A/B doesn't exercise) as the "before" reference
-// so the trajectory always measures against the same baseline.
-// ---------------------------------------------------------------------
-
-namespace legacy {
-
-class EventQueue
-{
-  public:
-    using Callback = std::function<void()>;
-
-    std::uint64_t
-    schedule(Tick when, Callback cb, int priority = 0)
-    {
-        auto entry = std::make_shared<Entry>();
-        entry->when = when;
-        entry->priority = priority;
-        entry->seq = _nextSeq++;
-        entry->id = _nextId++;
-        entry->cb = std::move(cb);
-        _queue.push(entry);
-        _pendingIndex.emplace(entry->id, entry);
-        ++_liveEvents;
-        return entry->id;
-    }
-
-    bool
-    deschedule(std::uint64_t id)
-    {
-        auto it = _pendingIndex.find(id);
-        if (it == _pendingIndex.end())
-            return false;
-        it->second->cancelled = true;
-        _pendingIndex.erase(it);
-        --_liveEvents;
-        return true;
-    }
-
-    bool
-    runNext()
-    {
-        while (!_queue.empty()) {
-            auto entry = _queue.top();
-            _queue.pop();
-            if (entry->cancelled)
-                continue;
-            _curTick = entry->when;
-            --_liveEvents;
-            _pendingIndex.erase(entry->id);
-            Callback cb = std::move(entry->cb);
-            cb();
-            return true;
-        }
-        return false;
-    }
-
-    void
-    run()
-    {
-        while (runNext()) {
-        }
-    }
-
-  private:
-    struct Entry
-    {
-        Tick when;
-        int priority;
-        std::uint64_t seq;
-        std::uint64_t id;
-        Callback cb;
-        bool cancelled = false;
-    };
-
-    struct EntryCompare
-    {
-        bool
-        operator()(const std::shared_ptr<Entry> &a,
-                   const std::shared_ptr<Entry> &b) const
-        {
-            if (a->when != b->when)
-                return a->when > b->when;
-            if (a->priority != b->priority)
-                return a->priority > b->priority;
-            return a->seq > b->seq;
-        }
-    };
-
-    std::priority_queue<std::shared_ptr<Entry>,
-                        std::vector<std::shared_ptr<Entry>>,
-                        EntryCompare> _queue;
-    std::unordered_map<std::uint64_t, std::shared_ptr<Entry>>
-        _pendingIndex;
-    Tick _curTick = 0;
-    std::uint64_t _nextSeq = 0;
-    std::uint64_t _nextId = 1;
-    std::uint64_t _liveEvents = 0;
-};
-
-} // namespace legacy
-
-double
-secondsSince(std::chrono::steady_clock::time_point start)
-{
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now() - start)
-        .count();
-}
-
-/** BM_EventQueueDispatch inner loop on any engine type. */
-template <typename Queue>
-double
-dispatchEventsPerSec(int events, int repeats)
-{
-    double best = 0.0;
-    for (int r = 0; r < repeats; ++r) {
-        Queue eq;
-        long fired = 0;
-        const auto start = std::chrono::steady_clock::now();
-        for (int i = 0; i < events; ++i) {
-            eq.schedule(static_cast<Tick>((i * 7919) % 100000),
-                        [&fired] { ++fired; });
-        }
-        eq.run();
-        const double secs = secondsSince(start);
-        benchmark::DoNotOptimize(fired);
-        if (secs > 0.0)
-            best = std::max(best, static_cast<double>(events) / secs);
-    }
-    return best;
-}
-
-/** Cancel-heavy variant: every second event is descheduled. */
-template <typename Queue>
-double
-cancelEventsPerSec(int events, int repeats)
-{
-    double best = 0.0;
-    for (int r = 0; r < repeats; ++r) {
-        Queue eq;
-        long fired = 0;
-        std::vector<std::uint64_t> ids;
-        ids.reserve(static_cast<std::size_t>(events));
-        const auto start = std::chrono::steady_clock::now();
-        for (int i = 0; i < events; ++i) {
-            ids.push_back(
-                eq.schedule(static_cast<Tick>((i * 7919) % 100000),
-                            [&fired] { ++fired; }));
-        }
-        for (int i = 0; i < events; i += 2)
-            eq.deschedule(ids[static_cast<std::size_t>(i)]);
-        eq.run();
-        const double secs = secondsSince(start);
-        benchmark::DoNotOptimize(fired);
-        if (secs > 0.0)
-            best = std::max(best, static_cast<double>(events) / secs);
-    }
-    return best;
-}
-
-// ---------------------------------------------------------------------
-// Sharded trajectory: ring-exchange traffic on ShardedEventEngine.
-// ---------------------------------------------------------------------
-
-/**
- * One GPU per shard. Every round a GPU books a chunk on its own
- * egress channel (local shard state — the contention-free structures
- * the parallel mode depends on), the delivery lands on the ring
- * neighbour at >= link latency, and each delivery fans out a little
- * local work (the CTA-completion events that dominate real runs).
- */
-struct RingModel
-{
-    static constexpr Tick LinkLatency = ticksPerMicrosecond;
-    static constexpr int LocalEventsPerDelivery = 8;
-
-    explicit RingModel(ShardedEventEngine &engine, int rounds)
-        : _engine(engine), _rounds(rounds)
-    {
-        const int gpus = engine.numShards();
-        _egress.reserve(static_cast<std::size_t>(gpus));
-        for (int g = 0; g < gpus; ++g) {
-            _egress.push_back(std::make_unique<Channel>(
-                engine.shard(g), "egress" + std::to_string(g),
-                100.0e9, LinkLatency));
-        }
-        for (int g = 0; g < gpus; ++g) {
-            _engine.shard(g).schedule(
-                ticksPerNanosecond, [this, g] { sendRound(g, 0); });
-        }
-    }
-
-    void
-    sendRound(int gpu, int round)
-    {
-        if (round >= _rounds)
-            return;
-        const int peer = (gpu + 1) % _engine.numShards();
-        Channel &ch = *_egress[static_cast<std::size_t>(gpu)];
-        // Book occupancy locally; the delivery itself crosses shards
-        // with at least LinkLatency (>= engine lookahead), honouring
-        // the conservative contract.
-        const Tick delivered =
-            ch.submit(64 * KiB, 64 * KiB, nullptr);
-        _engine.stats(gpu).inc("chunks.sent");
-        _engine.post(gpu, peer, delivered, [this, peer, round] {
-            receiveChunk(peer, round);
-        });
-    }
-
-    void
-    receiveChunk(int gpu, int round)
-    {
-        EventQueue &eq = _engine.shard(gpu);
-        _engine.stats(gpu).inc("chunks.delivered");
-        // Local fan-out: consumer CTAs waking on chunk arrival.
-        for (int i = 0; i < LocalEventsPerDelivery; ++i) {
-            eq.scheduleIn(static_cast<Tick>(i + 1) * 10, [this, gpu] {
-                _engine.stats(gpu).inc("ctas.completed");
-            });
-        }
-        sendRound(gpu, round + 1);
-    }
-
-  private:
-    ShardedEventEngine &_engine;
-    int _rounds;
-    std::vector<std::unique_ptr<Channel>> _egress;
-};
-
-struct ShardedPoint
-{
-    int gpus = 0;
-    int workers = 1;
-    std::uint64_t events = 0;
-    std::uint64_t windows = 0;
-    double eventsPerSec = 0.0;
-    std::string statsDigest;
-};
-
-ShardedPoint
-runSharded(int gpus, int workers, int rounds)
-{
-    ShardedEventEngine::Options options;
-    options.numShards = gpus;
-    options.lookahead = RingModel::LinkLatency;
-    options.workers = workers;
-    ShardedEventEngine engine(options);
-    RingModel model(engine, rounds);
-
-    const auto start = std::chrono::steady_clock::now();
-    engine.run();
-    const double secs = secondsSince(start);
-
-    ShardedPoint point;
-    point.gpus = gpus;
-    point.workers = engine.workers();
-    point.events = engine.dispatchedEvents();
-    point.windows = engine.windows();
-    point.eventsPerSec =
-        secs > 0.0 ? static_cast<double>(point.events) / secs : 0.0;
-    std::ostringstream digest;
-    engine.mergedStats().dump(digest);
-    point.statsDigest = digest.str();
-    return point;
-}
-
-// ---------------------------------------------------------------------
-// End-to-end sharded paradigm execution: the product path, not a
-// synthetic model. A 64-GPU pairwise ring runs PROACT-decoupled
-// Jacobi (ring halo exchange) through MultiGpuSystem's sharded
-// engine; 1 shard is the determinism reference, N shards must
-// reproduce its full stat ledger bit for bit and beat it on
-// wall-clock.
-// ---------------------------------------------------------------------
-
-struct EndToEndPoint
-{
-    int shards = 0;
-    double seconds = 0.0;
-    Tick ticks = 0;
-    std::string digest;
-};
-
-EndToEndPoint
-runEndToEnd(const PlatformSpec &platform, int shards,
-            int scale_shift)
-{
-    auto workload = makeWorkload("Jacobi", scale_shift);
-    workload->setup(platform.numGpus);
-
-    MultiGpuSystem system(platform, shards);
-    system.setFunctional(false);
-    ProactRuntime::Options options;
-    options.config.mechanism = TransferMechanism::Polling;
-    options.config.chunkBytes = 64 * KiB;
-    options.config.transferThreads = 2048;
-    ProactRuntime runtime(system, options);
-
-    const auto start = std::chrono::steady_clock::now();
-    const Tick ticks = runtime.run(*workload);
-
-    EndToEndPoint point;
-    point.shards = shards;
-    point.seconds = secondsSince(start);
-    point.ticks = ticks;
-    std::ostringstream digest;
-    digest << "ticks=" << ticks << " tail=" << runtime.tailTicks()
-           << "\n";
-    runtime.stats().dump(digest);
-    point.digest = digest.str();
-    return point;
-}
-
-// ---------------------------------------------------------------------
-// Original google-benchmark microbenches (run via --gbench).
-// ---------------------------------------------------------------------
 
 void
 BM_EventQueueDispatch(benchmark::State &state)
@@ -427,17 +80,6 @@ BM_ChannelBooking(benchmark::State &state)
 BENCHMARK(BM_ChannelBooking)->Arg(1 << 14);
 
 void
-BM_ShardedRing(benchmark::State &state)
-{
-    for (auto _ : state) {
-        const ShardedPoint p = runSharded(
-            static_cast<int>(state.range(0)), 1, 64);
-        benchmark::DoNotOptimize(p.events);
-    }
-}
-BENCHMARK(BM_ShardedRing)->Arg(16)->Arg(64);
-
-void
 BM_RmatGeneration(benchmark::State &state)
 {
     RmatParams params;
@@ -475,227 +117,6 @@ BM_TimingOnlyRun(benchmark::State &state)
 }
 BENCHMARK(BM_TimingOnlyRun);
 
-int
-runDriver()
-{
-    const int events = 1 << 16;
-    const int repeats = 5;
-
-    std::cout << "Simulator performance trajectory\n\n";
-
-    // 1. + 2. Serial core A/B on the BM_EventQueueDispatch workload.
-    const double before =
-        dispatchEventsPerSec<legacy::EventQueue>(events, repeats);
-    const double after =
-        dispatchEventsPerSec<EventQueue>(events, repeats);
-    const double speedup = before > 0.0 ? after / before : 0.0;
-
-    const double cancel_before =
-        cancelEventsPerSec<legacy::EventQueue>(events, repeats);
-    const double cancel_after =
-        cancelEventsPerSec<EventQueue>(events, repeats);
-    const double cancel_speedup =
-        cancel_before > 0.0 ? cancel_after / cancel_before : 0.0;
-
-    std::cout << "BM_EventQueueDispatch (" << events << " events):\n"
-              << "  before (shared_ptr heap + hash map): "
-              << static_cast<std::uint64_t>(before) << " events/s\n"
-              << "  after  (slab + 4-ary heap):          "
-              << static_cast<std::uint64_t>(after) << " events/s\n"
-              << "  speedup: " << speedup << "x (gate: >= 2x)\n"
-              << "cancel-heavy variant: " << cancel_speedup
-              << "x\n\n";
-
-    // 3. Sharded trajectory across topology sizes. Sequential first
-    // (1 worker — the determinism reference), then the pool.
-    int shard_workers = envSimShards();
-    if (shard_workers <= 0) {
-        const unsigned hw = std::thread::hardware_concurrency();
-        shard_workers = static_cast<int>(hw == 0 ? 1 : hw);
-    }
-
-    struct Row
-    {
-        ShardedPoint serial;
-        ShardedPoint sharded;
-        bool deterministic = false;
-    };
-    std::vector<Row> rows;
-    bool all_deterministic = true;
-    for (const int gpus : {16, 32, 64, 128, 256}) {
-        Row row;
-        row.serial = runSharded(gpus, 1, 48);
-        row.sharded = runSharded(gpus, shard_workers, 48);
-        row.deterministic =
-            row.serial.statsDigest == row.sharded.statsDigest
-            && row.serial.events == row.sharded.events;
-        all_deterministic = all_deterministic && row.deterministic;
-        std::cout << "ring " << gpus << " GPUs: serial "
-                  << static_cast<std::uint64_t>(
-                         row.serial.eventsPerSec)
-                  << " ev/s, sharded(" << row.sharded.workers
-                  << " workers) "
-                  << static_cast<std::uint64_t>(
-                         row.sharded.eventsPerSec)
-                  << " ev/s, " << row.sharded.windows
-                  << " windows, stats "
-                  << (row.deterministic ? "bit-identical"
-                                        : "DIVERGE")
-                  << "\n";
-        rows.push_back(std::move(row));
-    }
-
-    // 4. End-to-end datapoint: the same gate on the product path.
-    PlatformSpec ring = voltaPlatform().withGpuCount(64);
-    ring.fabric.topology = FabricTopology::PairwiseLinks;
-    const int e2e_shards = std::max(4, std::min(shard_workers, 16));
-    const EndToEndPoint e2e_serial = runEndToEnd(ring, 1, 2);
-    const EndToEndPoint e2e_sharded =
-        runEndToEnd(ring, e2e_shards, 2);
-    const bool e2e_deterministic =
-        e2e_serial.digest == e2e_sharded.digest;
-    const double e2e_speedup = e2e_sharded.seconds > 0.0
-        ? e2e_serial.seconds / e2e_sharded.seconds
-        : 0.0;
-    all_deterministic = all_deterministic && e2e_deterministic;
-    std::cout << "\nend-to-end 64-GPU ring (PROACT Jacobi): 1 shard "
-              << e2e_serial.seconds << " s, " << e2e_sharded.shards
-              << " shards " << e2e_sharded.seconds << " s ("
-              << e2e_speedup << "x), stats "
-              << (e2e_deterministic ? "bit-identical" : "DIVERGE")
-              << "\n";
-
-    // 5. Multi-node datapoint: the same workload on a hierarchical
-    // 2x16 platform, so the trajectory tracks the two-tier fabric's
-    // sharded path (per-pair channels spanning the network tier)
-    // next to the flat ring.
-    const PlatformSpec multi = multiNodePlatform(2, 16);
-    const EndToEndPoint mn_serial = runEndToEnd(multi, 1, 2);
-    const EndToEndPoint mn_sharded =
-        runEndToEnd(multi, e2e_shards, 2);
-    const bool mn_deterministic =
-        mn_serial.digest == mn_sharded.digest;
-    const double mn_speedup = mn_sharded.seconds > 0.0
-        ? mn_serial.seconds / mn_sharded.seconds
-        : 0.0;
-    all_deterministic = all_deterministic && mn_deterministic;
-    std::cout << "multi-node 2x16 (PROACT Jacobi): 1 shard "
-              << mn_serial.seconds << " s, " << mn_sharded.shards
-              << " shards " << mn_sharded.seconds << " s ("
-              << mn_speedup << "x), stats "
-              << (mn_deterministic ? "bit-identical" : "DIVERGE")
-              << "\n";
-
-    // The wall-clock gate needs cores to run the shards on; on a
-    // starved machine the datapoint is still recorded (and the
-    // determinism check still binds) but speedup is not enforced.
-    const unsigned hw_cores = std::thread::hardware_concurrency();
-    const bool e2e_measurable = hw_cores >= 4;
-#ifdef NDEBUG
-    const bool gate_e2e = !e2e_measurable || e2e_speedup > 1.0;
-#else
-    const bool gate_e2e = true;
-#endif
-    if (!e2e_measurable) {
-        std::cout << "(only " << hw_cores
-                  << " core(s) available: end-to-end speedup gate "
-                     "not enforced)\n";
-    }
-
-#ifdef NDEBUG
-    const bool gate_speedup = speedup >= 2.0;
-#else
-    // Debug builds carry bookkeeping asserts on the new engine's hot
-    // path that the legacy copy lacks; the >=2x gate only means
-    // something optimized.
-    const bool gate_speedup = true;
-    std::cout << "\n(non-optimized build: >=2x gate not enforced)\n";
-#endif
-    const bool pass = gate_speedup && all_deterministic && gate_e2e;
-
-    std::ostringstream json;
-    json << "{\n  \"bm_event_queue_dispatch\": {\n"
-         << "    \"events\": " << events << ",\n"
-         << "    \"before_events_per_sec\": " << before << ",\n"
-         << "    \"after_events_per_sec\": " << after << ",\n"
-         << "    \"speedup\": " << speedup << ",\n"
-         << "    \"cancel_before_events_per_sec\": " << cancel_before
-         << ",\n"
-         << "    \"cancel_after_events_per_sec\": " << cancel_after
-         << ",\n"
-         << "    \"cancel_speedup\": " << cancel_speedup << "\n"
-         << "  },\n  \"sharded_ring\": [\n";
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-        const Row &row = rows[i];
-        json << "    {\"gpus\": " << row.serial.gpus
-             << ", \"events\": " << row.serial.events
-             << ", \"windows\": " << row.serial.windows
-             << ", \"serial_events_per_sec\": "
-             << row.serial.eventsPerSec
-             << ", \"sharded_events_per_sec\": "
-             << row.sharded.eventsPerSec
-             << ", \"workers\": " << row.sharded.workers
-             << ", \"deterministic\": "
-             << (row.deterministic ? "true" : "false") << "}"
-             << (i + 1 < rows.size() ? "," : "") << "\n";
-    }
-    json << "  ],\n  \"end_to_end_sharded\": {\n"
-         << "    \"gpus\": 64,\n"
-         << "    \"workload\": \"Jacobi\",\n"
-         << "    \"ticks\": " << e2e_serial.ticks << ",\n"
-         << "    \"serial_seconds\": " << e2e_serial.seconds << ",\n"
-         << "    \"sharded_seconds\": " << e2e_sharded.seconds
-         << ",\n"
-         << "    \"shards\": " << e2e_sharded.shards << ",\n"
-         << "    \"speedup\": " << e2e_speedup << ",\n"
-         << "    \"speedup_enforced\": "
-         << (e2e_measurable ? "true" : "false") << ",\n"
-         << "    \"deterministic\": "
-         << (e2e_deterministic ? "true" : "false") << "\n"
-         << "  },\n  \"end_to_end_multinode\": {\n"
-         << "    \"platform\": \"" << multi.name << "\",\n"
-         << "    \"gpus\": " << multi.numGpus << ",\n"
-         << "    \"workload\": \"Jacobi\",\n"
-         << "    \"ticks\": " << mn_serial.ticks << ",\n"
-         << "    \"serial_seconds\": " << mn_serial.seconds << ",\n"
-         << "    \"sharded_seconds\": " << mn_sharded.seconds
-         << ",\n"
-         << "    \"shards\": " << mn_sharded.shards << ",\n"
-         << "    \"speedup\": " << mn_speedup << ",\n"
-         << "    \"deterministic\": "
-         << (mn_deterministic ? "true" : "false") << "\n"
-         << "  },\n  \"acceptance\": {\n"
-         << "    \"serial_speedup_ok\": "
-         << (gate_speedup ? "true" : "false")
-         << ",\n    \"deterministic\": "
-         << (all_deterministic ? "true" : "false")
-         << ",\n    \"end_to_end_speedup_ok\": "
-         << (gate_e2e ? "true" : "false")
-         << ",\n    \"pass\": " << (pass ? "true" : "false")
-         << "\n  }\n}\n";
-
-    const char *env = std::getenv("PROACT_BENCH_JSON");
-    const std::string path =
-        env != nullptr && *env != '\0' ? env : "BENCH_simulator.json";
-    std::ofstream(path) << json.str();
-    std::cout << "\nJSON written to " << path << "\n";
-    return pass ? 0 : 1;
-}
-
 } // namespace
 
-int
-main(int argc, char **argv)
-{
-    if (argc > 1 && std::strcmp(argv[1], "--gbench") == 0) {
-        int gargc = argc - 1;
-        std::vector<char *> gargv;
-        gargv.push_back(argv[0]);
-        for (int i = 2; i < argc; ++i)
-            gargv.push_back(argv[i]);
-        benchmark::Initialize(&gargc, gargv.data());
-        benchmark::RunSpecifiedBenchmarks();
-        return 0;
-    }
-    return runDriver();
-}
+BENCHMARK_MAIN();

@@ -14,49 +14,11 @@ namespace proact {
  */
 constexpr int faultEventPriority = -100;
 
-namespace {
-
-/** splitmix64 finalizer: full-avalanche 64-bit mixing. */
-std::uint64_t
-mix64(std::uint64_t x)
-{
-    x += 0x9e3779b97f4a7c15ull;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-    return x ^ (x >> 31);
-}
-
-/** Uniform [0, 1) from a mixed 64-bit value (53 mantissa bits). */
-double
-unitFromBits(std::uint64_t bits)
-{
-    return static_cast<double>(bits >> 11) * 0x1.0p-53;
-}
-
-} // namespace
-
 FaultInjector::FaultInjector(EventQueue &eq, Interconnect &fabric,
                              FaultPlan plan)
     : _eq(eq), _fabric(fabric), _plan(std::move(plan)),
       _rng(_plan.seed)
 {
-    if (_fabric.sharded()) {
-        const std::size_t n =
-            static_cast<std::size_t>(_fabric.numGpus());
-        _pairSeq.assign(n * n, 0);
-        _srcStats.resize(n);
-    }
-}
-
-const StatSet &
-FaultInjector::stats() const
-{
-    if (_srcStats.empty())
-        return _stats;
-    _mergedStats = _stats;
-    for (const StatSet &lane : _srcStats)
-        _mergedStats.merge(lane);
-    return _mergedStats;
 }
 
 FaultInjector::~FaultInjector()
@@ -246,29 +208,11 @@ FaultInjector::onTransfer(const Interconnect::Request &req,
 {
     // Episodes judge a transfer at its submission tick — the
     // cut-through booking model decides the whole path up front, so
-    // the wire state "now" is what the transfer experiences. On a
-    // shard-bound fabric the submission runs on the source's shard,
-    // so "now" is that shard's clock.
-    const bool sharded = !_srcStats.empty();
-    EventQueue *cur =
-        sharded ? ShardedEventEngine::currentQueue() : nullptr;
-    const Tick now = cur ? cur->curTick() : _eq.curTick();
+    // the wire state "now" is what the transfer experiences.
+    const Tick now = _eq.curTick();
     Interconnect::FaultVerdict verdict;
 
-    // One draw index per submission, consumed whether or not a drop
-    // episode is active, so verdicts depend only on the source's
-    // serial submission order — never on cross-shard interleaving or
-    // the shard count.
-    std::uint64_t draw_seq = 0;
-    if (sharded) {
-        const std::size_t n =
-            static_cast<std::size_t>(_fabric.numGpus());
-        draw_seq = _pairSeq[static_cast<std::size_t>(req.src) * n
-                            + static_cast<std::size_t>(req.dst)]++;
-    }
-
-    for (std::size_t i = 0; i < _plan.episodes.size(); ++i) {
-        const FaultEpisode &ep = _plan.episodes[i];
+    for (const FaultEpisode &ep : _plan.episodes) {
         if (!ep.active(now))
             continue;
         switch (ep.kind) {
@@ -279,22 +223,8 @@ FaultInjector::onTransfer(const Interconnect::Request &req,
           case FaultKind::DeliveryDrop:
             if (verdict.drop || !ep.matchesLink(req.src, req.dst))
                 break;
-            if (sharded) {
-                // Hash-derived verdict: a pure function of (plan
-                // seed, episode, pair, per-pair sequence), identical
-                // at every shard count.
-                const std::uint64_t bits = mix64(
-                    mix64(_plan.seed ^ draw_seq)
-                    ^ (static_cast<std::uint64_t>(i)
-                           * 0x100000001b3ull
-                       + static_cast<std::uint64_t>(req.src)
-                             * 0x10001ull
-                       + static_cast<std::uint64_t>(req.dst)));
-                if (unitFromBits(bits) < ep.severity)
-                    verdict.drop = true;
-            } else if (_rng.uniform() < ep.severity) {
+            if (_rng.uniform() < ep.severity)
                 verdict.drop = true;
-            }
             break;
           case FaultKind::DeliveryDelay:
             if (ep.matchesLink(req.src, req.dst))
@@ -309,16 +239,13 @@ FaultInjector::onTransfer(const Interconnect::Request &req,
         }
     }
 
-    StatSet &sink = sharded
-        ? _srcStats[static_cast<std::size_t>(req.src)]
-        : _stats;
     if (verdict.drop) {
-        sink.inc("faults.injected");
-        sink.inc("faults.dropped");
+        _stats.inc("faults.injected");
+        _stats.inc("faults.dropped");
         verdict.extraDelay = 0;
     } else if (verdict.extraDelay > 0) {
-        sink.inc("faults.injected");
-        sink.inc("faults.delayed");
+        _stats.inc("faults.injected");
+        _stats.inc("faults.delayed");
     }
     return verdict;
 }

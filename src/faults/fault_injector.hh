@@ -78,9 +78,8 @@ class FaultInjector
 
     const FaultPlan &plan() const { return _plan; }
 
-    /** Injector statistics (sharded: folded over per-source lanes
-     * on every read, so the sums match the serial run bit-for-bit). */
-    const StatSet &stats() const;
+    /** Injector statistics. */
+    const StatSet &stats() const { return _stats; }
 
     /** Attach a span tracer for fault/episode spans. */
     void setTrace(Trace *trace) { _trace = trace; }
@@ -105,24 +104,6 @@ class FaultInjector
     FaultPlan _plan;
     Rng _rng;
     StatSet _stats;
-    mutable StatSet _mergedStats;
-
-    /**
-     * @{ @name Sharded filter state
-     *
-     * On a shard-bound fabric the filter runs on the submitting
-     * GPU's shard, so serial-RNG draws and a shared StatSet would
-     * race (and their order would depend on the shard count). Drop
-     * verdicts instead hash (plan seed, episode, pair, per-pair
-     * submission sequence) — a single-writer counter per directed
-     * pair — and per-delivery stats land in per-source lanes folded
-     * on read. Boundary events stay on the serial queue and keep
-     * using _stats directly.
-     */
-    std::vector<std::uint64_t> _pairSeq;
-    std::vector<StatSet> _srcStats;
-    /** @} */
-
     Trace *_trace = nullptr;
     std::vector<std::pair<int, DmaEngine *>> _dmas;
     std::vector<DeviceDownListener> _deviceDownListeners;

@@ -76,9 +76,6 @@ Tick
 RetryingSender::attempt(const Interconnect::Request &req,
                         int attempt_no, bool replanned)
 {
-    if (_fabric.sharded())
-        return attemptSharded(req, attempt_no, replanned);
-
     // A dead endpoint is not a lossy link: no number of retries (or
     // the reliable fallback) can land a byte on it, so the transfer
     // is orphaned outright. This is what lets the event queue drain
@@ -169,79 +166,6 @@ RetryingSender::attempt(const Interconnect::Request &req,
     };
     tstate->event = _eq.schedule(timeout, tstate->cb);
 
-    return predicted;
-}
-
-Tick
-RetryingSender::attemptSharded(const Interconnect::Request &req,
-                               int attempt_no, bool replanned)
-{
-    // Dead endpoint: orphan outright, exactly as in attempt(). The
-    // death flags only change in serial context (between windows), so
-    // this read is stable for the whole window.
-    if (_fabric.deviceDown(req.src) || _fabric.deviceDown(req.dst)) {
-        bumpStat("transfers.orphaned");
-        return _eq.curTick();
-    }
-
-    Interconnect::Request wire = req;
-    wire.onComplete = [this, cb = req.onComplete] {
-        _inFlight.fetch_sub(1, std::memory_order_relaxed);
-        if (cb)
-            cb();
-    };
-    // The destination can die while the delivery is on the wire; the
-    // fabric orphans it at fire time and tells us, so the in-flight
-    // count still drains. The orphan itself is counted by the fabric
-    // (quiescedFlights) — bumping our stats here would race with the
-    // source shard.
-    wire.onOrphaned = [this] {
-        _inFlight.fetch_sub(1, std::memory_order_relaxed);
-    };
-
-    const Tick submit = _eq.curTick();
-    const Tick predicted = _fabric.transfer(wire);
-
-    if (!_fabric.lastSubmissionDropped(req.src)) {
-        // Delivered: the fabric posted the completion at least one
-        // full lookahead window out, so this increment always
-        // happens-before the matching decrement.
-        _inFlight.fetch_add(1, std::memory_order_relaxed);
-        return predicted;
-    }
-
-    // Lost. The verdict is synchronous, but *discovering* the loss
-    // still costs what the ack horizon models, so the retry ladder is
-    // scheduled locally — on the sender's own shard — at the exact
-    // tick the legacy ack timeout would have fired. No acks cross
-    // shards, and the ladder below mirrors the legacy timeout
-    // callback step for step.
-    const Tick entered = std::max(submit, req.notBefore);
-    const Tick horizon =
-        std::max(predicted + 1, entered + _policy.ackTimeout);
-    _eq.schedule(horizon, [this, req, attempt_no, replanned, submit] {
-        // The endpoint may have died while the loss was being
-        // discovered; orphan instead of escalating.
-        if (_fabric.deviceDown(req.src) ||
-            _fabric.deviceDown(req.dst)) {
-            bumpStat("transfers.orphaned");
-            return;
-        }
-        if (attempt_no >= _policy.maxAttempts) {
-            fallback(req, submit);
-            return;
-        }
-        if (!replanned && _rerouter
-            && _policy.rerouteAfterAttempts > 0
-            && attempt_no >= _policy.rerouteAfterAttempts
-            && replan(req, attempt_no)) {
-            return;
-        }
-        bumpStat("transfers.retried");
-        Interconnect::Request again = req;
-        again.notBefore = _eq.curTick() + _policy.backoff(attempt_no);
-        attemptSharded(again, attempt_no + 1, replanned);
-    });
     return predicted;
 }
 

@@ -38,7 +38,6 @@
 #include "sim/trace.hh"
 #include "sim/types.hh"
 
-#include <atomic>
 #include <cstdint>
 
 namespace proact {
@@ -130,11 +129,7 @@ class RetryingSender
     void setRerouter(Rerouter *rerouter) { _rerouter = rerouter; }
 
     /** Transfers currently awaiting an acknowledgement. */
-    std::uint64_t
-    inFlight() const
-    {
-        return _inFlight.load(std::memory_order_relaxed);
-    }
+    std::uint64_t inFlight() const { return _inFlight; }
 
   private:
     EventQueue &_eq;
@@ -144,13 +139,8 @@ class RetryingSender
     Trace *_trace;
     Rerouter *_rerouter = nullptr;
 
-    /**
-     * Outstanding-attempt count. Atomic because on a shard-bound
-     * fabric the decrement fires on the destination's shard (the
-     * delivery callback) while the owning source shard increments;
-     * everything else about the sender stays single-writer.
-     */
-    std::atomic<std::uint64_t> _inFlight{0};
+    /** Outstanding-attempt count. */
+    std::uint64_t _inFlight = 0;
 
     /**
      * Submit attempt @p attempt_no of @p req. @p replanned marks
@@ -159,19 +149,6 @@ class RetryingSender
      */
     Tick attempt(const Interconnect::Request &req, int attempt_no,
                  bool replanned = false);
-
-    /**
-     * Attempt path for a shard-bound fabric. There are no ack events:
-     * the fabric's drop verdict is synchronous at submission
-     * (lastSubmissionDropped), so a lost attempt schedules its retry
-     * locally — on the sender's own shard — at the tick the ack
-     * horizon would have fired, and a surviving attempt needs no
-     * bookkeeping beyond the in-flight count. Dead-endpoint
-     * deliveries already on the wire are orphaned by the fabric at
-     * fire time (Request::onOrphaned keeps the count honest).
-     */
-    Tick attemptSharded(const Interconnect::Request &req,
-                        int attempt_no, bool replanned);
 
     /**
      * Re-plan @p req through the rerouter after @p attempt_no lost

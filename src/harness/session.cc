@@ -84,10 +84,6 @@ Session::run(Workload &workload, Paradigm paradigm,
     // Checkpointing is independent of fault injection: a fault-free
     // run can still measure the checkpoint overhead.
     options.checkpoint = envCheckpointPolicy();
-    // PROACT_SIM_SHARDS>1 shards the paradigm execution itself (the
-    // same knob that fans out profiler sweeps); results stay
-    // bit-identical to the serial-shard run.
-    options.simShards = envSimShards();
     return run(workload, paradigm, options);
 }
 
@@ -95,14 +91,7 @@ ParadigmRun
 Session::run(Workload &workload, Paradigm paradigm,
              const RunOptions &options)
 {
-    // Sharding only covers the PROACT paradigms (their agents and
-    // senders are shard-aware); the baselines keep the serial
-    // engine. The system itself degrades to serial when the platform
-    // cannot satisfy the conservative contract (see MultiGpuSystem).
-    const bool proact = paradigm == Paradigm::ProactInline ||
-        paradigm == Paradigm::ProactDecoupled;
-    MultiGpuSystem system(_platform,
-                          proact ? options.simShards : 0);
+    MultiGpuSystem system(_platform);
     system.setFunctional(options.functional);
 
     TransferConfig effective = options.config;
@@ -116,11 +105,8 @@ Session::run(Workload &workload, Paradigm paradigm,
         system.enableHealth(options.healthPolicy);
         // Boundary-aware bookings: in-flight transfers follow
         // degradation windows instead of keeping their stale
-        // delivery tick. A shard-bound fabric has no rebookable
-        // flights — losses are discovered synchronously — so the
-        // knob stays off there (it would fatal).
-        if (!system.sharded())
-            system.fabric().setRebooking(true);
+        // delivery tick.
+        system.fabric().setRebooking(true);
     }
     if (options.deviceHealth)
         system.enableDeviceHealth(options.deviceHealthPolicy);

@@ -152,18 +152,6 @@ class Session
         int firstIteration = 0;
 
         /**
-         * Shard the paradigm execution's event engine across this
-         * many cores (0 = serial; 1 = single-shard engine, the
-         * determinism-gate reference). Engages only for PROACT
-         * paradigms on PairwiseLinks platforms with a non-zero link
-         * latency and at least two GPUs; everything else silently
-         * runs serial. The env overload reads PROACT_SIM_SHARDS.
-         * Stats and summaries are bit-identical at every shard
-         * count; only wall-clock changes.
-         */
-        int simShards = 0;
-
-        /**
          * Extra delivery observer registered on the fresh system's
          * fabric for the duration of the run — per-tenant tracing
          * riding alongside the health monitor's own observer.

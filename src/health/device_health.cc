@@ -120,10 +120,8 @@ DeviceHealthMonitor::beat()
     // or a verdict is pending. With an empty queue liveness cannot
     // change (fault boundaries are events too), so pending SUSPECT
     // streaks resolve monotonically and the beat always stops.
-    if (_eq.pendingEvents() > 0 || anySuspect() ||
-        (_livenessProbe && _livenessProbe())) {
+    if (_eq.pendingEvents() > 0 || anySuspect())
         poke();
-    }
 }
 
 void

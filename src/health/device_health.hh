@@ -132,19 +132,6 @@ class DeviceHealthMonitor
      */
     void poke();
 
-    /**
-     * Extra liveness signal ORed into the beat's re-arm condition.
-     * On a sharded engine the monitor lives on the serial control
-     * queue, which is empty whenever the shards hold all the work —
-     * the probe (typically ShardedEventEngine::shardEventsPending)
-     * keeps the watchdog alive while any shard still has events, and
-     * lets it stop once the whole engine drains.
-     */
-    void setLivenessProbe(std::function<bool()> probe)
-    {
-        _livenessProbe = std::move(probe);
-    }
-
     const DeviceHealthPolicy &policy() const { return _policy; }
 
     StatSet &stats() { return _stats; }
@@ -167,7 +154,6 @@ class DeviceHealthMonitor
     std::vector<Device> _devices;
     std::vector<Listener> _listeners;
     std::vector<Transition> _transitions;
-    std::function<bool()> _livenessProbe;
     int _numLost = 0;
     bool _beatScheduled = false;
 

@@ -73,9 +73,8 @@ struct FabricSpec
     // node ride this spec's intra-node parameters; pairs crossing a
     // node boundary ride the inter-node protocol/bandwidth/latency
     // below, with their own packetization curve (packetModelFor).
-    // `latency` stays the intra-node (minimum) hop delay, so the
-    // sharded engine's lookahead contract is untouched: interLatency
-    // must be >= latency.
+    // `latency` stays the intra-node (minimum) hop delay:
+    // interLatency must be >= latency.
     // -----------------------------------------------------------------
 
     /** GPUs per node; 0 = single-node fabric (the default). */

@@ -28,7 +28,8 @@ Interconnect::Interconnect(EventQueue &eq, const FabricSpec &spec,
             fatalError("Interconnect: inter-node latency (",
                        spec.interLatency, ") below the intra-node "
                        "latency (", spec.latency,
-                       ") breaks the lookahead floor");
+                       "): the network tier cannot be faster than "
+                       "the chassis tier");
         }
         if (spec.interEgressRate() <= 0.0 && num_gpus > spec.gpusPerNode)
             fatalError("Interconnect: multi-node fabric with zero "
@@ -134,9 +135,6 @@ Interconnect::effectiveEgressRate(std::uint32_t threads) const
 Tick
 Interconnect::transfer(const Request &req)
 {
-    if (_engine)
-        return transferSharded(req);
-
     validate(req);
 
     if (_deadDevice[static_cast<std::size_t>(req.src)] ||
@@ -402,183 +400,6 @@ Interconnect::quiesceDevice(int gpu)
     return aborted;
 }
 
-void
-Interconnect::bindShards(ShardedEventEngine &engine,
-                         std::vector<int> shard_of)
-{
-    if (!pairwise())
-        fatalError("Interconnect: bindShards needs a PairwiseLinks "
-                   "topology");
-    if (_rebooking)
-        fatalError("Interconnect: bindShards is incompatible with "
-                   "rebooking");
-    if (static_cast<int>(shard_of.size()) != _numGpus)
-        fatalError("Interconnect: bindShards map covers ",
-                   shard_of.size(), " GPUs, fabric has ", _numGpus);
-    if (_engine)
-        fatalError("Interconnect: shards already bound");
-
-    _engine = &engine;
-    _shardOf = std::move(shard_of);
-
-    // Re-home each directed pair link onto its source GPU's shard:
-    // submissions run there, so the channel's FIFO state and clock
-    // reference must live there too. Tier parameters carry over —
-    // inter-node pairs keep their slower rate and longer latency
-    // (which, being >= the intra-node latency, still clears the
-    // engine's lookahead).
-    for (int s = 0; s < _numGpus; ++s) {
-        EventQueue &queue = engine.shard(_shardOf[s]);
-        for (int d = 0; d < _numGpus; ++d) {
-            if (s == d)
-                continue;
-            _pairs[static_cast<std::size_t>(s) * _numGpus + d] =
-                std::make_unique<Channel>(
-                    queue,
-                    _spec.name + ".link" + std::to_string(s) + "to"
-                        + std::to_string(d),
-                    nominalPairRate(s, d), pairLatency(s, d));
-        }
-    }
-
-    _lanes.clear();
-    _lanes.reserve(static_cast<std::size_t>(_numGpus));
-    for (int g = 0; g < _numGpus; ++g)
-        _lanes.push_back(std::make_unique<Lane>());
-
-    engine.addBarrierHook([this] { flushDeferredSamples(); });
-}
-
-bool
-Interconnect::lastSubmissionDropped(int src) const
-{
-    if (!_engine)
-        panicError("Interconnect: lastSubmissionDropped needs a "
-                   "shard-bound fabric");
-    return _lanes.at(static_cast<std::size_t>(src))->lastDropped;
-}
-
-Tick
-Interconnect::transferSharded(const Request &req)
-{
-    validate(req);
-    Lane &lane = *_lanes[static_cast<std::size_t>(req.src)];
-    EventQueue *cur = ShardedEventEngine::currentQueue();
-    const Tick now = cur ? cur->curTick() : _eq.curTick();
-
-    if (_deadDevice[static_cast<std::size_t>(req.src)] ||
-        _deadDevice[static_cast<std::size_t>(req.dst)]) {
-        // Dead endpoint: refuse at submission (see transfer()); the
-        // observer sample waits for the barrier like every other.
-        ++lane.refused;
-        lane.lastDropped = true;
-        DeliverySample sample;
-        sample.enqueued = now;
-        sample.start = now;
-        sample.delivered = now;
-        sample.dropped = true;
-        lane.pendingSamples.push_back({req, sample});
-        return now;
-    }
-
-    const Tick nb = std::max(now, req.notBefore);
-
-    if (req.bytes == 0) {
-        // Even empty hand-offs cross GPUs, so they pay their pair's
-        // link latency — which keeps the delivery outside the
-        // lookahead window (inter-node latency >= intra-node
-        // latency == lookahead; the serial engine books them
-        // latency-free, and the determinism gate compares shard
-        // counts, not engines).
-        lane.lastDropped = false;
-        const Tick when = nb + pairLatency(req.src, req.dst);
-        if (req.onComplete)
-            postDelivery(req, when);
-        return when;
-    }
-
-    const PacketModel &packet = pairPacketModel(req.src, req.dst);
-    const std::uint64_t wire =
-        packet.wireBytes(req.bytes, req.writeGranularity);
-    const double eff_rate = effectiveEgressRate(req.threads);
-    const std::uint32_t gran =
-        std::min(req.writeGranularity, packet.maxPayloadBytes);
-    const std::uint64_t packets = (req.bytes + gran - 1) / gran;
-    _storeTransactions[req.src] += packets; // Per-src: single writer.
-    lane.writeSizes.record(gran, packets);
-
-    Channel &link = pairLink(req.src, req.dst);
-    const double pair_eff = std::min(link.rate(), eff_rate);
-    const auto pair_wire_eq = static_cast<std::uint64_t>(
-        static_cast<double>(wire) * link.rate() / pair_eff);
-    const Channel::Timing t =
-        link.submitTimed(nb, pair_wire_eq, req.bytes);
-
-    DeliverySample sample;
-    sample.enqueued = nb;
-    sample.wireBytes = wire;
-    sample.start = t.start;
-    sample.delivered = t.delivered;
-    sample.queueDelay = t.queueDelay();
-    sample.serviceTime = t.serviceTicks() + link.latency();
-
-    // The verdict is synchronous: the source learns the loss here,
-    // via lastSubmissionDropped(), instead of waiting out an ack
-    // horizon that would have to cross shards backwards.
-    Tick delivered = t.delivered;
-    bool dropped = false;
-    if (_faultFilter && !req.reliable) {
-        const FaultVerdict verdict = _faultFilter(req, delivered);
-        dropped = verdict.drop;
-        delivered += verdict.extraDelay;
-        sample.delivered = delivered;
-        sample.serviceTime += verdict.extraDelay;
-    }
-    sample.dropped = dropped;
-    lane.lastDropped = dropped;
-
-    if (dropped)
-        ++lane.dropped;
-    else if (req.onComplete)
-        postDelivery(req, delivered);
-
-    lane.pendingSamples.push_back({req, std::move(sample)});
-    return delivered;
-}
-
-void
-Interconnect::postDelivery(const Request &req, Tick when)
-{
-    Lane *lane = _lanes[static_cast<std::size_t>(req.src)].get();
-    lane->outstanding.fetch_add(1, std::memory_order_relaxed);
-    const int dst = req.dst;
-    _engine->postStream(
-        req.src, _shardOf[static_cast<std::size_t>(dst)], when,
-        [this, lane, dst, cb = req.onComplete,
-         orphan = req.onOrphaned]() mutable {
-            lane->outstanding.fetch_sub(1, std::memory_order_relaxed);
-            if (_deadDevice[static_cast<std::size_t>(dst)]) {
-                // The destination died while this delivery was
-                // crossing shards: orphan it instead of completing.
-                lane->orphaned.fetch_add(1, std::memory_order_relaxed);
-                if (orphan)
-                    orphan();
-                return;
-            }
-            cb();
-        });
-}
-
-void
-Interconnect::flushDeferredSamples()
-{
-    for (auto &lane : _lanes) {
-        for (Lane::Deferred &deferred : lane->pendingSamples)
-            notifyObservers(deferred.req, deferred.sample);
-        lane->pendingSamples.clear();
-    }
-}
-
 Interconnect::ObserverHandle
 Interconnect::addDeliveryObserver(DeliveryObserver observer)
 {
@@ -623,13 +444,6 @@ Interconnect::forEachChannel(const std::function<void(Channel &)> &f)
 void
 Interconnect::setRebooking(bool on)
 {
-    if (on && _engine) {
-        // Rebooking tracks flights in shared maps and moves their
-        // completion events from serial context — neither survives
-        // sharded execution, where deliveries are fire-time posts.
-        fatalError("Interconnect: rebooking is incompatible with a "
-                   "shard-bound fabric");
-    }
     if (on == _rebooking)
         return;
     _rebooking = on;
@@ -748,56 +562,6 @@ Interconnect::totalWireBytes() const
             total += ch->wireBytes();
     }
     return total;
-}
-
-std::uint64_t
-Interconnect::droppedDeliveries() const
-{
-    std::uint64_t total = _droppedDeliveries;
-    for (const auto &lane : _lanes)
-        total += lane->dropped;
-    return total;
-}
-
-std::uint64_t
-Interconnect::refusedDeliveries() const
-{
-    std::uint64_t total = _refusedDeliveries;
-    for (const auto &lane : _lanes)
-        total += lane->refused;
-    return total;
-}
-
-std::uint64_t
-Interconnect::quiescedFlights() const
-{
-    std::uint64_t total = _quiescedFlights;
-    for (const auto &lane : _lanes)
-        total += lane->orphaned.load(std::memory_order_relaxed);
-    return total;
-}
-
-std::size_t
-Interconnect::numTrackedFlights() const
-{
-    std::size_t total = _flights.size();
-    for (const auto &lane : _lanes) {
-        total += static_cast<std::size_t>(
-            lane->outstanding.load(std::memory_order_relaxed));
-    }
-    return total;
-}
-
-const Histogram &
-Interconnect::writeSizes() const
-{
-    if (!_engine)
-        return _writeSizes;
-    _mergedWriteSizes.clear();
-    _mergedWriteSizes.merge(_writeSizes);
-    for (const auto &lane : _lanes)
-        _mergedWriteSizes.merge(lane->writeSizes);
-    return _mergedWriteSizes;
 }
 
 void

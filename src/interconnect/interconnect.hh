@@ -18,12 +18,10 @@
 #include "interconnect/packet_model.hh"
 #include "sim/channel.hh"
 #include "sim/event_queue.hh"
-#include "sim/sharded_engine.hh"
 #include "sim/stats.hh"
 #include "sim/trace.hh"
 #include "sim/types.hh"
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -90,15 +88,6 @@ class Interconnect
          * horizon out instead of declaring a slowed delivery lost.
          */
         std::function<void(Tick)> onRebook = nullptr;
-
-        /**
-         * Sharded fabrics (bindShards) decide survival at fire time:
-         * when the destination dies while this delivery is crossing
-         * shards, the delivery is orphaned and this fires in place of
-         * onComplete (optional). The retry layer uses it to release
-         * its in-flight accounting without an acknowledgement.
-         */
-        EventQueue::Callback onOrphaned = nullptr;
     };
 
     /** What fault injection decided about one delivery. */
@@ -170,10 +159,9 @@ class Interconnect
      * On a multi-node fabric (FabricSpec::multiNode) directed pairs
      * crossing a node boundary ride the inter-node tier: their own
      * nominal rate (the inter-node egress split across remote peers),
-     * their own delivery latency (>= the intra-node latency, which
-     * stays the sharded engine's lookahead floor), and their own
-     * packetization curve. Single-node fabrics answer with the base
-     * tier for every pair, so callers need no special-casing.
+     * their own delivery latency (>= the intra-node latency), and
+     * their own packetization curve. Single-node fabrics answer with
+     * the base tier for every pair, so callers need no special-casing.
      */
 
     /** Whether the directed pair crosses a node boundary. */
@@ -233,9 +221,8 @@ class Interconnect
     /** Total wire bytes consumed across the fabric. */
     std::uint64_t totalWireBytes() const;
 
-    /** Distribution of write granularities seen on the wire
-     * (sharded: folded over the per-source lanes on every read). */
-    const Histogram &writeSizes() const;
+    /** Distribution of write granularities seen on the wire. */
+    const Histogram &writeSizes() const { return _writeSizes; }
 
     void resetStats();
 
@@ -251,7 +238,7 @@ class Interconnect
     bool hasFaultFilter() const { return _faultFilter != nullptr; }
 
     /** Deliveries the fault filter dropped so far. */
-    std::uint64_t droppedDeliveries() const;
+    std::uint64_t droppedDeliveries() const { return _droppedDeliveries; }
 
     /**
      * Register a delivery observer alongside any already installed.
@@ -317,45 +304,14 @@ class Interconnect
     std::size_t quiesceDevice(int gpu);
 
     /** Submissions refused because an endpoint device was down. */
-    std::uint64_t refusedDeliveries() const;
+    std::uint64_t refusedDeliveries() const { return _refusedDeliveries; }
 
-    /**
-     * Flights that never completed because a device died under them:
-     * aborted by quiesceDevice (serial rebooking mode) or orphaned at
-     * fire time by a dead destination (sharded mode).
-     */
-    std::uint64_t quiescedFlights() const;
+    /** Flights aborted by quiesceDevice because a device died under
+     * them (rebooking mode). */
+    std::uint64_t quiescedFlights() const { return _quiescedFlights; }
 
-    /** Live in-flight transfers (rebooking flights, or posted
-     * cross-shard deliveries not yet fired when sharded). */
-    std::size_t numTrackedFlights() const;
-    /** @} */
-
-    /**
-     * @{ @name Sharded execution (DESIGN.md Sec. 13)
-     *
-     * bindShards() re-homes the fabric onto a sharded engine: each
-     * directed pair link moves to its source GPU's shard (submissions
-     * run there), per-source lanes take over the submission-side
-     * statistics, and every delivery crosses to the destination's
-     * shard via a stream-keyed post at >= one link latency — which is
-     * exactly the engine's lookahead, so the conservative contract
-     * holds by construction. Fault verdicts become synchronous: the
-     * sender reads lastSubmissionDropped() right after transfer()
-     * instead of waiting out an acknowledgement horizon. Delivery
-     * observers are dispatched serially at window barriers, in
-     * source-GPU order. PairwiseLinks topologies only; mutually
-     * exclusive with setRebooking.
-     */
-    void bindShards(ShardedEventEngine &engine,
-                    std::vector<int> shard_of);
-
-    /** Whether bindShards re-homed this fabric. */
-    bool sharded() const { return _engine != nullptr; }
-
-    /** Synchronous verdict of @p src's most recent submission:
-     * true when it was dropped or refused (sharded mode only). */
-    bool lastSubmissionDropped(int src) const;
+    /** Live in-flight transfers tracked for rebooking. */
+    std::size_t numTrackedFlights() const { return _flights.size(); }
     /** @} */
 
   private:
@@ -423,44 +379,9 @@ class Interconnect
     std::uint64_t _refusedDeliveries = 0;
     std::uint64_t _quiescedFlights = 0;
 
-    /** Per-GPU down flags (see setDeviceDown). Sharded: written only
-     * serially between windows; fire-time reads are ordered by the
-     * engine's window barrier. */
+    /** Per-GPU down flags (see setDeviceDown). */
     std::vector<char> _deadDevice;
     std::unordered_map<std::uint64_t, Flight> _flights;
-
-    /**
-     * Per-source shard lane. Non-atomic members are written only by
-     * the source GPU's shard during windows (or serially between
-     * them); the atomics are additionally touched by destination
-     * shards at delivery fire time.
-     */
-    struct alignas(64) Lane
-    {
-        Histogram writeSizes;
-        std::uint64_t dropped = 0;
-        std::uint64_t refused = 0;
-        bool lastDropped = false;
-
-        /** Submissions awaiting serial observer dispatch. */
-        struct Deferred
-        {
-            Request req;
-            DeliverySample sample;
-        };
-        std::vector<Deferred> pendingSamples;
-
-        /** Posted deliveries not yet fired. */
-        std::atomic<std::uint64_t> outstanding{0};
-
-        /** Deliveries orphaned at fire time by a dead destination. */
-        std::atomic<std::uint64_t> orphaned{0};
-    };
-
-    ShardedEventEngine *_engine = nullptr;
-    std::vector<int> _shardOf;
-    std::vector<std::unique_ptr<Lane>> _lanes;
-    mutable Histogram _mergedWriteSizes;
 
     /** (channel, booking) -> flight id, per channel. */
     std::unordered_map<Channel *,
@@ -495,15 +416,6 @@ class Interconnect
      */
     Tick finishDelivery(const Request &req, DeliverySample sample,
                         std::vector<Hop> hops = {});
-
-    /** transfer() body for a bound fabric (see bindShards). */
-    Tick transferSharded(const Request &req);
-
-    /** Post one delivery to the destination's shard at @p when. */
-    void postDelivery(const Request &req, Tick when);
-
-    /** Barrier hook: serial observer dispatch in source order. */
-    void flushDeferredSamples();
 };
 
 } // namespace proact

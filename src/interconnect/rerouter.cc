@@ -34,51 +34,6 @@ Rerouter::Rerouter(EventQueue &eq, Interconnect &fabric,
     _cacheDirectOnly.assign(pairs, 0);
     _cacheValid.assign(pairs, 0);
     _cacheTierMask.assign(pairs, 0);
-
-    // Shard-bound fabric: the send path runs on each source's shard.
-    // Cache entries are already race-free (row src has a single
-    // writer), but the stats need per-source lanes.
-    if (fabric.sharded()) {
-        _srcStats.resize(
-            static_cast<std::size_t>(fabric.numGpus()));
-    }
-}
-
-Tick
-Rerouter::nowTick() const
-{
-    if (!_srcStats.empty()) {
-        if (EventQueue *cur = ShardedEventEngine::currentQueue())
-            return cur->curTick();
-    }
-    return _eq.curTick();
-}
-
-StatSet &
-Rerouter::sink(int src) const
-{
-    if (_srcStats.empty())
-        return _stats;
-    return _srcStats[static_cast<std::size_t>(src)];
-}
-
-const StatSet &
-Rerouter::stats() const
-{
-    if (_srcStats.empty())
-        return _stats;
-    _mergedStats = _stats;
-    for (const StatSet &lane : _srcStats)
-        _mergedStats.merge(lane);
-    return _mergedStats;
-}
-
-void
-Rerouter::setHopSubmitters(std::vector<Submit> submitters)
-{
-    if (static_cast<int>(submitters.size()) != _fabric.numGpus())
-        fatalError("Rerouter: need one hop submitter per GPU");
-    _hopSubmitters = std::move(submitters);
 }
 
 unsigned char
@@ -402,8 +357,7 @@ Rerouter::computePlan(int src, int dst,
 const std::vector<Rerouter::Leg> &
 Rerouter::plan(int src, int dst) const
 {
-    StatSet &stats = sink(src);
-    stats.inc("reroute.plan_requests");
+    _stats.inc("reroute.plan_requests");
 
     const std::size_t idx =
         static_cast<std::size_t>(src) * _fabric.numGpus() + dst;
@@ -417,17 +371,17 @@ Rerouter::plan(int src, int dst) const
         // (congestion flips don't evict by design).
         if (valid && !_cacheDirectOnly[idx] && _policy.planTtl > 0) {
             valid =
-                nowTick() - _cachedTicks[idx] < _policy.planTtl;
+                _eq.curTick() - _cachedTicks[idx] < _policy.planTtl;
         }
     } else if (valid) {
-        stats.inc("reroute.epoch_reads");
+        _stats.inc("reroute.epoch_reads");
         if (_health.linkEpoch(src, dst) != _cachedLinkEpochs[idx]) {
             // The direct link changed state: the plan's shape (direct
             // vs detour vs split) is wrong, not just its weights.
             // Always recompute.
             valid = false;
         } else if (!_cacheDirectOnly[idx]) {
-            stats.inc("reroute.epoch_reads");
+            _stats.inc("reroute.epoch_reads");
             if (_health.routeEpoch(src, dst)
                     != _cachedRouteEpochs[idx]) {
                 // Only relay conditions drifted: tolerate the stale
@@ -435,16 +389,16 @@ Rerouter::plan(int src, int dst) const
                 // so endpoint congestion flapping relay links can't
                 // force a recompute per transfer.
                 valid = _policy.planTtl > 0
-                    && nowTick() - _cachedTicks[idx]
+                    && _eq.curTick() - _cachedTicks[idx]
                            < _policy.planTtl;
             }
         }
     }
 
     if (valid) {
-        stats.inc("reroute.plan_cache_hits");
+        _stats.inc("reroute.plan_cache_hits");
     } else {
-        stats.inc("reroute.plan_computes");
+        _stats.inc("reroute.plan_computes");
         unsigned char tier_mask = kTierIntra;
         _cachedPlans[idx] = computePlan(src, dst, tier_mask);
         _cacheTierMask[idx] = tier_mask;
@@ -462,7 +416,7 @@ Rerouter::plan(int src, int dst) const
             _cachedLinkEpochs[idx] = _health.linkEpoch(src, dst);
             _cachedRouteEpochs[idx] = _health.routeEpoch(src, dst);
         }
-        _cachedTicks[idx] = nowTick();
+        _cachedTicks[idx] = _eq.curTick();
         _cacheValid[idx] = 1;
     }
     return _cachedPlans[idx];
@@ -533,10 +487,9 @@ Rerouter::sendLeg(const Submit &submit,
         return submit(req);
     }
 
-    StatSet &stats = sink(base.src);
-    stats.inc("reroute.relay_hops",
-              static_cast<double>(leg.vias.size()));
-    stats.inc("reroute.bytes_detoured", bytes);
+    _stats.inc("reroute.relay_hops",
+               static_cast<double>(leg.vias.size()));
+    _stats.inc("reroute.bytes_detoured", bytes);
 
     // Node sequence src -> vias... -> dst; every hop after the first
     // is submitted on the previous hop's delivery, and only the final
@@ -555,16 +508,7 @@ Rerouter::sendLeg(const Submit &submit,
         hop.dst = nodes[i];
         hop.notBefore = 0;
         hop.onComplete = tail;
-        if (_hopSubmitters.empty()) {
-            tail = [submit, hop] { submit(hop); };
-        } else {
-            // Sharded: this continuation fires on hop.src's shard
-            // (the previous hop delivers there), so it must submit
-            // through that GPU's own sender, not the caller's.
-            const Submit *hop_submit =
-                &_hopSubmitters[static_cast<std::size_t>(hop.src)];
-            tail = [hop_submit, hop] { (*hop_submit)(hop); };
-        }
+        tail = [submit, hop] { submit(hop); };
     }
 
     Interconnect::Request first = req;
@@ -586,14 +530,14 @@ Rerouter::send(const Submit &submit, Interconnect::Request req)
 
     if (legs.size() == 1 && legs[0].direct()) {
         if (_health.linkState(req.src, req.dst) == LinkState::Down)
-            sink(req.src).inc("reroute.no_path");
+            _stats.inc("reroute.no_path");
         return submit(req); // Healthy or no better route: unchanged.
     }
 
     if (legs.size() == 1) {
-        sink(req.src).inc("reroute.detours");
+        _stats.inc("reroute.detours");
     } else {
-        sink(req.src).inc("reroute.splits");
+        _stats.inc("reroute.splits");
     }
 
     // Join: the original completion fires once, at the last arrival.

@@ -242,22 +242,8 @@ class Rerouter
 
     const ReroutePolicy &policy() const { return _policy; }
 
-    /** Rerouting statistics (sharded fabrics: folded over per-source
-     * lanes on every read). */
-    const StatSet &stats() const;
-
-    /**
-     * Sharded execution: per-source-GPU hop submitters for relay
-     * chains, indexed by GPU id. A relay hop is submitted from the
-     * previous hop's delivery, which fires on the *hop source's*
-     * shard — the original caller's submit functor (its sender) is
-     * bound to the original source and must not run there. When set,
-     * sendLeg routes every chained hop through the submitter of the
-     * hop's source GPU; the first hop still uses the caller's
-     * functor. Install before any sharded sends; entries must be
-     * non-null for every GPU.
-     */
-    void setHopSubmitters(std::vector<Submit> submitters);
+    /** Rerouting statistics. */
+    const StatSet &stats() const { return _stats; }
 
   private:
     EventQueue &_eq;
@@ -265,15 +251,6 @@ class Rerouter
     const LinkStateProvider &_health;
     ReroutePolicy _policy;
     mutable StatSet _stats;
-    mutable StatSet _mergedStats;
-
-    /** Per-source stat lanes on a shard-bound fabric: the send path
-     * runs on the source's shard, so shared bumps would race. Serial
-     * paths (push invalidation) keep using _stats. */
-    mutable std::vector<StatSet> _srcStats;
-
-    /** See setHopSubmitters. */
-    std::vector<Submit> _hopSubmitters;
 
     /**
      * Epoch-keyed plan cache, indexed src * numGpus + dst. Entries
@@ -307,13 +284,6 @@ class Rerouter
 
     std::vector<Leg> computePlan(int src, int dst,
                                  unsigned char &tier_mask) const;
-
-    /** Clock of the calling context: the executing shard's during
-     * windows, the serial queue's otherwise. */
-    Tick nowTick() const;
-
-    /** Statistic sink for send-path bumps attributed to @p src. */
-    StatSet &sink(int src) const;
 
     /**
      * Score multiplier a leg pays for congestion on src -> dst: 1 on

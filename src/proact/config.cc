@@ -287,12 +287,24 @@ envMultiNodePlatform(int gpus_per_node)
         0.0, 1e6);
     Tick latency = static_cast<Tick>(
         latency_us * static_cast<double>(ticksPerMicrosecond));
-    // The network tier must never undercut the intra-node latency:
-    // that is the sharded engine's conservative lookahead floor.
+    // The network tier is never faster than the chassis tier (the
+    // Interconnect rejects such a FabricSpec).
     if (latency < fabric.latency)
         latency = fabric.latency;
     fabric.interLatency = latency;
     return platform;
+}
+
+int
+envSimShards()
+{
+    const char *env = std::getenv("PROACT_SIM_SHARDS");
+    if (!env || !*env)
+        return 0;
+    const long v = std::strtol(env, nullptr, 10);
+    if (v <= 1)
+        return 0;
+    return static_cast<int>(std::min<long>(v, 64));
 }
 
 RetryPolicy

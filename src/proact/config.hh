@@ -243,8 +243,7 @@ bool envReprofileChargeEnabled();
  *                            [1, 400])
  *  - PROACT_INTER_LATENCY_US network-tier one-way latency in
  *                            microseconds (default 2.5; clamped up
- *                            to the intra-node latency so the
- *                            sharded engine's lookahead floor holds)
+ *                            to the intra-node latency)
  */
 
 /** Node count from PROACT_NODES. */
@@ -257,6 +256,13 @@ int envNodes();
  */
 PlatformSpec envMultiNodePlatform(int gpus_per_node = 16);
 /** @} */
+
+/**
+ * Profiler sweep workers requested by PROACT_SIM_SHARDS (0/unset/1 =
+ * serial, clamped to [0, 64]). Workers measure whole candidate
+ * simulations in parallel; each simulation runs on one event queue.
+ */
+int envSimShards();
 
 } // namespace proact
 

@@ -115,10 +115,7 @@ instrumentInline(const GpuPhaseWork &work, MultiGpuSystem &system,
     launch.onCtaComplete = [&system, gpu_id, store_bytes,
                             elide_transfers, on_delivered, stats,
                             outputs, sender](int cta) {
-        // CTA retirements fire on the producing GPU's queue (its home
-        // shard when the engine is sharded); elided deliveries must
-        // stay on that queue rather than the serial one.
-        auto &eq = system.queueFor(gpu_id);
+        auto &eq = system.eventQueue();
         std::uint64_t total_bytes = 0;
 
         for (const auto &output : outputs) {

@@ -2,7 +2,6 @@
 
 #include "proact/runtime.hh"
 #include "sim/logging.hh"
-#include "sim/sharded_engine.hh"
 #include "system/multi_gpu_system.hh"
 
 #include <atomic>

@@ -5,7 +5,6 @@
 #include "sim/logging.hh"
 
 #include <algorithm>
-#include <atomic>
 #include <vector>
 
 namespace proact {
@@ -155,8 +154,7 @@ ProactRuntime::runPhase(const Phase &phase,
         fatalError("ProactRuntime: phase describes ",
                    phase.perGpu.size(), " GPUs, system has ", n);
 
-    auto &serial = _system.serialQueue();
-    const bool sharded = _system.sharded();
+    auto &eq = _system.eventQueue();
     const bool inline_mode =
         _options.config.mechanism == TransferMechanism::Inline;
 
@@ -169,52 +167,24 @@ ProactRuntime::runPhase(const Phase &phase,
     std::vector<std::unique_ptr<TransferAgent>> agents(n);
     std::vector<std::unique_ptr<RetryingSender>> senders(n);
 
-    // Sharded, every per-delivery bump lands on the firing GPU's
-    // shard: plain counters become order-sensitive races. The shared
-    // progress state is therefore atomic (sums and maxima — both
-    // invariant under the shard count), and per-delivery stats go to
-    // per-GPU lanes folded into _stats, in source order, after the
-    // drain. The serial path uses the exact same code; with one
-    // thread the atomics degenerate to the old plain counters.
     std::uint64_t expected_deliveries = 0;
-    std::atomic<std::uint64_t> seen_deliveries{0};
-    std::atomic<int> kernels_remaining{n};
-    std::atomic<Tick> kernels_done{0};
-    std::atomic<Tick> last_delivery{0};
-    std::atomic<std::uint64_t> delivered_bytes{0};
+    std::uint64_t seen_deliveries = 0;
+    int kernels_remaining = n;
+    Tick kernels_done = 0;
+    Tick last_delivery = 0;
+    std::uint64_t delivered_bytes = 0;
     const double orphaned_before = _stats.get("transfers.orphaned");
     const std::uint64_t refused_before =
         _system.fabric().refusedDeliveries();
-    const std::uint64_t quiesced_before =
-        _system.fabric().quiescedFlights();
 
-    std::vector<StatSet> gpu_stats(
-        sharded ? static_cast<std::size_t>(n) : 0);
-    auto sinkFor = [&](int g) -> StatSet * {
-        return sharded ? &gpu_stats[static_cast<std::size_t>(g)]
-                       : &_stats;
+    auto on_delivered = [&](std::uint64_t bytes) {
+        ++seen_deliveries;
+        last_delivery = eq.curTick();
+        delivered_bytes += bytes;
     };
-
-    auto tickHere = [&serial]() -> Tick {
-        EventQueue *cur = ShardedEventEngine::currentQueue();
-        return cur ? cur->curTick() : serial.curTick();
-    };
-    auto atomicMax = [](std::atomic<Tick> &slot, Tick value) {
-        Tick prev = slot.load(std::memory_order_relaxed);
-        while (prev < value &&
-               !slot.compare_exchange_weak(
-                   prev, value, std::memory_order_relaxed)) {
-        }
-    };
-
-    auto on_delivered = [&, atomicMax](std::uint64_t bytes) {
-        seen_deliveries.fetch_add(1, std::memory_order_relaxed);
-        atomicMax(last_delivery, tickHere());
-        delivered_bytes.fetch_add(bytes, std::memory_order_relaxed);
-    };
-    auto on_kernel_done = [&, atomicMax] {
-        atomicMax(kernels_done, tickHere());
-        kernels_remaining.fetch_sub(1, std::memory_order_relaxed);
+    auto on_kernel_done = [&] {
+        kernels_done = eq.curTick();
+        --kernels_remaining;
     };
 
     std::vector<KernelLaunch> launches;
@@ -239,18 +209,15 @@ ProactRuntime::runPhase(const Phase &phase,
                 * outputs.size() * (n - 1);
             RetryingSender *sender = nullptr;
             if (_options.config.retry.enabled) {
-                // Trace spans are serial-only machinery; skipped on a
-                // shard-bound sender (see TransferAgent).
                 senders[g] = std::make_unique<RetryingSender>(
-                    _system.queueFor(g), _system.fabric(),
-                    _options.config.retry, sinkFor(g),
-                    sharded ? nullptr : _system.trace());
+                    eq, _system.fabric(), _options.config.retry,
+                    &_stats, _system.trace());
                 senders[g]->setRerouter(_system.rerouter());
                 sender = senders[g].get();
             }
             launches.push_back(instrumentInline(
                 work, _system, g, traffic.inlineStoreBytes,
-                _options.elideTransfers, on_delivered, sinkFor(g),
+                _options.elideTransfers, on_delivered, &_stats,
                 on_kernel_done, sender));
             continue;
         }
@@ -261,8 +228,7 @@ ProactRuntime::runPhase(const Phase &phase,
         ctx.config = _options.config;
         ctx.elideTransfers = _options.elideTransfers;
         ctx.onDelivered = on_delivered;
-        ctx.stats = sinkFor(g);
-        ctx.queue = &_system.queueFor(g);
+        ctx.stats = &_stats;
         agents[g] = makeAgent(_options.config.mechanism,
                               std::move(ctx));
 
@@ -295,41 +261,14 @@ ProactRuntime::runPhase(const Phase &phase,
 
         launches.push_back(instrumentDecoupled(
             work.kernel, std::move(tracked), *agents[g],
-            _system.gpu(g), sinkFor(g), on_kernel_done,
-            _atomicFanout));
+            _system.gpu(g), &_stats, on_kernel_done, _atomicFanout));
     }
 
-    // On a shard-bound rerouter every chained relay hop must be
-    // submitted from the relay's own shard; install one forwarding
-    // sender per GPU for the rerouter to dispatch through. (Serial,
-    // the tail re-enters the originating sender directly.)
-    std::vector<std::unique_ptr<RetryingSender>> hop_senders;
-    if (sharded && _system.rerouter()) {
-        std::vector<Rerouter::Submit> submitters;
-        hop_senders.reserve(static_cast<std::size_t>(n));
-        submitters.reserve(static_cast<std::size_t>(n));
-        for (int g = 0; g < n; ++g) {
-            hop_senders.push_back(std::make_unique<RetryingSender>(
-                _system.queueFor(g), _system.fabric(),
-                _options.config.retry, sinkFor(g), nullptr));
-            RetryingSender *hs = hop_senders.back().get();
-            submitters.push_back(
-                [hs](const Interconnect::Request &leg) {
-                    return hs->send(leg);
-                });
-        }
-        _system.rerouter()->setHopSubmitters(std::move(submitters));
-    }
-
-    // Host issues the per-GPU launches back-to-back, each onto its
-    // GPU's home queue. The floor keeps the issue tick valid for
-    // every shard clock (they are window-quantized, never ahead of
-    // now()) and is itself invariant under the shard count.
-    const Tick floor = _system.now();
+    // Host issues the per-GPU launches back-to-back.
     for (int g = 0; g < n; ++g) {
-        const Tick issue = std::max(_system.host().issue(), floor);
+        const Tick issue = _system.host().issue();
         const KernelLaunch &launch = launches[g];
-        _system.queueFor(g).schedule(issue, [this, g, launch] {
+        eq.schedule(issue, [this, g, launch] {
             _system.gpu(g).launch(launch);
         });
     }
@@ -346,27 +285,13 @@ ProactRuntime::runPhase(const Phase &phase,
         // Background events left behind (heartbeats, boundaries,
         // stale ack timeouts) fire during later phase or checkpoint
         // drains at their proper ticks.
-        // Sharded, the fabric additionally orphans deliveries already
-        // on the wire when their destination dies (quiescedFlights) —
-        // those never reach a sender's ladder, so they are accounted
-        // here directly. The predicate runs serially: between events
-        // on the serial engine, at window barriers when sharded.
         auto accounted = [&] {
-            double orphaned_stat = _stats.get("transfers.orphaned");
-            for (const StatSet &gs : gpu_stats)
-                orphaned_stat += gs.get("transfers.orphaned");
             const auto orphaned = static_cast<std::uint64_t>(
-                orphaned_stat - orphaned_before);
-            std::uint64_t refused =
+                _stats.get("transfers.orphaned") - orphaned_before);
+            const std::uint64_t refused =
                 _system.fabric().refusedDeliveries() - refused_before;
-            if (sharded) {
-                refused += _system.fabric().quiescedFlights()
-                    - quiesced_before;
-            }
-            return kernels_remaining.load(std::memory_order_relaxed)
-                == 0
-                && seen_deliveries.load(std::memory_order_relaxed)
-                    + orphaned + refused
+            return kernels_remaining == 0
+                && seen_deliveries + orphaned + refused
                 >= expected_deliveries;
         };
         _system.drainWhile([&] { return !accounted(); });
@@ -374,14 +299,10 @@ ProactRuntime::runPhase(const Phase &phase,
         _system.run();
     }
 
-    // Fold the per-GPU stat lanes (ascending source order — a fixed,
-    // shard-count-invariant order) before the books are balanced.
-    for (const StatSet &gs : gpu_stats)
-        _stats.merge(gs);
-    const std::uint64_t delivered =
-        delivered_bytes.load(std::memory_order_relaxed);
-    if (delivered > 0)
-        _stats.inc("delivered_bytes", static_cast<double>(delivered));
+    if (delivered_bytes > 0) {
+        _stats.inc("delivered_bytes",
+                   static_cast<double>(delivered_bytes));
+    }
 
     // A device loss legitimately leaves deliveries missing (orphaned
     // or quiesced); the abort path in run() deals with it. A
@@ -390,29 +311,20 @@ ProactRuntime::runPhase(const Phase &phase,
     // conservation law still closes. On a healthy system the
     // invariants hold as ever.
     if (!_system.anyDeviceLost()) {
-        auto orphaned = static_cast<std::uint64_t>(
+        const auto orphaned = static_cast<std::uint64_t>(
             _stats.get("transfers.orphaned") - orphaned_before);
-        if (sharded) {
-            orphaned += _system.fabric().quiescedFlights()
-                - quiesced_before;
-        }
-        const std::uint64_t seen =
-            seen_deliveries.load(std::memory_order_relaxed);
-        const int remaining =
-            kernels_remaining.load(std::memory_order_relaxed);
-        if (seen + orphaned != expected_deliveries)
+        if (seen_deliveries + orphaned != expected_deliveries)
             panicError("ProactRuntime: expected ",
                        expected_deliveries, " deliveries, saw ",
-                       seen, " (+", orphaned, " orphaned)");
-        if (remaining != 0)
-            panicError("ProactRuntime: ", remaining,
+                       seen_deliveries, " (+", orphaned,
+                       " orphaned)");
+        if (kernels_remaining != 0)
+            panicError("ProactRuntime: ", kernels_remaining,
                        " kernels never completed");
     }
 
-    const Tick last = last_delivery.load(std::memory_order_relaxed);
-    const Tick done = kernels_done.load(std::memory_order_relaxed);
-    if (last > done)
-        _tailTicks += last - done;
+    if (last_delivery > kernels_done)
+        _tailTicks += last_delivery - kernels_done;
     _stats.inc("phases");
 }
 

@@ -57,26 +57,12 @@ class TransferAgent
 
         /** Shared statistics sink (may be null). */
         StatSet *stats = nullptr;
-
-        /**
-         * Event queue the agent lives on. Null means the system's
-         * serial queue (the only queue of an unsharded system); a
-         * sharded runtime binds each agent to its GPU's home shard
-         * so chunk dispatch runs concurrently across GPUs.
-         */
-        EventQueue *queue = nullptr;
     };
 
-    // Trace spans are serial-only machinery: a shard-bound agent runs
-    // concurrently with its peers, so the sender skips them there.
     explicit TransferAgent(Context ctx)
         : _ctx(std::move(ctx)),
-          _sender(_ctx.queue ? *_ctx.queue
-                             : _ctx.system->eventQueue(),
-                  _ctx.system->fabric(), _ctx.config.retry,
-                  _ctx.stats,
-                  _ctx.system->sharded() ? nullptr
-                                         : _ctx.system->trace())
+          _sender(_ctx.system->eventQueue(), _ctx.system->fabric(),
+                  _ctx.config.retry, _ctx.stats, _ctx.system->trace())
     {
     }
 
@@ -121,12 +107,8 @@ class TransferAgent
 
     void bumpStat(const std::string &name, double delta = 1.0);
 
-    /** The agent's home queue (its GPU's shard when sharded). */
-    EventQueue &
-    queue() const
-    {
-        return _ctx.queue ? *_ctx.queue : _ctx.system->eventQueue();
-    }
+    /** The system's event queue. */
+    EventQueue &queue() const { return _ctx.system->eventQueue(); }
 
     Context _ctx;
     RetryingSender _sender;

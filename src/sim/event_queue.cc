@@ -228,23 +228,4 @@ EventQueue::runUntil(Tick limit)
         _curTick = limit;
 }
 
-std::uint64_t
-EventQueue::runUntilBefore(Tick end)
-{
-    std::uint64_t ran = 0;
-    while (nextEventTick() < end) {
-        runNext();
-        ++ran;
-    }
-    return ran;
-}
-
-void
-EventQueue::advanceTo(Tick tick)
-{
-    tick = std::min(tick, nextEventTick());
-    if (tick > _curTick)
-        _curTick = tick;
-}
-
 } // namespace proact

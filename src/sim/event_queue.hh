@@ -128,24 +128,6 @@ class EventQueue
      */
     void runUntil(Tick limit);
 
-    /**
-     * Dispatch every event strictly before @p end, leaving the clock
-     * at the last dispatched event (not advanced to @p end). This is
-     * the sharded engine's window primitive: events at >= @p end
-     * belong to the next lookahead window.
-     * @return Number of events dispatched.
-     */
-    std::uint64_t runUntilBefore(Tick end);
-
-    /**
-     * Pull the clock forward to @p tick without dispatching anything,
-     * clamped so it never passes the next pending event. The sharded
-     * engine floors idle shard clocks at window barriers with this so
-     * synchronous cross-object calls made serially between windows
-     * (probe bookings, kernel launches) read a sane "now".
-     */
-    void advanceTo(Tick tick);
-
   private:
     static constexpr std::uint32_t NoIndex = ~std::uint32_t(0);
 

@@ -43,21 +43,6 @@ Histogram::bucket(std::size_t i) const
 }
 
 void
-Histogram::merge(const Histogram &other)
-{
-    if (other._buckets.size() > _buckets.size())
-        _buckets.resize(other._buckets.size(), 0);
-    for (std::size_t i = 0; i < other._buckets.size(); ++i)
-        _buckets[i] += other._buckets[i];
-    _samples += other._samples;
-    _total += other._total;
-    if (other._min < _min)
-        _min = other._min;
-    if (other._max > _max)
-        _max = other._max;
-}
-
-void
 Histogram::clear()
 {
     _buckets.clear();

@@ -104,9 +104,6 @@ class Histogram
 
     void clear();
 
-    /** Fold another histogram in (for aggregating per-GPU lanes). */
-    void merge(const Histogram &other);
-
     void dump(std::ostream &os, const std::string &label = "") const;
 
   private:

@@ -4,91 +4,29 @@
 
 namespace proact {
 
-namespace {
-
-/** See the MultiGpuSystem constructor doc for the gating rules. */
-std::unique_ptr<ShardedEventEngine>
-makeEngine(const PlatformSpec &platform, int sim_shards)
-{
-    // sim_shards == 1 still builds the (single-shard) engine: it is
-    // the reference side of the determinism gate, and must run the
-    // same posting discipline as every other shard count.
-    if (sim_shards < 1 || platform.numGpus < 2)
-        return nullptr;
-    if (platform.fabric.topology != FabricTopology::PairwiseLinks)
-        return nullptr;
-    if (platform.fabric.latency == 0)
-        return nullptr;
-
-    ShardedEventEngine::Options opts;
-    opts.numShards = std::min(sim_shards, platform.numGpus);
-    // The minimum cross-GPU delay is one link latency (every
-    // delivery, ack and zero-byte hand-off pays it), so it bounds
-    // the conservative lookahead from below.
-    opts.lookahead = platform.fabric.latency;
-    opts.workers = opts.numShards;
-    return std::make_unique<ShardedEventEngine>(opts);
-}
-
-} // namespace
-
-MultiGpuSystem::MultiGpuSystem(const PlatformSpec &platform,
-                               int sim_shards)
-    : _platform(platform), _engine(makeEngine(platform, sim_shards)),
-      _host(serialQueue())
+MultiGpuSystem::MultiGpuSystem(const PlatformSpec &platform)
+    : _platform(platform), _host(_eq)
 {
     if (platform.numGpus < 1)
         fatalError("MultiGpuSystem: need at least one GPU");
 
-    if (_engine) {
-        _shardOf.resize(platform.numGpus);
-        for (int g = 0; g < platform.numGpus; ++g)
-            _shardOf[g] = g * _engine->numShards() / platform.numGpus;
-        // One post stream per source GPU: the merge order of
-        // cross-shard mail survives re-binding to a different shard
-        // count, which is the determinism gate's whole premise.
-        _engine->setStreamCount(platform.numGpus);
-    }
-
-    _fabric = std::make_unique<Interconnect>(
-        serialQueue(), platform.fabric, platform.numGpus);
-    if (_engine)
-        _fabric->bindShards(*_engine, _shardOf);
+    _fabric = std::make_unique<Interconnect>(_eq, platform.fabric,
+                                             platform.numGpus);
 
     _gpus.reserve(platform.numGpus);
     _dmas.reserve(platform.numGpus);
     for (int g = 0; g < platform.numGpus; ++g) {
-        _gpus.push_back(
-            std::make_unique<Gpu>(queueFor(g), platform.gpu, g));
-        _dmas.push_back(std::make_unique<DmaEngine>(
-            queueFor(g), *_gpus.back(), *_fabric));
+        _gpus.push_back(std::make_unique<Gpu>(_eq, platform.gpu, g));
+        _dmas.push_back(
+            std::make_unique<DmaEngine>(_eq, *_gpus.back(), *_fabric));
     }
 }
 
 void
 MultiGpuSystem::drainWhile(const std::function<bool()> &pred)
 {
-    if (_engine) {
-        _engine->runWhile(pred);
-        return;
-    }
     while (!_eq.empty() && pred())
         _eq.runNext();
-}
-
-void
-MultiGpuSystem::runTimelineTo(Tick limit)
-{
-    if (_engine) {
-        _engine->runUntil(limit);
-        // Everything at or before the limit has dispatched, so these
-        // floors never clamp short of it.
-        for (int s = 0; s < _engine->numShards(); ++s)
-            _engine->shard(s).advanceTo(limit);
-        _engine->global().advanceTo(limit);
-    } else {
-        _eq.runUntil(limit);
-    }
 }
 
 void
@@ -103,7 +41,7 @@ MultiGpuSystem::installFaults(FaultPlan plan)
 {
     if (_faults)
         fatalError("MultiGpuSystem: faults already installed");
-    _faults = std::make_unique<FaultInjector>(serialQueue(), *_fabric,
+    _faults = std::make_unique<FaultInjector>(_eq, *_fabric,
                                               std::move(plan));
     for (int g = 0; g < numGpus(); ++g)
         _faults->addDmaEngine(g, *_dmas[g]);
@@ -135,17 +73,7 @@ MultiGpuSystem::enableDeviceHealth(DeviceHealthPolicy policy)
 {
     if (!_deviceHealth) {
         _deviceHealth = std::make_unique<DeviceHealthMonitor>(
-            serialQueue(), *_fabric, policy);
-        // The watchdog's heartbeat re-arms on pending events of its
-        // own (global) queue; sharded, the run's liveness signal is
-        // the shards', so wire it in or the heartbeat dies while the
-        // phase is still executing.
-        if (_engine) {
-            _deviceHealth->setLivenessProbe(
-                [engine = _engine.get()] {
-                    return engine->shardEventsPending();
-                });
-        }
+            _eq, *_fabric, policy);
         // A LOST declaration quiesces the fabric and shadows the loss
         // into the link monitor (forcing every touching link DOWN,
         // which push-invalidates the rerouter's plan cache). External
@@ -167,8 +95,8 @@ LinkHealthMonitor &
 MultiGpuSystem::enableHealth(HealthPolicy policy)
 {
     if (!_health) {
-        _health = std::make_unique<LinkHealthMonitor>(
-            serialQueue(), *_fabric, policy);
+        _health = std::make_unique<LinkHealthMonitor>(_eq, *_fabric,
+                                                      policy);
     }
     return *_health;
 }
@@ -178,8 +106,8 @@ MultiGpuSystem::enableReroute(ReroutePolicy policy)
 {
     if (!_rerouter) {
         enableHealth();
-        _rerouter = std::make_unique<Rerouter>(serialQueue(), *_fabric,
-                                               *_health, policy);
+        _rerouter = std::make_unique<Rerouter>(_eq, *_fabric, *_health,
+                                               policy);
         // The monitor's transition fan-out drives the plan cache:
         // wire transitions push-evict exactly the plans that read the
         // link, and quiet-fabric sends stop reading health epochs

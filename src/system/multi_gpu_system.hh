@@ -21,7 +21,6 @@
 #include "interconnect/interconnect.hh"
 #include "interconnect/rerouter.hh"
 #include "sim/event_queue.hh"
-#include "sim/sharded_engine.hh"
 #include "system/platform.hh"
 
 #include <algorithm>
@@ -73,19 +72,7 @@ class Host
 class MultiGpuSystem
 {
   public:
-    /**
-     * @param sim_shards Shard the paradigm execution across this many
-     *        event cores (0 = serial; 1 = a single-shard engine, the
-     *        reference side of the determinism gate). Sharding
-     *        engages only where
-     *        the conservative contract is satisfiable: PairwiseLinks
-     *        topologies (per-pair channels bind cleanly to source
-     *        shards) with a non-zero link latency to serve as the
-     *        lookahead, and at least two GPUs; otherwise the request
-     *        silently degrades to the serial engine.
-     */
-    explicit MultiGpuSystem(const PlatformSpec &platform,
-                            int sim_shards = 0);
+    explicit MultiGpuSystem(const PlatformSpec &platform);
 
     MultiGpuSystem(const MultiGpuSystem &) = delete;
     MultiGpuSystem &operator=(const MultiGpuSystem &) = delete;
@@ -95,52 +82,8 @@ class MultiGpuSystem
 
     EventQueue &eventQueue() { return _eq; }
 
-    /** Whether this system executes its paradigm runs sharded. */
-    bool sharded() const { return _engine != nullptr; }
-
-    /** The sharded engine, or nullptr on a serial system. */
-    ShardedEventEngine *engine() { return _engine.get(); }
-    const ShardedEventEngine *engine() const { return _engine.get(); }
-
-    /** Home shard of GPU @p g (0 on a serial system). */
-    int shardOf(int g) const { return _engine ? _shardOf.at(g) : 0; }
-
-    /**
-     * Event core GPU @p g's timed components live on: its home
-     * shard's queue when sharded, the system queue otherwise. Agents
-     * and instrumentation schedule all GPU-local work here.
-     */
-    EventQueue &
-    queueFor(int g)
-    {
-        return _engine ? _engine->shard(_shardOf.at(g)) : _eq;
-    }
-
-    /**
-     * Serial control queue: fault episode boundaries, health
-     * monitors and watchdogs, host-issued launches. Runs between
-     * windows when sharded; aliases the system queue otherwise.
-     */
-    EventQueue &
-    serialQueue()
-    {
-        return _engine ? _engine->global() : _eq;
-    }
-
-    /**
-     * Current simulated time. Sharded: the latest shard clock folded
-     * with the global clock — an N-invariant quantity between
-     * windows, where all serial model code runs.
-     */
-    Tick
-    now() const
-    {
-        if (_engine) {
-            return std::max(_engine->maxShardTick(),
-                            _engine->global().curTick());
-        }
-        return _eq.curTick();
-    }
+    /** Current simulated time. */
+    Tick now() const { return _eq.curTick(); }
 
     Gpu &gpu(int i) { return *_gpus.at(i); }
     DmaEngine &dma(int i) { return *_dmas.at(i); }
@@ -222,30 +165,21 @@ class MultiGpuSystem
     Rerouter *rerouter() { return _rerouter.get(); }
     const Rerouter *rerouter() const { return _rerouter.get(); }
 
-    /** Drain the event queue (all shards and mail when sharded). */
-    void
-    run()
-    {
-        if (_engine)
-            _engine->run();
-        else
-            _eq.run();
-    }
+    /** Drain the event queue. */
+    void run() { _eq.run(); }
 
     /**
-     * Drain while @p pred holds. Sharded, the predicate is evaluated
-     * at window barriers (the stop is window-quantized); serial, it
-     * is re-checked before every event — the runtime's
-     * "drain until accounted" loop in both shapes.
+     * Drain while @p pred holds, re-checking it before every event —
+     * the runtime's "drain until accounted" loop.
      */
     void drainWhile(const std::function<bool()> &pred);
 
     /**
-     * Run every event at or before @p limit and leave all clocks at
+     * Run every event at or before @p limit and leave the clock at
      * exactly @p limit — the timeline-advance primitive behind
      * checkpoint and reprofile charges.
      */
-    void runTimelineTo(Tick limit);
+    void runTimelineTo(Tick limit) { _eq.runUntil(limit); }
 
     /**
      * Dump per-GPU and fabric statistics (kernel counts, channel
@@ -269,9 +203,6 @@ class MultiGpuSystem
   private:
     PlatformSpec _platform;
     EventQueue _eq;
-    /** Declared before _host so _host(serialQueue()) is safe. */
-    std::unique_ptr<ShardedEventEngine> _engine;
-    std::vector<int> _shardOf;
     std::unique_ptr<Interconnect> _fabric;
     std::vector<std::unique_ptr<Gpu>> _gpus;
     std::vector<std::unique_ptr<DmaEngine>> _dmas;

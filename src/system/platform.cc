@@ -41,8 +41,7 @@ multiNodePlatform(int nodes, int gpus_per_node)
 
     FabricSpec fabric = nvswitchFabric();
     // Per-pair channels are what lets node tiers carry distinct
-    // rate/latency/packet curves — and what the sharded engine's
-    // conservative contract binds to.
+    // rate/latency/packet curves.
     fabric.topology = FabricTopology::PairwiseLinks;
     fabric.gpusPerNode = gpus_per_node;
 
@@ -52,7 +51,7 @@ multiNodePlatform(int nodes, int gpus_per_node)
     fabric.interLatency = inter.latency;
     if (fabric.interLatency < fabric.latency) {
         fatalError("multiNodePlatform: inter-node latency below the "
-                   "intra-node lookahead floor");
+                   "intra-node latency");
     }
     fabric.name = fabric.name + "+" + inter.name;
 

@@ -56,9 +56,9 @@ PlatformSpec dgx2Platform();
  * NVSwitch tier; pairs crossing a node boundary ride an HDR-IB-class
  * network tier (ibFabric) with its own bandwidth, latency and
  * packetization curve. Built on PairwiseLinks so every directed pair
- * owns a channel and the sharded engine's conservative contract is
- * satisfiable: the fabric's base latency stays the intra-node
- * (minimum) hop delay, the inter-node latency is strictly larger.
+ * owns a channel at its tier's rate and latency. The fabric's base
+ * latency stays the intra-node (minimum) hop delay; the inter-node
+ * latency is strictly larger.
  *
  * @p nodes must be >= 2 and @p gpus_per_node >= 2.
  */

@@ -2,12 +2,13 @@
  * @file
  * Small-instance factories for the five applications, sized so
  * functional runs finish in milliseconds (tests exercise behaviour,
- * not scale).
+ * not scale), plus a one-line digest of a paradigm run.
  */
 
 #ifndef PROACT_TESTS_SMALL_WORKLOADS_HH
 #define PROACT_TESTS_SMALL_WORKLOADS_HH
 
+#include "harness/session.hh"
 #include "workloads/als.hh"
 #include "workloads/jacobi.hh"
 #include "workloads/mbir.hh"
@@ -15,6 +16,7 @@
 #include "workloads/sssp.hh"
 
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -66,6 +68,30 @@ makeSmallWorkload(const std::string &name)
         return std::make_unique<MbirWorkload>(p);
     }
     return nullptr;
+}
+
+/** Every ParadigmRun field (and the summary line) in one string. */
+inline std::string
+runDigest(const ParadigmRun &r)
+{
+    std::ostringstream os;
+    os << "ticks=" << r.ticks << " wire=" << r.wireBytes
+       << " payload=" << r.payloadBytes
+       << " stores=" << r.storeTransactions
+       << " dropped=" << r.faultsDropped << " retries=" << r.retries
+       << " fallbacks=" << r.fallbacks
+       << " transitions=" << r.linkTransitions << "/"
+       << r.wireTransitions << " congested=" << r.congestionEvents
+       << " reroutes=" << r.reroutes << " swaps=" << r.configSwaps
+       << " aborted=" << r.aborted << " lost=" << r.lostGpu
+       << " iters=" << r.completedIterations
+       << " ckpt=" << r.checkpointIteration << "/" << r.checkpoints
+       << "/" << r.checkpointTicks
+       << " refused=" << r.refusedDeliveries
+       << " quiesced=" << r.quiescedFlights
+       << " orphaned=" << r.orphanedTransfers << " ["
+       << r.faultSummary() << "]";
+    return os.str();
 }
 
 } // namespace proact::test

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <utility>
 
 using namespace proact;
 
@@ -201,5 +202,23 @@ TEST(ConfigEnv, RerouteQueueWeightKnob)
         // Any non-"0" value enables, matching the other layer knobs.
         ScopedEnv on("PROACT_REROUTE_QUEUE_WEIGHT", "yes");
         EXPECT_TRUE(envReroutePolicy().queueWeightedCongestion);
+    }
+}
+
+TEST(ConfigEnv, SimShardsParsesAndClamps)
+{
+    {
+        ScopedEnv unset("PROACT_SIM_SHARDS", nullptr);
+        EXPECT_EQ(envSimShards(), 0);
+    }
+    const std::pair<const char *, int> cases[] = {
+        {"1", 0}, // One worker is the serial sweep.
+        {"4", 4},
+        {"999", 64},
+        {"-3", 0},
+    };
+    for (const auto &[value, workers] : cases) {
+        ScopedEnv env("PROACT_SIM_SHARDS", value);
+        EXPECT_EQ(envSimShards(), workers) << value;
     }
 }

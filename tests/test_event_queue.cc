@@ -314,20 +314,6 @@ TEST(EventQueue, NextEventTickPeeksWithoutDispatch)
     EXPECT_EQ(empty.nextEventTick(), maxTick);
 }
 
-TEST(EventQueue, RunUntilBeforeStopsAtWindowEnd)
-{
-    EventQueue eq;
-    int fired = 0;
-    eq.schedule(100, [&] { ++fired; });
-    eq.schedule(199, [&] { ++fired; });
-    eq.schedule(200, [&] { ++fired; }); // At the window end: excluded.
-    EXPECT_EQ(eq.runUntilBefore(200), 2u);
-    EXPECT_EQ(fired, 2);
-    // Clock rests on the last dispatched event, not the window end.
-    EXPECT_EQ(eq.curTick(), 199u);
-    EXPECT_EQ(eq.pendingEvents(), 1u);
-}
-
 TEST(EventQueue, CallbackCapturesBeyondInlineBufferStillWork)
 {
     // Oversized captures take SmallFn's heap fallback; semantics must

@@ -13,7 +13,6 @@
 #include "proact/region.hh"
 #include "proact/transfer_agent.hh"
 #include "sim/random.hh"
-#include "sim/sharded_engine.hh"
 #include "system/platform.hh"
 
 #include "sim/logging.hh"
@@ -21,7 +20,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <memory>
 #include <tuple>
 #include <vector>
@@ -149,6 +147,9 @@ class Dgx2FaultFuzz : public ::testing::TestWithParam<std::uint64_t>
      */
     static constexpr std::uint64_t kCampaign = 0x64677832u;
 
+    /** Campaign of the random pairwise-links topologies. */
+    static constexpr std::uint64_t kPairwiseCampaign = 0x73686472u;
+
     std::uint64_t caseSeed() const
     {
         return deriveSeed(kCampaign, GetParam());
@@ -220,6 +221,93 @@ TEST_P(Dgx2FaultFuzz, ExactlyOnceDeliveryAndDeterministicReplay)
                     << " did not replay deterministically";
 }
 
+namespace {
+
+/**
+ * One mixed campaign on @p platform: MTBF flaps on up to four links
+ * plus an unconditional mid-run device death, with health, rerouting,
+ * rebooking and the watchdog armed, and a polling agent on GPU 0
+ * pushing six chunks to every peer. Returns the counters a replay
+ * must reproduce.
+ */
+auto
+runMixedFaultCampaign(const PlatformSpec &platform, std::uint64_t seed)
+{
+    MultiGpuSystem system(platform);
+    const int gpus = system.numGpus();
+    system.setFunctional(false);
+    system.enableHealth();
+    system.enableReroute();
+    system.fabric().setRebooking(true);
+    system.enableDeviceHealth({});
+
+    LinkLifecycleOptions flaps;
+    flaps.downProbability = 0.5;
+    FaultPlan plan = mtbfFaultPlan(
+        seed, gpus, std::min(4, gpus * (gpus - 1)), flaps);
+    Rng rng(deriveSeed(seed, 0xdeadu));
+    const int victim = static_cast<int>(
+        rng.below(static_cast<std::uint64_t>(gpus)));
+    const Tick death = (40 + rng.below(160)) * ticksPerMicrosecond;
+    plan.downGpu(death, maxTick, victim);
+    system.installFaults(std::move(plan));
+
+    StatSet stats;
+    int deliveries = 0;
+    Tick last = 0;
+    TransferAgent::Context ctx;
+    ctx.system = &system;
+    ctx.gpuId = 0;
+    ctx.config.mechanism = TransferMechanism::Polling;
+    ctx.config.chunkBytes = 64 * KiB;
+    ctx.config.transferThreads = 2048;
+    ctx.config.retry.enabled = true;
+    ctx.config.retry.maxAttempts = 6;
+    ctx.config.retry.rerouteAfterAttempts = 2;
+    ctx.stats = &stats;
+    ctx.onDelivered = [&deliveries, &last, &system](std::uint64_t) {
+        ++deliveries;
+        last = system.now();
+    };
+    PollingAgent agent(ctx);
+
+    const int chunks = 6;
+    auto &eq = system.eventQueue();
+    for (int c = 0; c < chunks; ++c) {
+        eq.schedule(static_cast<Tick>(c) * 40 * ticksPerMicrosecond,
+                    [&agent, c] { agent.chunkReady(c, 64 * KiB); });
+    }
+    system.run();
+
+    const Interconnect &fabric = system.fabric();
+
+    // The death is unconditional and the horizon unbounded, so the
+    // watchdog must have declared the victim by drain time.
+    EXPECT_TRUE(system.anyDeviceLost())
+        << platform.name << " seed " << seed;
+
+    // No leaked flying requests: after the quiesce every tracked
+    // flight was delivered, rebooked or explicitly aborted, and every
+    // attempt the sender issued was acknowledged or timed out.
+    EXPECT_EQ(fabric.numTrackedFlights(), 0u)
+        << platform.name << " seed " << seed;
+    EXPECT_EQ(agent.sender().inFlight(), 0u)
+        << platform.name << " seed " << seed;
+
+    // A dead endpoint only loses traffic through the accounted
+    // paths; survivors still deliver at most exactly-once.
+    EXPECT_LE(deliveries, chunks * (gpus - 1))
+        << platform.name << " seed " << seed;
+
+    return std::make_tuple(
+        victim, last, deliveries, stats.get("transfers.retried"),
+        stats.get("transfers.orphaned"), fabric.refusedDeliveries(),
+        fabric.quiescedFlights(), fabric.rebookedDeliveries(),
+        system.deviceHealth()->transitions().size());
+}
+
+} // namespace
+
 TEST_P(Dgx2FaultFuzz, MixedDeviceLossAndFlappingLeaveNoFlights)
 {
     // Link flapping and a mid-run device death in one campaign: the
@@ -227,244 +315,24 @@ TEST_P(Dgx2FaultFuzz, MixedDeviceLossAndFlappingLeaveNoFlights)
     // declares the victim LOST and the fabric quiesces it. Whatever
     // the seed draws, every tracked in-flight request must end the
     // run delivered, rebooked or quiesced — never leaked — and the
-    // whole run must replay tick-for-tick.
-    auto run_once = [](std::uint64_t seed) {
-        MultiGpuSystem system(dgx2Platform());
-        system.setFunctional(false);
-        system.enableHealth();
-        system.enableReroute();
-        system.fabric().setRebooking(true);
-        system.enableDeviceHealth({});
+    // whole run must replay tick-for-tick. Each case runs on the
+    // DGX-2 and on a random 2..8-GPU pairwise-links Volta.
+    const std::uint64_t dgx2_seed = deriveSeed(caseSeed(), 1);
+    EXPECT_EQ(runMixedFaultCampaign(dgx2Platform(), dgx2_seed),
+              runMixedFaultCampaign(dgx2Platform(), dgx2_seed))
+        << "case " << GetParam() << " did not replay deterministically";
 
-        LinkLifecycleOptions flaps;
-        flaps.downProbability = 0.5;
-        FaultPlan plan =
-            mtbfFaultPlan(seed, system.numGpus(), 4, flaps);
-        Rng rng(deriveSeed(seed, 0xdeadu));
-        const int victim = static_cast<int>(
-            rng.below(static_cast<std::uint64_t>(system.numGpus())));
-        const Tick death =
-            (40 + rng.below(160)) * ticksPerMicrosecond;
-        plan.downGpu(death, maxTick, victim);
-        system.installFaults(std::move(plan));
-
-        StatSet stats;
-        int deliveries = 0;
-        Tick last = 0;
-        TransferAgent::Context ctx;
-        ctx.system = &system;
-        ctx.gpuId = 0;
-        ctx.config.mechanism = TransferMechanism::Polling;
-        ctx.config.chunkBytes = 64 * KiB;
-        ctx.config.transferThreads = 2048;
-        ctx.config.retry.enabled = true;
-        ctx.config.retry.maxAttempts = 6;
-        ctx.config.retry.rerouteAfterAttempts = 2;
-        ctx.stats = &stats;
-        ctx.onDelivered = [&deliveries, &last,
-                           &system](std::uint64_t) {
-            ++deliveries;
-            last = system.now();
-        };
-        PollingAgent agent(ctx);
-
-        const int chunks = 6;
-        auto &eq = system.eventQueue();
-        for (int c = 0; c < chunks; ++c) {
-            eq.schedule(
-                static_cast<Tick>(c) * 40 * ticksPerMicrosecond,
-                [&agent, c] { agent.chunkReady(c, 64 * KiB); });
-        }
-        system.run();
-
-        const Interconnect &fabric = system.fabric();
-
-        // The death is unconditional and the horizon unbounded, so
-        // the watchdog must have declared the victim by drain time.
-        EXPECT_TRUE(system.anyDeviceLost()) << "seed " << seed;
-
-        // No leaked flying requests: after the quiesce every tracked
-        // flight was delivered, rebooked or explicitly aborted.
-        EXPECT_EQ(fabric.numTrackedFlights(), 0u) << "seed " << seed;
-
-        // A dead endpoint only loses traffic through the accounted
-        // paths; survivors still deliver at most exactly-once.
-        EXPECT_LE(deliveries, chunks * (system.numGpus() - 1))
-            << "seed " << seed;
-
-        return std::make_tuple(
-            last, deliveries, stats.get("transfers.retried"),
-            stats.get("transfers.orphaned"),
-            fabric.refusedDeliveries(), fabric.quiescedFlights(),
-            system.deviceHealth()->transitions().size());
-    };
-
-    const auto a = run_once(deriveSeed(caseSeed(), 1));
-    const auto b = run_once(deriveSeed(caseSeed(), 1));
-    EXPECT_EQ(a, b) << "case " << GetParam()
-                    << " did not replay deterministically";
-}
-
-INSTANTIATE_TEST_SUITE_P(Cases, Dgx2FaultFuzz,
-                         ::testing::Range<std::uint64_t>(0u, 24u));
-
-/**
- * Seeded cross-shard fault fuzz: random pairwise topologies under the
- * sharded execution engine, with mixed device-loss and link-flap
- * campaigns. Every case must drain with zero leaked flights and zero
- * orphaned retries on every sender, and the full counter tuple must
- * be identical at 1, 2 and 4 shards — retries, reroute relays and the
- * device quiesce are exactly the paths that cross shards.
- */
-class ShardedFaultFuzz
-    : public ::testing::TestWithParam<std::uint64_t>
-{
-  protected:
-    /** Fresh campaign constant: see Dgx2FaultFuzz::kCampaign. */
-    static constexpr std::uint64_t kCampaign = 0x73686472u;
-
-    std::uint64_t caseSeed() const
-    {
-        return deriveSeed(kCampaign, GetParam());
-    }
-};
-
-TEST_P(ShardedFaultFuzz, CrossShardFaultsLeaveNoFlightsOrRetries)
-{
-    auto run_once = [](std::uint64_t seed, int shards) {
-        // Random topology: 2..8 GPUs on a pairwise-links machine so
-        // the sharded engine engages (shared ports degrade serial).
-        Rng topo(deriveSeed(seed, 0x10b0u));
-        const int gpus = 2 + static_cast<int>(topo.below(7));
-        PlatformSpec platform = voltaPlatform().withGpuCount(gpus);
-        platform.fabric.topology = FabricTopology::PairwiseLinks;
-
-        MultiGpuSystem system(platform, shards);
-        EXPECT_TRUE(system.sharded()) << shards << " shards";
-        system.setFunctional(false);
-        system.enableHealth();
-        system.enableReroute();
-        system.enableDeviceHealth({});
-
-        LinkLifecycleOptions flaps;
-        flaps.downProbability = 0.5;
-        const int links = std::min(4, gpus * (gpus - 1));
-        FaultPlan plan = mtbfFaultPlan(seed, gpus, links, flaps);
-        Rng rng(deriveSeed(seed, 0xdeadu));
-        const int victim = static_cast<int>(
-            rng.below(static_cast<std::uint64_t>(gpus)));
-        const Tick death =
-            (40 + rng.below(160)) * ticksPerMicrosecond;
-        plan.downGpu(death, maxTick, victim);
-        system.installFaults(std::move(plan));
-
-        // Delivery callbacks fire on the destination's shard, so all
-        // shared progress state is atomic; the last-delivery tick is
-        // a max over completions (an N-invariant quantity, unlike
-        // "the tick of whichever callback ran last").
-        StatSet stats;
-        std::atomic<int> deliveries{0};
-        std::atomic<Tick> last{0};
-        TransferAgent::Context ctx;
-        ctx.system = &system;
-        ctx.gpuId = 0;
-        ctx.queue = &system.queueFor(0);
-        ctx.config.mechanism = TransferMechanism::Polling;
-        ctx.config.chunkBytes = 64 * KiB;
-        ctx.config.transferThreads = 2048;
-        ctx.config.retry.enabled = true;
-        ctx.config.retry.maxAttempts = 6;
-        ctx.config.retry.rerouteAfterAttempts = 2;
-        ctx.stats = &stats;
-        ctx.onDelivered = [&deliveries, &last](std::uint64_t) {
-            deliveries.fetch_add(1, std::memory_order_relaxed);
-            const Tick now =
-                ShardedEventEngine::currentQueue()->curTick();
-            Tick seen = last.load(std::memory_order_relaxed);
-            while (seen < now &&
-                   !last.compare_exchange_weak(
-                       seen, now, std::memory_order_relaxed)) {
-            }
-        };
-        PollingAgent agent(ctx);
-
-        // Chained relay hops must be submitted from the relay's own
-        // shard; the runtime installs these per-GPU forwarding
-        // senders itself, a direct-system test has to follow suit.
-        std::vector<StatSet> hop_stats(
-            static_cast<std::size_t>(gpus));
-        std::vector<std::unique_ptr<RetryingSender>> hop_senders;
-        std::vector<Rerouter::Submit> submitters;
-        for (int g = 0; g < gpus; ++g) {
-            hop_senders.push_back(std::make_unique<RetryingSender>(
-                system.queueFor(g), system.fabric(),
-                ctx.config.retry,
-                &hop_stats[static_cast<std::size_t>(g)], nullptr));
-            RetryingSender *hs = hop_senders.back().get();
-            submitters.push_back(
-                [hs](const Interconnect::Request &leg) {
-                    return hs->send(leg);
-                });
-        }
-        system.rerouter()->setHopSubmitters(std::move(submitters));
-
-        const int chunks = 6;
-        auto &eq = system.queueFor(0);
-        for (int c = 0; c < chunks; ++c) {
-            eq.schedule(
-                static_cast<Tick>(c) * 40 * ticksPerMicrosecond,
-                [&agent, c] { agent.chunkReady(c, 64 * KiB); });
-        }
-        system.run();
-
-        const Interconnect &fabric = system.fabric();
-
-        // The death is unconditional, so the watchdog must have
-        // declared the victim by drain time.
-        EXPECT_TRUE(system.anyDeviceLost()) << "seed " << seed;
-
-        // Zero leaked flights and zero orphaned retries: every
-        // submission was delivered, refused, quiesced or given up —
-        // and every sender's in-flight ledger returned to zero.
-        EXPECT_EQ(fabric.numTrackedFlights(), 0u) << "seed " << seed;
-        EXPECT_EQ(agent.sender().inFlight(), 0u) << "seed " << seed;
-        for (int g = 0; g < gpus; ++g) {
-            EXPECT_EQ(hop_senders[static_cast<std::size_t>(g)]
-                          ->inFlight(),
-                      0u)
-                << "seed " << seed << " hop sender " << g;
-        }
-
-        // Survivors deliver at most exactly-once.
-        EXPECT_LE(deliveries.load(), chunks * (gpus - 1))
-            << "seed " << seed;
-
-        double hop_retried = 0.0;
-        double hop_orphaned = 0.0;
-        for (const StatSet &hs : hop_stats) {
-            hop_retried += hs.get("transfers.retried");
-            hop_orphaned += hs.get("transfers.orphaned");
-        }
-        return std::make_tuple(
-            gpus, victim, last.load(), deliveries.load(),
-            stats.get("transfers.retried"),
-            stats.get("transfers.orphaned"), hop_retried,
-            hop_orphaned, fabric.refusedDeliveries(),
-            fabric.quiescedFlights(),
-            system.deviceHealth()->transitions().size());
-    };
-
-    // The 1-shard engine is the reference; higher shard counts and a
-    // straight replay must reproduce its tuple exactly.
-    const auto ref = run_once(caseSeed(), 1);
-    EXPECT_EQ(ref, run_once(caseSeed(), 2))
-        << "case " << GetParam() << " diverged at 2 shards";
-    EXPECT_EQ(ref, run_once(caseSeed(), 4))
-        << "case " << GetParam() << " diverged at 4 shards";
-    EXPECT_EQ(ref, run_once(caseSeed(), 1))
-        << "case " << GetParam()
+    const std::uint64_t pair_seed =
+        deriveSeed(kPairwiseCampaign, GetParam());
+    Rng topo(deriveSeed(pair_seed, 0x10b0u));
+    PlatformSpec pairwise = voltaPlatform().withGpuCount(
+        2 + static_cast<int>(topo.below(7)));
+    pairwise.fabric.topology = FabricTopology::PairwiseLinks;
+    EXPECT_EQ(runMixedFaultCampaign(pairwise, pair_seed),
+              runMixedFaultCampaign(pairwise, pair_seed))
+        << "case " << GetParam() << " on " << pairwise.name
         << " did not replay deterministically";
 }
 
-INSTANTIATE_TEST_SUITE_P(Cases, ShardedFaultFuzz,
+INSTANTIATE_TEST_SUITE_P(Cases, Dgx2FaultFuzz,
                          ::testing::Range<std::uint64_t>(0u, 24u));

@@ -9,9 +9,10 @@
  * packetization goodput is monotone in transfer size, the BFS
  * minimizes network-tier hops before edge count, and the tier-masked
  * plan cache lets cross-node link epochs invalidate independently of
- * intra-node ones), the cross-shard determinism gate at 2x16 and
- * 4x16 GPUs, and a 24-seed fault fuzz mixing inter-node link flaps
- * with device loss that must drain with zero leaked flights.
+ * intra-node ones), all five workloads completing and replaying
+ * identically at 2x16 and 4x16 GPUs, and a 24-seed fault fuzz mixing
+ * inter-node link flaps with device loss that must drain with zero
+ * leaked flights.
  */
 
 #include "faults/fault_plan.hh"
@@ -23,7 +24,6 @@
 #include "proact/transfer_agent.hh"
 #include "sim/logging.hh"
 #include "sim/random.hh"
-#include "sim/sharded_engine.hh"
 #include "system/multi_gpu_system.hh"
 #include "system/platform.hh"
 #include "tests/small_workloads.hh"
@@ -31,10 +31,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
-#include <memory>
-#include <sstream>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -52,39 +49,14 @@ killLink(LinkHealthMonitor &mon, int src, int dst)
     ASSERT_EQ(mon.linkState(src, dst), LinkState::Down);
 }
 
-/** Every ParadigmRun field (and the summary line) in one string. */
-std::string
-runDigest(const ParadigmRun &r)
-{
-    std::ostringstream os;
-    os << "ticks=" << r.ticks << " wire=" << r.wireBytes
-       << " payload=" << r.payloadBytes
-       << " stores=" << r.storeTransactions
-       << " dropped=" << r.faultsDropped << " retries=" << r.retries
-       << " fallbacks=" << r.fallbacks
-       << " transitions=" << r.linkTransitions << "/"
-       << r.wireTransitions << " congested=" << r.congestionEvents
-       << " reroutes=" << r.reroutes << " swaps=" << r.configSwaps
-       << " aborted=" << r.aborted << " lost=" << r.lostGpu
-       << " iters=" << r.completedIterations
-       << " ckpt=" << r.checkpointIteration << "/" << r.checkpoints
-       << "/" << r.checkpointTicks
-       << " refused=" << r.refusedDeliveries
-       << " quiesced=" << r.quiescedFlights
-       << " orphaned=" << r.orphanedTransfers << " ["
-       << r.faultSummary() << "]";
-    return os.str();
-}
-
 Session::RunOptions
-batteryOptions(int shards)
+batteryOptions()
 {
     Session::RunOptions options;
     options.functional = false;
     options.config.mechanism = TransferMechanism::Polling;
     options.config.chunkBytes = 64 * KiB;
     options.config.transferThreads = 2048;
-    options.simShards = shards;
     return options;
 }
 
@@ -117,8 +89,7 @@ TEST(MultiNodeTopology, BuilderValidatesShape)
     EXPECT_FALSE(p.fabric.sameNode(15, 16));
 
     // The network tier is strictly slower and farther than the
-    // chassis tier, and the base latency stays the intra minimum —
-    // it is the sharded engine's conservative lookahead floor.
+    // chassis tier, and the base latency stays the intra minimum.
     EXPECT_LT(p.fabric.interPerGpuBidirBandwidth,
               p.fabric.perGpuBidirBandwidth);
     EXPECT_GT(p.fabric.interLatency, p.fabric.latency);
@@ -315,62 +286,36 @@ TEST(MultiNodeRouting, TierMaskedCacheInvalidatesIndependently)
         << "inter-node flap failed to evict a cross-node plan";
 }
 
-TEST(MultiNodePdes, ShardedEngineEngagesAtMultiNodeScale)
+TEST(MultiNodeRuns, AllWorkloadsCompleteAndReplayAt2x16And4x16)
 {
-    // Guard against a silent serial degrade, which would make every
-    // digest comparison below vacuously true: the two-tier pairwise
-    // fabric must satisfy the sharding contract.
-    for (const int shards : {2, 4, 8}) {
-        MultiGpuSystem system(multiNodePlatform(2, 16), shards);
-        EXPECT_TRUE(system.sharded()) << shards << " shards";
-    }
-}
-
-namespace {
-
-/** All five workloads at a multi-node scale, shards {1,2,4,8}
- * bit-identical to the 1-shard sequential reference. */
-void
-multiNodeDeterminismBattery(int nodes)
-{
-    Session session(multiNodePlatform(nodes, 16));
-    const int gpus = session.platform().numGpus;
-    for (const std::string &name : test::smallWorkloadNames()) {
-        auto run_once = [&](int shards) {
-            auto workload = test::makeSmallWorkload(name);
-            workload->setup(gpus);
-            return runDigest(session.run(*workload,
-                                         Paradigm::ProactDecoupled,
-                                         batteryOptions(shards)));
-        };
-        const std::string ref = run_once(1);
-        for (const int shards : {2, 4, 8}) {
-            EXPECT_EQ(ref, run_once(shards))
-                << name << " at " << gpus << " GPUs, " << shards
-                << " shards";
+    for (const int nodes : {2, 4}) {
+        Session session(multiNodePlatform(nodes, 16));
+        const int gpus = session.platform().numGpus;
+        for (const std::string &name : test::smallWorkloadNames()) {
+            auto run_once = [&] {
+                auto workload = test::makeSmallWorkload(name);
+                workload->setup(gpus);
+                return session.run(*workload, Paradigm::ProactDecoupled,
+                                   batteryOptions());
+            };
+            const ParadigmRun first = run_once();
+            EXPECT_FALSE(first.aborted)
+                << name << " at " << gpus << " GPUs";
+            EXPECT_EQ(first.completedIterations, 4)
+                << name << " at " << gpus << " GPUs";
+            EXPECT_EQ(test::runDigest(first),
+                      test::runDigest(run_once()))
+                << name << " at " << gpus << " GPUs did not replay";
         }
     }
 }
 
-} // namespace
-
-TEST(MultiNodePdes, TwoNodeAllWorkloadsBitIdenticalAcrossShards)
-{
-    multiNodeDeterminismBattery(2);
-}
-
-TEST(MultiNodePdes, FourNodeAllWorkloadsBitIdenticalAcrossShards)
-{
-    multiNodeDeterminismBattery(4);
-}
-
 /**
  * Seeded multi-node fault fuzz: a 2x16 fabric under flapping
- * inter-node links plus an unconditional device loss. Every case
- * must drain with zero leaked flights and zero orphaned retries on
- * every sender, and the counter tuple must be identical at 1 and 4
- * shards — cross-node relays, retries and the device quiesce are
- * exactly the paths that cross both shard and node boundaries.
+ * inter-node links plus an unconditional device loss, with rebooking
+ * on. Every case must drain with zero leaked flights and zero
+ * orphaned retries, and replay tick-for-tick — cross-node relays,
+ * retries and the device quiesce all cross node boundaries.
  */
 class MultiNodeFaultFuzz
     : public ::testing::TestWithParam<std::uint64_t>
@@ -386,17 +331,15 @@ class MultiNodeFaultFuzz
 
 TEST_P(MultiNodeFaultFuzz, InterNodeFlapsAndDeviceLossLeaveNoFlights)
 {
-    auto run_once = [](std::uint64_t seed, int shards) {
+    auto run_once = [](std::uint64_t seed) {
         const PlatformSpec platform = multiNodePlatform(2, 16);
         const int gpus = platform.numGpus;
 
-        MultiGpuSystem system(platform, shards);
-        if (shards > 1) {
-            EXPECT_TRUE(system.sharded()) << shards << " shards";
-        }
+        MultiGpuSystem system(platform);
         system.setFunctional(false);
         system.enableHealth();
         system.enableReroute();
+        system.fabric().setRebooking(true);
         system.enableDeviceHealth({});
 
         // Two flapping inter-node links (one per direction of the
@@ -418,12 +361,11 @@ TEST_P(MultiNodeFaultFuzz, InterNodeFlapsAndDeviceLossLeaveNoFlights)
         system.installFaults(std::move(plan));
 
         StatSet stats;
-        std::atomic<int> deliveries{0};
-        std::atomic<Tick> last{0};
+        int deliveries = 0;
+        Tick last = 0;
         TransferAgent::Context ctx;
         ctx.system = &system;
         ctx.gpuId = 0;
-        ctx.queue = &system.queueFor(0);
         ctx.config.mechanism = TransferMechanism::Polling;
         ctx.config.chunkBytes = 64 * KiB;
         ctx.config.transferThreads = 2048;
@@ -431,40 +373,15 @@ TEST_P(MultiNodeFaultFuzz, InterNodeFlapsAndDeviceLossLeaveNoFlights)
         ctx.config.retry.maxAttempts = 6;
         ctx.config.retry.rerouteAfterAttempts = 2;
         ctx.stats = &stats;
-        ctx.onDelivered = [&deliveries, &last](std::uint64_t) {
-            deliveries.fetch_add(1, std::memory_order_relaxed);
-            const Tick now =
-                ShardedEventEngine::currentQueue()->curTick();
-            Tick seen = last.load(std::memory_order_relaxed);
-            while (seen < now &&
-                   !last.compare_exchange_weak(
-                       seen, now, std::memory_order_relaxed)) {
-            }
+        ctx.onDelivered = [&deliveries, &last,
+                           &system](std::uint64_t) {
+            ++deliveries;
+            last = system.now();
         };
         PollingAgent agent(ctx);
 
-        // Chained relay hops must be submitted from the relay's own
-        // shard (the runtime installs these itself; a direct-system
-        // test follows suit).
-        std::vector<StatSet> hop_stats(
-            static_cast<std::size_t>(gpus));
-        std::vector<std::unique_ptr<RetryingSender>> hop_senders;
-        std::vector<Rerouter::Submit> submitters;
-        for (int g = 0; g < gpus; ++g) {
-            hop_senders.push_back(std::make_unique<RetryingSender>(
-                system.queueFor(g), system.fabric(),
-                ctx.config.retry,
-                &hop_stats[static_cast<std::size_t>(g)], nullptr));
-            RetryingSender *hs = hop_senders.back().get();
-            submitters.push_back(
-                [hs](const Interconnect::Request &leg) {
-                    return hs->send(leg);
-                });
-        }
-        system.rerouter()->setHopSubmitters(std::move(submitters));
-
         const int chunks = 4;
-        auto &eq = system.queueFor(0);
+        auto &eq = system.eventQueue();
         for (int c = 0; c < chunks; ++c) {
             eq.schedule(
                 static_cast<Tick>(c) * 40 * ticksPerMicrosecond,
@@ -480,35 +397,19 @@ TEST_P(MultiNodeFaultFuzz, InterNodeFlapsAndDeviceLossLeaveNoFlights)
 
         // Zero leaked flights and zero orphaned retries: every
         // submission was delivered, refused, quiesced or given up —
-        // and every sender's in-flight ledger returned to zero.
+        // and the sender's in-flight ledger returned to zero.
         EXPECT_EQ(fabric.numTrackedFlights(), 0u) << "seed " << seed;
         EXPECT_EQ(agent.sender().inFlight(), 0u) << "seed " << seed;
-        for (int g = 0; g < gpus; ++g) {
-            EXPECT_EQ(hop_senders[static_cast<std::size_t>(g)]
-                          ->inFlight(),
-                      0u)
-                << "seed " << seed << " hop sender " << g;
-        }
 
-        double hop_retried = 0.0;
-        double hop_orphaned = 0.0;
-        for (const StatSet &hs : hop_stats) {
-            hop_retried += hs.get("transfers.retried");
-            hop_orphaned += hs.get("transfers.orphaned");
-        }
         return std::make_tuple(
-            victim, last.load(), deliveries.load(),
-            stats.get("transfers.retried"),
-            stats.get("transfers.orphaned"), hop_retried,
-            hop_orphaned, fabric.refusedDeliveries(),
-            fabric.quiescedFlights(),
+            victim, last, deliveries, stats.get("transfers.retried"),
+            stats.get("transfers.orphaned"),
+            fabric.refusedDeliveries(), fabric.quiescedFlights(),
             system.deviceHealth()->transitions().size());
     };
 
-    const auto ref = run_once(caseSeed(), 1);
-    EXPECT_EQ(ref, run_once(caseSeed(), 4))
-        << "case " << GetParam()
-        << " diverged between 1 and 4 shards";
+    EXPECT_EQ(run_once(caseSeed()), run_once(caseSeed()))
+        << "case " << GetParam() << " did not replay deterministically";
 }
 
 INSTANTIATE_TEST_SUITE_P(Cases, MultiNodeFaultFuzz,

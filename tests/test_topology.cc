@@ -140,8 +140,7 @@ TEST(Topology, MultiNodeTierAccessors)
     EXPECT_EQ(fab.pairLink(0, 4).rate(), fab.nominalPairRate(0, 4));
     EXPECT_EQ(fab.pairLink(0, 4).latency(), fab.pairLatency(0, 4));
 
-    // The base latency stays the intra (minimum) latency: it is the
-    // sharded engine's conservative lookahead floor.
+    // The base latency stays the intra (minimum) latency.
     EXPECT_EQ(platform.fabric.latency, nvswitchFabric().latency);
     EXPECT_GE(platform.fabric.interLatency, platform.fabric.latency);
 }

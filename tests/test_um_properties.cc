@@ -51,8 +51,9 @@ TEST_P(PageTableProperty, WriteInvalidationIsExact)
     for (std::uint64_t p = 0; p < pt.numPages(); ++p) {
         const bool written = p >= 10 && p < 13;
         EXPECT_EQ(pt.replicaCount(p), written ? 1 : 4) << p;
-        if (written)
+        if (written) {
             EXPECT_TRUE(pt.isResident(2, p));
+        }
     }
 }
 
