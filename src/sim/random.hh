@@ -11,6 +11,7 @@
 #ifndef PROACT_SIM_RANDOM_HH
 #define PROACT_SIM_RANDOM_HH
 
+#include <cmath>
 #include <cstdint>
 
 namespace proact {
@@ -97,6 +98,21 @@ class Rng
 
     std::uint64_t _state[4];
 };
+
+/**
+ * Integer form of a Rng::uniform() comparison. uniform() returns
+ * k * 2^-53 for the top 53 bits k of one draw, so for any @p p in
+ * [0, 1] the test `uniform() < p` holds exactly when
+ * `(rng() >> 11) < uniformThreshold(p)`: scaling by 2^53 is exact,
+ * and an integer is below a real number iff it is below its ceiling.
+ * Hot loops use it to compare integers while consuming the same
+ * draws. @p p must be finite and in [0, 1].
+ */
+inline std::uint64_t
+uniformThreshold(double p)
+{
+    return static_cast<std::uint64_t>(std::ceil(std::ldexp(p, 53)));
+}
 
 /**
  * Derive an independent per-stream seed from a campaign seed and a

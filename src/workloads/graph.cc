@@ -4,60 +4,87 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
+#include <numeric>
 
 namespace proact {
 
 namespace {
 
-/** Sample one R-MAT edge by recursive quadrant descent. */
-std::pair<std::int64_t, std::int64_t>
-sampleEdge(Rng &rng, int scale, double a, double b, double c)
+/** Vertex ids must fit the int32 inNeighbors (and uint32 edge lists). */
+constexpr std::int64_t maxVertices = std::int64_t(1) << 31;
+
+/**
+ * Edge list as two parallel arrays of endpoints, in generation
+ * order. 8 bytes per edge; vertex counts are bounded by maxVertices.
+ */
+struct EdgeList
 {
-    std::int64_t src = 0, dst = 0;
-    for (int level = 0; level < scale; ++level) {
-        const double r = rng.uniform();
-        src <<= 1;
-        dst <<= 1;
-        if (r < a) {
-            // top-left: neither bit set
-        } else if (r < a + b) {
-            dst |= 1;
-        } else if (r < a + b + c) {
-            src |= 1;
-        } else {
-            src |= 1;
-            dst |= 1;
+    std::vector<std::uint32_t> src, dst;
+};
+
+/**
+ * Sample params.numEdges R-MAT edges by recursive quadrant descent,
+ * one draw per level. Each draw is compared with integer thresholds
+ * that are exact for the cumulative probabilities a, a+b and a+b+c
+ * (uniformThreshold), so it picks the same quadrant as comparing
+ * Rng::uniform() with them. The probabilities are non-negative, so
+ * the thresholds are ordered and the number a draw reaches is the
+ * quadrant index q: 0 top-left, 1 top-right, 2 bottom-left, 3
+ * bottom-right. q's high bit is the level's src bit, its low bit the
+ * dst bit.
+ */
+EdgeList
+sampleEdges(Rng &rng, int scale, const RmatParams &params)
+{
+    const std::uint64_t t1 = uniformThreshold(params.a);
+    const std::uint64_t t2 = uniformThreshold(params.a + params.b);
+    const std::uint64_t t3 =
+        uniformThreshold(params.a + params.b + params.c);
+
+    EdgeList edges;
+    edges.src.resize(params.numEdges);
+    edges.dst.resize(params.numEdges);
+    for (std::int64_t e = 0; e < params.numEdges; ++e) {
+        std::uint32_t src = 0, dst = 0;
+        for (int level = 0; level < scale; ++level) {
+            const std::uint64_t k = rng() >> 11;
+            const std::uint32_t q = (k >= t1) + (k >= t2) + (k >= t3);
+            src = (src << 1) | (q >> 1);
+            dst = (dst << 1) | (q & 1);
         }
+        edges.src[e] = src;
+        edges.dst[e] = dst;
     }
-    return {src, dst};
+    return edges;
 }
 
 Graph
-buildCsr(std::int64_t num_vertices,
-         std::vector<std::pair<std::int64_t, std::int64_t>> &edges,
-         Rng &rng, std::int32_t max_weight)
+buildCsr(std::int64_t num_vertices, const EdgeList &edges, Rng &rng,
+         std::int32_t max_weight)
 {
+    const std::size_t num_edges = edges.src.size();
     Graph g;
     g.numVertices = num_vertices;
     g.outDegree.assign(num_vertices, 0);
     g.inOffsets.assign(num_vertices + 1, 0);
 
-    for (const auto &[src, dst] : edges) {
-        ++g.outDegree[src];
-        ++g.inOffsets[dst + 1];
+    for (std::size_t e = 0; e < num_edges; ++e) {
+        ++g.outDegree[edges.src[e]];
+        ++g.inOffsets[edges.dst[e] + 1];
     }
     for (std::int64_t v = 0; v < num_vertices; ++v)
         g.inOffsets[v + 1] += g.inOffsets[v];
 
-    g.inNeighbors.resize(edges.size());
-    g.inWeights.resize(edges.size());
+    g.inNeighbors.resize(num_edges);
+    g.inWeights.resize(num_edges);
     std::vector<std::int64_t> cursor(g.inOffsets.begin(),
                                      g.inOffsets.end() - 1);
 
     // Fill in deterministic edge order (generation order per dst).
-    for (const auto &[src, dst] : edges) {
-        const std::int64_t slot = cursor[dst]++;
-        g.inNeighbors[slot] = static_cast<std::int32_t>(src);
+    for (std::size_t e = 0; e < num_edges; ++e) {
+        const std::int64_t slot = cursor[edges.dst[e]]++;
+        g.inNeighbors[slot] = static_cast<std::int32_t>(edges.src[e]);
         g.inWeights[slot] = static_cast<float>(
             1 + rng.below(static_cast<std::uint64_t>(max_weight)));
     }
@@ -76,33 +103,41 @@ generateRmat(const RmatParams &params)
         fatalError("generateRmat: vertex count must be a power of 2, "
                    "got ", params.numVertices);
     }
+    if (params.numVertices > maxVertices) {
+        fatalError("generateRmat: at most 2^31 vertices, got ",
+                   params.numVertices);
+    }
+    for (const double p : {params.a, params.b, params.c}) {
+        if (!std::isfinite(p) || p < 0.0) {
+            fatalError("generateRmat: quadrant probabilities must be "
+                       "finite and non-negative, got ", p);
+        }
+    }
     const double sum = params.a + params.b + params.c;
     if (sum >= 1.0)
         fatalError("generateRmat: quadrant probabilities exceed 1");
+    if (params.maxWeight < 1) {
+        fatalError("generateRmat: max edge weight must be at least 1, "
+                   "got ", params.maxWeight);
+    }
 
     const int scale = std::bit_width(
         static_cast<std::uint64_t>(params.numVertices)) - 1;
 
     Rng rng(params.seed);
-    std::vector<std::pair<std::int64_t, std::int64_t>> edges;
-    edges.reserve(params.numEdges);
-    for (std::int64_t e = 0; e < params.numEdges; ++e)
-        edges.push_back(
-            sampleEdge(rng, scale, params.a, params.b, params.c));
+    EdgeList edges = sampleEdges(rng, scale, params);
 
     if (params.shuffleVertices) {
         // Fisher-Yates permutation of vertex labels.
-        std::vector<std::int64_t> perm(params.numVertices);
-        for (std::int64_t v = 0; v < params.numVertices; ++v)
-            perm[v] = v;
+        std::vector<std::uint32_t> perm(params.numVertices);
+        std::iota(perm.begin(), perm.end(), std::uint32_t(0));
         for (std::int64_t v = params.numVertices - 1; v > 0; --v) {
-            const auto j = static_cast<std::int64_t>(
-                rng.below(static_cast<std::uint64_t>(v + 1)));
+            const auto j = rng.below(static_cast<std::uint64_t>(v + 1));
             std::swap(perm[v], perm[j]);
         }
-        for (auto &[src, dst] : edges) {
-            src = perm[src];
-            dst = perm[dst];
+        for (std::size_t e = 0; e < edges.src.size(); ++e) {
+            edges.src[e] = perm[edges.src[e]];
+            edges.dst[e] = perm[edges.dst[e]];
         }
     }
 
@@ -113,19 +148,20 @@ generateRmat(const RmatParams &params)
 Graph
 generateRing(std::int64_t num_vertices, int degree)
 {
-    if (num_vertices <= 0 || degree <= 0 ||
-        degree >= num_vertices) {
+    if (num_vertices <= 0 || num_vertices > maxVertices ||
+        degree <= 0 || degree >= num_vertices) {
         fatalError("generateRing: invalid shape (", num_vertices,
                    " vertices, degree ", degree, ")");
     }
 
-    std::vector<std::pair<std::int64_t, std::int64_t>> edges;
-    edges.reserve(num_vertices * degree);
+    EdgeList edges;
+    edges.src.reserve(num_vertices * degree);
+    edges.dst.reserve(num_vertices * degree);
     for (std::int64_t v = 0; v < num_vertices; ++v) {
         for (int k = 1; k <= degree; ++k) {
-            const std::int64_t src =
-                (v - k + num_vertices) % num_vertices;
-            edges.emplace_back(src, v);
+            edges.src.push_back(static_cast<std::uint32_t>(
+                (v - k + num_vertices) % num_vertices));
+            edges.dst.push_back(static_cast<std::uint32_t>(v));
         }
     }
     Rng rng(7);

@@ -84,6 +84,11 @@ struct RmatParams
  * Generate a deterministic R-MAT graph in incoming-edge CSR form.
  * Self-loops are permitted; multi-edges are kept (they only skew
  * weights slightly and keep generation O(E)).
+ *
+ * Throws FatalError, before allocating, unless the vertex count is a
+ * power of two no larger than 2^31, there is at least one edge, a, b
+ * and c are finite and non-negative with a + b + c < 1, and
+ * maxWeight >= 1.
  */
 Graph generateRmat(const RmatParams &params);
 

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <set>
 #include <vector>
 
@@ -42,6 +43,40 @@ TEST(Rng, UniformInUnitInterval)
     }
     // Mean of 10k uniforms is within ~4 sigma of 0.5.
     EXPECT_NEAR(sum / 10000.0, 0.5, 0.02);
+}
+
+TEST(Rng, UniformThresholdMatchesUniformCompare)
+{
+    // uniform() is k * 2^-53 for k < 2^53. Around each threshold,
+    // `k * 2^-53 < p` must agree with `k < uniformThreshold(p)`:
+    // dyadic p (the threshold is exact), non-dyadic ones (it is a
+    // ceiling), the R-MAT sums, values below 2^-53 and [0, 1]'s ends.
+    const double probs[] = {0.0,
+                            4.9e-324,
+                            0x1.0p-60,
+                            0x1.0p-53,
+                            0.1,
+                            0.125,
+                            0.5,
+                            0.57,
+                            0.57 + 0.19,
+                            0.57 + 0.19 + 0.19,
+                            0.7 + 0.1 + 0.1,
+                            std::nextafter(1.0, 0.0),
+                            1.0};
+    const std::uint64_t limit = std::uint64_t(1) << 53;
+    for (const double p : probs) {
+        const std::uint64_t t = uniformThreshold(p);
+        ASSERT_LE(t, limit) << "p=" << p;
+        for (const std::uint64_t k :
+             {t - 2, t - 1, t, t + 1, t + 2, std::uint64_t(0),
+              limit - 1}) {
+            if (k >= limit)
+                continue; // Wrapped below 0 or past the last draw.
+            EXPECT_EQ(static_cast<double>(k) * 0x1.0p-53 < p, k < t)
+                << "p=" << p << " k=" << k;
+        }
+    }
 }
 
 TEST(Rng, BelowRespectsBound)
