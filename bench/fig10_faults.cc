@@ -20,7 +20,7 @@
  * Two stacked configurations face each plan:
  *
  *   retry-only     acknowledged chunks, backoff, reliable fallback.
- *   adaptive       + health monitoring, epoch-cached multi-relay
+ *   adaptive       + health monitoring, plan-cached multi-relay
  *                  rerouting, and reroute-aware retry.
  *
  * A multi-node companion extends the series past one chassis: 2x16
@@ -32,7 +32,7 @@
  * Output is a table plus machine-readable JSON (fig10_faults.json,
  * or $PROACT_BENCH_JSON) for CI artifacts. Acceptance (ISSUE): at 16
  * GPUs under the board-down plan the adaptive stack beats retry-only
- * goodput, and the epoch-keyed plan cache serves >= 10x more lookups
+ * goodput, and the plan cache serves >= 10x more lookups
  * than it computes (i.e. >= 10x cheaper than per-transfer planning);
  * at 32 GPUs under uplinks-down the adaptive stack must again beat
  * retry-only goodput.

@@ -75,7 +75,6 @@ Session::run(Workload &workload, Paradigm paradigm,
         options.health = envHealthEnabled();
         options.healthPolicy = envHealthPolicy();
         options.reroute = envRerouteEnabled();
-        options.reroutePolicy = envReroutePolicy();
         options.reprofile = envReprofileEnabled();
         options.reprofileCharge = envReprofileChargeEnabled();
         options.deviceHealth = envDeviceHealthEnabled();
@@ -111,7 +110,7 @@ Session::run(Workload &workload, Paradigm paradigm,
     if (options.deviceHealth)
         system.enableDeviceHealth(options.deviceHealthPolicy);
     if (options.reroute)
-        system.enableReroute(options.reroutePolicy);
+        system.enableReroute();
     if (options.reprofile && options.reprofileFactory &&
         paradigm == Paradigm::ProactDecoupled) {
         TransferConfig initial = effective;

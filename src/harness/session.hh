@@ -117,7 +117,6 @@ class Session
 
         /** Detours/splits around unhealthy links (implies health). */
         bool reroute = false;
-        ReroutePolicy reroutePolicy;
 
         /**
          * Adaptive re-profiling at iteration boundaries (implies

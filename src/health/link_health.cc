@@ -21,8 +21,6 @@ LinkHealthMonitor::LinkHealthMonitor(EventQueue &eq,
                                      Interconnect &fabric,
                                      HealthPolicy policy)
     : _eq(eq), _fabric(fabric), _policy(std::move(policy)),
-      _rowEpoch(static_cast<std::size_t>(fabric.numGpus()), 0),
-      _colEpoch(static_cast<std::size_t>(fabric.numGpus()), 0),
       _links(static_cast<std::size_t>(fabric.numGpus())
              * fabric.numGpus())
 {
@@ -102,22 +100,6 @@ LinkState
 LinkHealthMonitor::linkState(int src, int dst) const
 {
     return link(src, dst).state;
-}
-
-std::uint64_t
-LinkHealthMonitor::linkEpoch(int src, int dst) const
-{
-    return link(src, dst).epoch;
-}
-
-std::uint64_t
-LinkHealthMonitor::routeEpoch(int src, int dst) const
-{
-    index(src, dst); // Bounds check.
-    return (static_cast<std::uint64_t>(
-                _rowEpoch[static_cast<std::size_t>(src)])
-            << 32)
-        | _colEpoch[static_cast<std::size_t>(dst)];
 }
 
 double
@@ -330,12 +312,8 @@ LinkHealthMonitor::setState(int src, int dst, LinkState next)
         return;
     const LinkState prev = l.state;
     l.state = next;
-    ++_epoch;
-    ++_rowEpoch[static_cast<std::size_t>(src)];
-    ++_colEpoch[static_cast<std::size_t>(dst)];
     l.lastTransition = _eq.curTick();
     l.everTransitioned = true;
-    ++l.epoch;
 
     _stats.inc("health.transitions");
     if (isWireTransition(prev, next))

@@ -149,30 +149,6 @@ class LinkHealthMonitor : public LinkStateProvider
     /** @{ @name LinkStateProvider */
     LinkState linkState(int src, int dst) const override;
     double residualFraction(int src, int dst) const override;
-
-    /** Queueing-delay-over-service EWMA (== ewmaQueueRatio). */
-    double queueRatio(int src, int dst) const override
-    {
-        return ewmaQueueRatio(src, dst);
-    }
-
-    /**
-     * Bumped once per state transition (== transitions().size()), so
-     * route caches keyed on it revalidate exactly when the observed
-     * topology changed shape.
-     */
-    std::uint64_t healthEpoch() const override { return _epoch; }
-
-    /** Transition count of one directed link. */
-    std::uint64_t linkEpoch(int src, int dst) const override;
-
-    /**
-     * Row/column epoch signature: transitions of any link leaving
-     * @p src or entering @p dst change it; transitions elsewhere
-     * don't. Plans cached per pair stay valid across unrelated
-     * flapping, which on a 16-GPU fabric is most of it.
-     */
-    std::uint64_t routeEpoch(int src, int dst) const override;
     /** @} */
 
     /**
@@ -199,10 +175,10 @@ class LinkHealthMonitor : public LinkStateProvider
     /**
      * Force every link touching @p gpu DOWN at once — the link-level
      * shadow of a whole-device loss. Listeners fire per link, so the
-     * rerouter's push-invalidated plan cache drops every plan through
-     * the dead device; probing is suppressed (no probe can revive a
-     * link whose endpoint is gone, and probing 2(N-1) dead links
-     * would pin the event queue for the probe budget).
+     * rerouter's plan cache drops every plan through the dead device;
+     * probing is suppressed (no probe can revive a link whose
+     * endpoint is gone, and probing 2(N-1) dead links would pin the
+     * event queue for the probe budget).
      */
     void markDeviceLost(int gpu);
 
@@ -269,9 +245,6 @@ class LinkHealthMonitor : public LinkStateProvider
         /** Holdoff bookkeeping (see HealthPolicy::transitionHoldoff). */
         Tick lastTransition = 0;
         bool everTransitioned = false;
-
-        /** Transition count of this link (linkEpoch). */
-        std::uint32_t epoch = 0;
     };
 
     EventQueue &_eq;
@@ -279,9 +252,6 @@ class LinkHealthMonitor : public LinkStateProvider
     Interconnect::ObserverHandle _observerHandle = 0;
     HealthPolicy _policy;
     StatSet _stats;
-    std::uint64_t _epoch = 0;
-    std::vector<std::uint32_t> _rowEpoch;
-    std::vector<std::uint32_t> _colEpoch;
     std::vector<Link> _links;
     std::vector<Listener> _listeners;
     std::vector<Transition> _transitions;

@@ -13,7 +13,6 @@
 #ifndef PROACT_INTERCONNECT_LINK_STATE_HH
 #define PROACT_INTERCONNECT_LINK_STATE_HH
 
-#include <cstdint>
 #include <string>
 
 namespace proact {
@@ -93,62 +92,6 @@ class LinkStateProvider
      * degraded one, 0.0 when down.
      */
     virtual double residualFraction(int src, int dst) const = 0;
-
-    /**
-     * Observed ratio of per-delivery queueing delay (time spent
-     * behind other flows at shared ports) to expected service time:
-     * 0 on a quiet link, > 1 when the average delivery waits longer
-     * than its own wire time. Queue-weighted routing divides
-     * congested legs' scores by (1 + this ratio) so sustained
-     * multi-tenant hotspots shed load proportionally to how backed
-     * up they actually are. Static default: always quiet.
-     */
-    virtual double
-    queueRatio(int src, int dst) const
-    {
-        (void)src;
-        (void)dst;
-        return 0.0;
-    }
-
-    /**
-     * Monotonic counter bumped on every link-state transition.
-     * Routing layers key plan caches on it: while the epoch is
-     * unchanged, every linkState() answer is unchanged too, so a
-     * cached route stays valid. Providers whose classification can
-     * change over time must override this; the default (a constant)
-     * is only correct for providers frozen at construction.
-     */
-    virtual std::uint64_t healthEpoch() const { return 0; }
-
-    /**
-     * Transition count of one directed link. A plan computed while
-     * its direct link was HEALTHY read nothing else, so it stays
-     * valid exactly until this changes. Static default: 0, never
-     * changes.
-     */
-    virtual std::uint64_t
-    linkEpoch(int src, int dst) const
-    {
-        (void)src;
-        (void)dst;
-        return 0;
-    }
-
-    /**
-     * Epoch of everything a route plan for src -> dst can depend on.
-     * A plan only reads links leaving @p src or entering @p dst, so a
-     * provider that versions its rows and columns lets cached plans
-     * for unrelated pairs survive a transition elsewhere. The static
-     * default (0, never changes) suits fixed-state providers.
-     */
-    virtual std::uint64_t
-    routeEpoch(int src, int dst) const
-    {
-        (void)src;
-        (void)dst;
-        return 0;
-    }
 };
 
 } // namespace proact

@@ -25,15 +25,8 @@ Rerouter::Rerouter(EventQueue &eq, Interconnect &fabric,
         fatalError("Rerouter: congestedPenalty must be in (0, 1]");
     }
 
-    const std::size_t pairs =
-        static_cast<std::size_t>(fabric.numGpus()) * fabric.numGpus();
-    _cachedPlans.resize(pairs);
-    _cachedLinkEpochs.assign(pairs, 0);
-    _cachedRouteEpochs.assign(pairs, 0);
-    _cachedTicks.assign(pairs, 0);
-    _cacheDirectOnly.assign(pairs, 0);
-    _cacheValid.assign(pairs, 0);
-    _cacheTierMask.assign(pairs, 0);
+    _cache.resize(static_cast<std::size_t>(fabric.numGpus())
+                  * fabric.numGpus());
 }
 
 unsigned char
@@ -42,35 +35,27 @@ Rerouter::tierBit(int a, int b) const
     return _fabric.interNodePair(a, b) ? kTierInter : kTierIntra;
 }
 
-double
-Rerouter::congestionWeight(int src, int dst) const
-{
-    if (_health.linkState(src, dst) != LinkState::Congested)
-        return 1.0;
-    if (!_policy.queueWeightedCongestion)
-        return _policy.congestedPenalty;
-    return 1.0 / (1.0 + _health.queueRatio(src, dst));
-}
-
 std::vector<std::pair<int, double>>
 Rerouter::scoredRelays(int src, int dst, bool *used_foreign) const
 {
     if (used_foreign)
         *used_foreign = false;
 
-    const auto score = [this](int s, int k, int d) {
+    const auto penalty = [this](int s, int d) {
+        return _health.linkState(s, d) == LinkState::Congested
+            ? _policy.congestedPenalty
+            : 1.0;
+    };
+    const auto score = [this, &penalty](int s, int k, int d) {
         double v = std::min(_health.residualFraction(s, k),
                             _health.residualFraction(k, d))
             * _policy.relayDiscount;
         // Spread-don't-detour: congested relay legs keep their full
         // residual (the wire is fine) but score lower, so the fan-out
         // leans toward quiet relays instead of piling onto a port
-        // that is already backed up. The flat penalty treats every
-        // backlog alike; queue weighting scales each leg by
-        // 1 / (1 + queueDelay ratio) so sustained hotspots shed load
-        // in proportion to how deep their queues actually are.
-        v *= congestionWeight(s, k);
-        v *= congestionWeight(k, d);
+        // that is already backed up.
+        v *= penalty(s, k);
+        v *= penalty(k, d);
         return v;
     };
 
@@ -138,97 +123,63 @@ Rerouter::relayCandidates(int src, int dst) const
 }
 
 std::vector<int>
-Rerouter::bfsVias(int src, int dst) const
+Rerouter::relayChain(int src, int dst) const
 {
+    // Lexicographic (network hops, edges) shortest path: a chain that
+    // crosses the node boundary twice is never preferred over one
+    // that crosses once, no matter how many chassis hops the in-node
+    // portion takes within the maxRelayHops bound. Relaxation is
+    // strict, neighbours are scanned in id order and heap ties break
+    // by discovery order, so the chain is a pure function of the
+    // health snapshot. On one node every hop costs (0, 1), pops
+    // follow discovery order, and this is a breadth-first search.
     const int n = _fabric.numGpus();
     const int max_edges = _policy.maxRelayHops + 1;
-
-    if (_fabric.spec().multiNode()) {
-        // Lexicographic (network hops, edges) shortest path: a chain
-        // that crosses the node boundary twice is never preferred
-        // over one that crosses once, no matter how many chassis hops
-        // the in-node portion takes within the maxRelayHops bound.
-        // Strict-improvement relaxation with the heap keyed
-        // (cost, node id) and neighbours visited in id order is fully
-        // deterministic — replays stay tick-for-tick identical.
-        struct Cost
-        {
-            int inter;
-            int edges;
-        };
-        std::vector<Cost> best(n, Cost{n + 1, n + 1});
-        std::vector<int> parent(n, -1);
-        using Key = std::tuple<int, int, int>;
-        std::priority_queue<Key, std::vector<Key>,
-                            std::greater<Key>> heap;
-        best[src] = Cost{0, 0};
-        heap.push({0, 0, src});
-        while (!heap.empty()) {
-            const auto [ci, ce, node] = heap.top();
-            heap.pop();
-            if (ci != best[node].inter || ce != best[node].edges)
-                continue;
-            if (node == dst)
-                break;
-            if (ce >= max_edges)
-                continue;
-            for (int next = 0; next < n; ++next) {
-                if (next == node)
-                    continue;
-                if (_health.linkState(node, next) == LinkState::Down)
-                    continue;
-                const int ninter =
-                    ci + (_fabric.interNodePair(node, next) ? 1 : 0);
-                const int nedges = ce + 1;
-                if (ninter > best[next].inter ||
-                    (ninter == best[next].inter &&
-                     nedges >= best[next].edges)) {
-                    continue;
-                }
-                best[next] = Cost{ninter, nedges};
-                parent[next] = node;
-                heap.push({ninter, nedges, next});
-            }
-        }
-        if (parent[dst] < 0)
-            return {};
-        std::vector<int> vias;
-        for (int node = parent[dst]; node != src;
-             node = parent[node]) {
-            vias.push_back(node);
-        }
-        std::reverse(vias.begin(), vias.end());
-        return vias;
-    }
-
-    // Shortest path over non-DOWN links, visiting neighbours in id
-    // order so the first path found is the lexicographically smallest
-    // among the shortest — deterministic across replays.
+    struct Cost
+    {
+        int inter;
+        int edges;
+    };
+    std::vector<Cost> best(n, Cost{n + 1, n + 1});
     std::vector<int> parent(n, -1);
-    std::vector<int> dist(n, -1);
-    std::queue<int> frontier;
-    dist[src] = 0;
-    frontier.push(src);
-
-    while (!frontier.empty()) {
-        const int node = frontier.front();
-        frontier.pop();
+    // Heap key (network hops, edges, discovery index); discovered[i]
+    // is the node of discovery index i.
+    std::vector<int> discovered{src};
+    using Key = std::tuple<int, int, int>;
+    std::priority_queue<Key, std::vector<Key>, std::greater<Key>> heap;
+    best[src] = Cost{0, 0};
+    heap.push({0, 0, 0});
+    while (!heap.empty()) {
+        const auto [ci, ce, order] = heap.top();
+        heap.pop();
+        const int node = discovered[static_cast<std::size_t>(order)];
+        if (ci != best[node].inter || ce != best[node].edges)
+            continue;
         if (node == dst)
             break;
-        if (dist[node] >= max_edges)
+        if (ce >= max_edges)
             continue;
         for (int next = 0; next < n; ++next) {
-            if (next == node || dist[next] >= 0)
+            if (next == node)
                 continue;
             if (_health.linkState(node, next) == LinkState::Down)
                 continue;
-            dist[next] = dist[node] + 1;
+            const int ninter =
+                ci + (_fabric.interNodePair(node, next) ? 1 : 0);
+            const int nedges = ce + 1;
+            if (ninter > best[next].inter ||
+                (ninter == best[next].inter &&
+                 nedges >= best[next].edges)) {
+                continue;
+            }
+            best[next] = Cost{ninter, nedges};
             parent[next] = node;
-            frontier.push(next);
+            heap.push({ninter, nedges,
+                       static_cast<int>(discovered.size())});
+            discovered.push_back(next);
         }
     }
-
-    if (dist[dst] < 0 || dist[dst] > max_edges)
+    if (parent[dst] < 0)
         return {};
     std::vector<int> vias;
     for (int node = parent[dst]; node != src; node = parent[node])
@@ -269,9 +220,10 @@ Rerouter::splitFractions(const std::vector<double> &weights,
 }
 
 std::vector<Rerouter::Leg>
-Rerouter::computePlan(int src, int dst,
+Rerouter::computePlan(int src, int dst, Reads &reads,
                       unsigned char &tier_mask) const
 {
+    reads = Reads::DirectLink;
     tier_mask = tierBit(src, dst);
     const LinkState direct = _health.linkState(src, dst);
     if (direct == LinkState::Healthy ||
@@ -282,14 +234,14 @@ Rerouter::computePlan(int src, int dst,
         return {Leg{{}, 1.0}};
     }
 
-    const bool multi = _fabric.spec().multiNode();
+    reads = Reads::RowColumn;
     bool foreign = false;
     auto relays = scoredRelays(src, dst, &foreign);
     // A cross-node pair's relay legs each pair one chassis link with
     // one network link, and an intra-node pair that had to consult
     // foreign-node relays read the network tier too; either way the
     // plan now depends on both tiers.
-    if (multi && (tier_mask == kTierInter || foreign))
+    if (tier_mask == kTierInter || foreign)
         tier_mask = kTierIntra | kTierInter;
     if (static_cast<int>(relays.size()) > _policy.maxRelayFanout)
         relays.resize(static_cast<std::size_t>(_policy.maxRelayFanout));
@@ -298,12 +250,10 @@ Rerouter::computePlan(int src, int dst,
         if (relays.empty()) {
             // No single relay survives (a dead plane can sever every
             // two-hop detour): fall back to the shortest multi-relay
-            // chain the health-filtered topology still offers.
-            if (multi) {
-                // The BFS scans the whole health-filtered graph.
-                tier_mask = kTierIntra | kTierInter;
-            }
-            std::vector<int> vias = bfsVias(src, dst);
+            // chain the health-filtered topology still offers. The
+            // search reads the whole graph, found chain or not.
+            reads = Reads::Graph;
+            std::vector<int> vias = relayChain(src, dst);
             if (vias.empty())
                 return {Leg{{}, 1.0}}; // No path: direct + retry.
             return {Leg{std::move(vias), 1.0}};
@@ -359,86 +309,34 @@ Rerouter::plan(int src, int dst) const
 {
     _stats.inc("reroute.plan_requests");
 
-    const std::size_t idx =
-        static_cast<std::size_t>(src) * _fabric.numGpus() + dst;
-
-    bool valid = _cacheValid.at(idx);
-    if (_pushInvalidation) {
-        // Push mode: wire transitions already evicted everything they
-        // touched, so a set valid flag is authoritative — no provider
-        // epoch reads at all on the send path. Relay plans still
-        // refresh on the TTL so split weights track slow drift
-        // (congestion flips don't evict by design).
-        if (valid && !_cacheDirectOnly[idx] && _policy.planTtl > 0) {
-            valid =
-                _eq.curTick() - _cachedTicks[idx] < _policy.planTtl;
-        }
-    } else if (valid) {
-        _stats.inc("reroute.epoch_reads");
-        if (_health.linkEpoch(src, dst) != _cachedLinkEpochs[idx]) {
-            // The direct link changed state: the plan's shape (direct
-            // vs detour vs split) is wrong, not just its weights.
-            // Always recompute.
-            valid = false;
-        } else if (!_cacheDirectOnly[idx]) {
-            _stats.inc("reroute.epoch_reads");
-            if (_health.routeEpoch(src, dst)
-                    != _cachedRouteEpochs[idx]) {
-                // Only relay conditions drifted: tolerate the stale
-                // split weights for up to planTtl before recomputing,
-                // so endpoint congestion flapping relay links can't
-                // force a recompute per transfer.
-                valid = _policy.planTtl > 0
-                    && _eq.curTick() - _cachedTicks[idx]
-                           < _policy.planTtl;
-            }
-        }
+    CachedPlan &entry = _cache.at(
+        static_cast<std::size_t>(src) * _fabric.numGpus() + dst);
+    // Forwarded wire transitions already evicted every plan they
+    // could have changed, so a set valid flag is authoritative. Plans
+    // that read more than their direct link still refresh on the TTL
+    // so split weights track slow drift (congestion flips don't
+    // evict by design).
+    bool valid = entry.valid;
+    if (valid && entry.reads != Reads::DirectLink &&
+        _policy.planTtl > 0) {
+        valid = _eq.curTick() - entry.computedAt < _policy.planTtl;
     }
 
     if (valid) {
         _stats.inc("reroute.plan_cache_hits");
     } else {
         _stats.inc("reroute.plan_computes");
-        unsigned char tier_mask = kTierIntra;
-        _cachedPlans[idx] = computePlan(src, dst, tier_mask);
-        _cacheTierMask[idx] = tier_mask;
-        // A plan computed on a HEALTHY or CONGESTED direct link read
-        // nothing but that link; marking it direct-only exempts it
-        // from the routeEpoch check (and from push row/column
-        // eviction) so relay flapping elsewhere in its row/column
-        // can't evict it.
-        const LinkState direct = _health.linkState(src, dst);
-        _cacheDirectOnly[idx] = (direct == LinkState::Healthy ||
-                                 direct == LinkState::Congested)
-                                    ? 1
-                                    : 0;
-        if (!_pushInvalidation) {
-            _cachedLinkEpochs[idx] = _health.linkEpoch(src, dst);
-            _cachedRouteEpochs[idx] = _health.routeEpoch(src, dst);
-        }
-        _cachedTicks[idx] = _eq.curTick();
-        _cacheValid[idx] = 1;
+        entry.legs = computePlan(src, dst, entry.reads, entry.tierMask);
+        entry.computedAt = _eq.curTick();
+        entry.valid = true;
     }
-    return _cachedPlans[idx];
-}
-
-void
-Rerouter::enablePushInvalidation()
-{
-    if (_pushInvalidation)
-        return;
-    _pushInvalidation = true;
-    // Epoch-keyed entries were validated against a provider we will
-    // no longer consult; start push mode from an empty cache.
-    std::fill(_cacheValid.begin(), _cacheValid.end(), 0);
+    return entry.legs;
 }
 
 void
 Rerouter::onLinkTransition(int src, int dst, LinkState from,
                            LinkState to)
 {
-    if (!_pushInvalidation)
-        return;
     if (!isWireTransition(from, to)) {
         // HEALTHY <-> CONGESTED: every cached plan is still the plan
         // we would compute (congestion never changes a plan's shape,
@@ -448,29 +346,33 @@ Rerouter::onLinkTransition(int src, int dst, LinkState from,
     }
     _stats.inc("reroute.push_invalidations");
 
+    // Evict every plan that could have read this link: its own
+    // direct entry, any relay plan in row src (a leg leaving src) or
+    // column dst (a leg entering dst), and every searched chain,
+    // whose interior hops can sit anywhere. The tier mask narrows the
+    // relay plans on multi-node fabrics: one that never read the
+    // transitioned link's tier (an in-node detour vs a network-tier
+    // flap, or vice versa) kept no stale state.
     const int n = _fabric.numGpus();
-    const std::size_t direct =
-        static_cast<std::size_t>(src) * n + dst;
-    _cacheValid.at(direct) = 0;
-    // Any plan that read this link beyond its own direct entry is a
-    // relay plan in row src (a leg leaving src) or column dst (a leg
-    // entering dst); direct-only plans elsewhere never read it. The
-    // tier mask narrows that further on multi-node fabrics: a relay
-    // plan that never read the transitioned link's tier (an in-node
-    // detour vs a network-tier flap, or vice versa) kept no stale
-    // state, so cross-node epochs invalidate independently of
-    // intra-node ones.
     const unsigned char bit = tierBit(src, dst);
-    for (int d = 0; d < n; ++d) {
-        const std::size_t i = static_cast<std::size_t>(src) * n + d;
-        if (!_cacheDirectOnly[i] && (_cacheTierMask[i] & bit))
-            _cacheValid[i] = 0;
-    }
     for (int s = 0; s < n; ++s) {
-        const std::size_t i = static_cast<std::size_t>(s) * n + dst;
-        if (!_cacheDirectOnly[i] && (_cacheTierMask[i] & bit))
-            _cacheValid[i] = 0;
+        for (int d = 0; d < n; ++d) {
+            CachedPlan &entry =
+                _cache[static_cast<std::size_t>(s) * n + d];
+            switch (entry.reads) {
+              case Reads::DirectLink:
+                break;
+              case Reads::RowColumn:
+                if ((s == src || d == dst) && (entry.tierMask & bit))
+                    entry.valid = false;
+                break;
+              case Reads::Graph:
+                entry.valid = false;
+                break;
+            }
+        }
     }
+    _cache[static_cast<std::size_t>(src) * n + dst].valid = false;
 }
 
 Tick

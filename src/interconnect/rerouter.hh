@@ -8,23 +8,21 @@
  * single-relay candidates splits the payload proportionally to their
  * residual bandwidth (GPU0 -> GPUk -> GPU1 for several k when the
  * 0<->1 link died), and when no single relay survives — a whole
- * NVSwitch plane or baseboard down — a bounded BFS over the
- * health-filtered topology finds the shortest multi-relay path. A
+ * NVSwitch plane or baseboard down — a bounded search over the
+ * health-filtered topology finds the shortest multi-relay chain. A
  * DEGRADED direct link splits the payload between the direct link and
  * the relay fan-out, proportionally to residual bandwidth. Relay
  * paths cost extra wire, so their score is discounted per hop before
  * competing with the direct link.
  *
- * Plans are cached per (src, dst) and keyed on exactly what they
- * read. A plan computed while the direct link was HEALTHY read only
- * that link, so it revalidates against the provider's linkEpoch (its
- * transition count); any other plan read the whole row/column (relay
- * scores) and revalidates against routeEpoch, which changes only when
- * a link leaving src or entering dst transitions. On a 16-GPU DGX-2
- * under a dead baseboard this means the 184 still-healthy pairs never
- * recompute while relay-loaded links flap, and a transition
- * invalidates at most 2n-1 of the n^2 plans — all at one integer
- * compare per lookup.
+ * Plans are cached per (src, dst) and evicted by the health
+ * transitions the owner forwards to onLinkTransition(), according to
+ * what they read. A plan computed while the direct link was HEALTHY
+ * read only that link; a relay plan read its row and column (relay
+ * scores); a relay-chain search read the whole graph. On a 16-GPU
+ * DGX-2 under a dead baseboard this means the 184 still-healthy pairs
+ * never recompute while relay-loaded links flap, and a lookup costs
+ * one flag check.
  *
  * The rerouter never submits traffic itself: callers hand it a submit
  * functor (RetryingSender::send, Interconnect::transfer, ...) and the
@@ -71,7 +69,7 @@ struct ReroutePolicy
     double relayDiscount = 0.5;
 
     /**
-     * Longest detour the BFS fallback may plan, counted in relay
+     * Longest detour the relay-chain search may plan, counted in relay
      * GPUs (a path src -> a -> b -> dst has two). Bounds planning
      * cost and keeps pathological detours off large fabrics.
      */
@@ -99,14 +97,13 @@ struct ReroutePolicy
     double relayAdvantage = 2.0;
 
     /**
-     * Staleness tolerance for cached relay plans. A direct-link state
-     * change always invalidates immediately (the plan's shape is
-     * wrong); drift in *relay* conditions — endpoint congestion
-     * flapping links between HEALTHY and CONGESTED — only re-weights
-     * split fractions, so a relay plan tolerates it for up to this
-     * long before recomputing. 0 recomputes on every relay-side
-     * transition (epoch-validated mode) or never expires by time
-     * (push-invalidated mode, where wire transitions already evict).
+     * Staleness tolerance for cached relay plans. Wire transitions
+     * evict every plan that read the link immediately (the plan's
+     * shape may be wrong); drift in *relay* conditions — endpoint
+     * congestion flapping links between HEALTHY and CONGESTED — only
+     * re-weights split fractions and evicts nothing, so a relay plan
+     * tolerates it for up to this long before recomputing. 0 never
+     * expires a plan by time.
      */
     Tick planTtl = 200 * ticksPerMicrosecond;
 
@@ -120,19 +117,6 @@ struct ReroutePolicy
      * congestion-blind.
      */
     double congestedPenalty = 0.5;
-
-    /**
-     * Queueing-theoretic congestion weighting: instead of the flat
-     * congestedPenalty discount, each CONGESTED leg's score divides
-     * by (1 + queueRatio) — the provider's EWMA of queueing delay
-     * over service time — so a leg that is twice as backed up takes
-     * proportionally less of the spread. Under sustained multi-
-     * tenant hotspots the flat discount treats a barely-congested
-     * and a drowning relay identically; the queue weight splits
-     * between them by their actual backlogs. Enabled from the
-     * environment via PROACT_REROUTE_QUEUE_WEIGHT=1.
-     */
-    bool queueWeightedCongestion = false;
 };
 
 /**
@@ -149,12 +133,10 @@ struct ReroutePolicy
  *  - reroute.plan_requests:    route lookups (one per send)
  *  - reroute.plan_computes:    lookups that had to compute the plan
  *  - reroute.plan_cache_hits:  lookups served from the cache
- *  - reroute.epoch_reads:      provider epoch reads made to validate
- *                              cached plans (zero in push mode)
- *  - reroute.push_invalidations: wire transitions that evicted cache
- *                              entries via the monitor listener
- *  - reroute.push_ignored:     congestion-only transitions the push
- *                              listener left the cache alone for
+ *  - reroute.push_invalidations: forwarded wire transitions (each
+ *                              evicts the plans that read the link)
+ *  - reroute.push_ignored:     forwarded congestion-only transitions
+ *                              (the cache is left alone)
  */
 class Rerouter
 {
@@ -184,11 +166,11 @@ class Rerouter
     /**
      * Current route decision for src -> dst: one direct leg when the
      * link is healthy (or nothing better exists), a relay fan-out
-     * (or, failing that, one BFS multi-relay path) when it is DOWN,
-     * or a proportional direct+relay split when it is DEGRADED.
+     * (or, failing that, one searched multi-relay chain) when it is
+     * DOWN, or a proportional direct+relay split when it is DEGRADED.
      *
-     * Served from the epoch-keyed cache: the plan is recomputed when
-     * the direct link changes state, and otherwise at most once per
+     * Served from the cache: the plan is recomputed after a wire
+     * transition of any link it read, and otherwise at most once per
      * planTtl while relay conditions drift. Split fractions therefore
      * reflect the residual bandwidth observed at the last recompute,
      * not the per-delivery EWMA drift in between.
@@ -217,25 +199,17 @@ class Rerouter
     Tick send(const Submit &submit, Interconnect::Request req);
 
     /**
-     * Switch the plan cache from per-lookup epoch validation to
-     * listener-driven push invalidation: the owner routes the health
-     * monitor's transition fan-out into onLinkTransition(), and
-     * plan() stops reading provider epochs entirely — a quiet fabric
-     * serves every lookup with a flag check. One-way; the whole
-     * cache is dropped at the switch so no stale epoch-keyed entry
-     * survives into push mode.
-     */
-    void enablePushInvalidation();
-
-    bool pushInvalidation() const { return _pushInvalidation; }
-
-    /**
-     * Health-transition listener entry (push mode). Wire transitions
+     * Health-transition listener entry. The cache is only as fresh
+     * as this feed: the owner must forward every transition of the
+     * provider's links here (MultiGpuSystem::enableReroute registers
+     * it as a LinkHealthMonitor listener), or cached plans outlive
+     * the link states they were computed from. Wire transitions
      * (DEGRADED/DOWN on either side) evict exactly the entries that
-     * could have read the link: the pair itself, plus every non-
-     * direct-only plan in row @p src or column @p dst. Congestion-
-     * only flips (HEALTHY <-> CONGESTED) leave the cache alone —
-     * that is what makes pure congestion produce zero recomputes.
+     * could have read the link: the pair itself, every relay plan in
+     * row @p src or column @p dst whose tiers include the link's, and
+     * every plan the relay-chain search made. Congestion-only flips
+     * (HEALTHY <-> CONGESTED) leave the cache alone — that is what
+     * makes pure congestion produce zero recomputes.
      */
     void onLinkTransition(int src, int dst, LinkState from,
                           LinkState to);
@@ -252,29 +226,39 @@ class Rerouter
     ReroutePolicy _policy;
     mutable StatSet _stats;
 
-    /**
-     * Epoch-keyed plan cache, indexed src * numGpus + dst. Entries
-     * computed on a HEALTHY direct link key on linkEpoch (they read
-     * nothing else); the rest key on linkEpoch + routeEpoch with the
-     * planTtl staleness window for relay-side drift.
-     */
-    mutable std::vector<std::vector<Leg>> _cachedPlans;
-    mutable std::vector<std::uint64_t> _cachedLinkEpochs;
-    mutable std::vector<std::uint64_t> _cachedRouteEpochs;
-    mutable std::vector<Tick> _cachedTicks;
-    mutable std::vector<char> _cacheDirectOnly;
-    mutable std::vector<char> _cacheValid;
+    /** Which links a cached plan read, and so which evict it. */
+    enum class Reads : unsigned char
+    {
+        /** Only src -> dst: it was HEALTHY or CONGESTED. */
+        DirectLink,
+        /** Relay scores: links leaving src or entering dst. */
+        RowColumn,
+        /** The relay-chain search, with or without a result: any link. */
+        Graph,
+    };
 
-    /**
-     * Which fabric tiers the cached plan read, as a bitmask of
-     * kTierIntra / kTierInter. On a multi-node fabric an intra-node
-     * pair whose plan never consulted a foreign-node relay carries
-     * kTierIntra alone, so push invalidation skips it when a network-
-     * tier link flaps — cross-node epochs invalidate independently of
-     * intra-node ones. Single-node fabrics always read kTierIntra.
-     */
-    mutable std::vector<unsigned char> _cacheTierMask;
-    bool _pushInvalidation = false;
+    /** One (src, dst) entry of the plan cache. */
+    struct CachedPlan
+    {
+        std::vector<Leg> legs;
+        Tick computedAt = 0;
+        Reads reads = Reads::DirectLink;
+
+        /**
+         * Which fabric tiers a RowColumn plan read, as a bitmask of
+         * kTierIntra / kTierInter. On a multi-node fabric an
+         * intra-node pair whose plan never consulted a foreign-node
+         * relay carries kTierIntra alone, so a network-tier link
+         * flapping in its row or column leaves it cached — cross-node
+         * transitions evict independently of intra-node ones.
+         * Single-node fabrics always read kTierIntra.
+         */
+        unsigned char tierMask = 0;
+        bool valid = false;
+    };
+
+    /** Plan cache, indexed src * numGpus + dst. */
+    mutable std::vector<CachedPlan> _cache;
 
     static constexpr unsigned char kTierIntra = 1;
     static constexpr unsigned char kTierInter = 2;
@@ -282,15 +266,12 @@ class Rerouter
     /** Tier bit of the (a, b) link on this fabric. */
     unsigned char tierBit(int a, int b) const;
 
-    std::vector<Leg> computePlan(int src, int dst,
-                                 unsigned char &tier_mask) const;
-
     /**
-     * Score multiplier a leg pays for congestion on src -> dst: 1 on
-     * a non-congested link, the flat congestedPenalty by default, or
-     * 1 / (1 + queueRatio) under queueWeightedCongestion.
+     * The plan for src -> dst from the live health, reporting which
+     * links it read in @p reads and their tiers in @p tier_mask.
      */
-    double congestionWeight(int src, int dst) const;
+    std::vector<Leg> computePlan(int src, int dst, Reads &reads,
+                                 unsigned char &tier_mask) const;
 
     /**
      * Scored single-relay candidates (relay id, discounted score),
@@ -313,13 +294,14 @@ class Rerouter
 
     /**
      * Shortest src -> dst relay chain over non-DOWN links, at most
-     * maxRelayHops vias, lowest-id-first tie-break; empty when the
-     * destination is unreachable within the bound. Multi-node fabrics
-     * minimize network-tier hops first, then edge count, so a detour
-     * never crosses a node boundary more often than the surviving
-     * topology forces it to.
+     * maxRelayHops vias; empty when the destination is unreachable
+     * within the bound. Chains minimize network-tier hops first, then
+     * edge count, so a detour never crosses a node boundary more
+     * often than the surviving topology forces it to. On one node
+     * that is a breadth-first search, and the chain is the
+     * lexicographically smallest of the shortest.
      */
-    std::vector<int> bfsVias(int src, int dst) const;
+    std::vector<int> relayChain(int src, int dst) const;
 
     /**
      * Proportional fractions for weighted legs, collapsing legs below

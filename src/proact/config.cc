@@ -161,16 +161,6 @@ envReprofileEnabled()
     return envLayerEnabled("PROACT_REPROFILE");
 }
 
-ReroutePolicy
-envReroutePolicy()
-{
-    ReroutePolicy policy;
-    const char *env = std::getenv("PROACT_REROUTE_QUEUE_WEIGHT");
-    if (env != nullptr && *env != '\0')
-        policy.queueWeightedCongestion = std::string(env) != "0";
-    return policy;
-}
-
 HealthPolicy
 envHealthPolicy()
 {

@@ -15,7 +15,6 @@
 #include "faults/retry.hh"
 #include "health/device_health.hh"
 #include "health/link_health.hh"
-#include "interconnect/rerouter.hh"
 #include "sim/types.hh"
 #include "system/platform.hh"
 
@@ -130,11 +129,6 @@ std::vector<std::uint32_t> threadCountSweep();
  *  - PROACT_REPROFILE=0/1       re-profile + config hot-swap at
  *                               iteration boundaries on link-state
  *                               changes (implies health monitoring)
- *  - PROACT_REROUTE_QUEUE_WEIGHT=0/1 weight CONGESTED legs by
- *                               1/(1 + queueDelay ratio) instead of
- *                               the flat congestedPenalty, so
- *                               sustained multi-tenant hotspots
- *                               spread proportionally (default 0)
  *
  * Health-classification thresholds (read by envHealthPolicy when the
  * monitor is enabled from the environment):
@@ -175,13 +169,6 @@ bool envRerouteEnabled();
 
 /** Whether adaptive re-profiling is enabled (PROACT_REPROFILE). */
 bool envReprofileEnabled();
-
-/**
- * Route-selection knobs from the environment: library defaults with
- * PROACT_REROUTE_QUEUE_WEIGHT applied (queueing-theoretic congestion
- * split instead of the flat congestedPenalty discount).
- */
-ReroutePolicy envReroutePolicy();
 
 /**
  * Monitor thresholds from the environment: library defaults with the

@@ -109,10 +109,9 @@ MultiGpuSystem::enableReroute(ReroutePolicy policy)
         _rerouter = std::make_unique<Rerouter>(_eq, *_fabric, *_health,
                                                policy);
         // The monitor's transition fan-out drives the plan cache:
-        // wire transitions push-evict exactly the plans that read the
-        // link, and quiet-fabric sends stop reading health epochs
-        // altogether. Congestion flips pass through without evicting.
-        _rerouter->enablePushInvalidation();
+        // wire transitions evict exactly the plans that read the
+        // link, so quiet-fabric sends are served on a flag check.
+        // Congestion flips pass through without evicting.
         Rerouter *rerouter = _rerouter.get();
         _health->addListener(
             [rerouter](int src, int dst, LinkState from,

@@ -185,26 +185,6 @@ TEST(ConfigEnv, DecoupledPredicate)
     }
 }
 
-TEST(ConfigEnv, RerouteQueueWeightKnob)
-{
-    // Default: flat congestedPenalty discount, knob off.
-    ScopedEnv off("PROACT_REROUTE_QUEUE_WEIGHT", nullptr);
-    EXPECT_FALSE(envReroutePolicy().queueWeightedCongestion);
-    {
-        ScopedEnv zero("PROACT_REROUTE_QUEUE_WEIGHT", "0");
-        EXPECT_FALSE(envReroutePolicy().queueWeightedCongestion);
-    }
-    {
-        ScopedEnv on("PROACT_REROUTE_QUEUE_WEIGHT", "1");
-        EXPECT_TRUE(envReroutePolicy().queueWeightedCongestion);
-    }
-    {
-        // Any non-"0" value enables, matching the other layer knobs.
-        ScopedEnv on("PROACT_REROUTE_QUEUE_WEIGHT", "yes");
-        EXPECT_TRUE(envReroutePolicy().queueWeightedCongestion);
-    }
-}
-
 TEST(ConfigEnv, SimShardsParsesAndClamps)
 {
     {

@@ -21,11 +21,11 @@
 #include "proact/reprofiler.hh"
 #include "proact/transfer_agent.hh"
 #include "sim/random.hh"
+#include "tests/scripted_link_state.hh"
 #include "tests/small_workloads.hh"
 
 #include <gtest/gtest.h>
 
-#include <map>
 #include <tuple>
 
 using namespace proact;
@@ -131,8 +131,6 @@ TEST(CongestionTest, PureCongestionIsNotAWireFault)
     EXPECT_EQ(rr.stats().get("reroute.plan_computes"), computes_warm);
     EXPECT_EQ(rr.stats().get("reroute.detours"), 0.0);
     EXPECT_EQ(rr.stats().get("reroute.splits"), 0.0);
-    // Push mode: quiet-fabric lookups never read provider epochs.
-    EXPECT_EQ(rr.stats().get("reroute.epoch_reads"), 0.0);
 }
 
 TEST(CongestionTest, EqualMagnitudeWireFaultTripsDegradedAndReroutes)
@@ -315,11 +313,10 @@ TEST(CongestionTest, CongestionClearsWithoutDisturbingPlansOrProfiles)
     EXPECT_EQ(mon.stats().get("health.wire_transitions"), 0.0);
 
     // The whole congestion episode caused zero plan churn and never
-    // dirtied the reprofiler: no recompute, no sweep, no epoch read.
+    // dirtied the reprofiler: no recompute, no sweep.
     EXPECT_EQ(rr.stats().get("reroute.plan_computes"), computes_warm);
     EXPECT_EQ(rr.stats().get("reroute.push_invalidations"), 0.0);
     EXPECT_GE(rr.stats().get("reroute.push_ignored"), 2.0);
-    EXPECT_EQ(rr.stats().get("reroute.epoch_reads"), 0.0);
     EXPECT_FALSE(reprofiler.dirty());
     EXPECT_FALSE(reprofiler.refresh());
     EXPECT_DOUBLE_EQ(reprofiler.stats().get("reprofile.sweeps"), 0.0);
@@ -443,8 +440,6 @@ TEST_P(CongestionFuzz, ExactlyOnceUnderFlappingAndCongestion)
 
         EXPECT_EQ(deliveries, chunks * (system.numGpus() - 1))
             << "case " << seed;
-        // Push mode: no per-send epoch reads, ever.
-        EXPECT_EQ(rr.stats().get("reroute.epoch_reads"), 0.0);
 
         return std::make_tuple(
             last, deliveries, stats.get("transfers.retried"),
@@ -468,42 +463,6 @@ INSTANTIATE_TEST_SUITE_P(Cases, CongestionFuzz,
 
 namespace {
 
-/**
- * Fixed-state provider for routing unit tests: every link HEALTHY
- * except an explicit list, with per-link queue ratios.
- */
-class ScriptedLinkState : public LinkStateProvider
-{
-  public:
-    void set(int src, int dst, LinkState state, double queue_ratio = 0.0)
-    {
-        _states[key(src, dst)] = state;
-        _ratios[key(src, dst)] = queue_ratio;
-    }
-
-    LinkState linkState(int src, int dst) const override
-    {
-        const auto it = _states.find(key(src, dst));
-        return it == _states.end() ? LinkState::Healthy : it->second;
-    }
-
-    double residualFraction(int src, int dst) const override
-    {
-        return linkState(src, dst) == LinkState::Down ? 0.0 : 1.0;
-    }
-
-    double queueRatio(int src, int dst) const override
-    {
-        const auto it = _ratios.find(key(src, dst));
-        return it == _ratios.end() ? 0.0 : it->second;
-    }
-
-  private:
-    static long key(int src, int dst) { return 1000L * src + dst; }
-    std::map<long, LinkState> _states;
-    std::map<long, double> _ratios;
-};
-
 /** Fraction carried via relay @p via in @p plan (0 if absent). */
 double
 relayFraction(const std::vector<Rerouter::Leg> &plan, int via)
@@ -516,48 +475,22 @@ relayFraction(const std::vector<Rerouter::Leg> &plan, int via)
 
 } // namespace
 
-TEST(QueueWeightedReroute, FlatPenaltyTreatsAllBacklogsAlike)
+TEST(CongestedRelayTest, FlatPenaltyTreatsAllBacklogsAlike)
 {
     // Direct 0->1 is DOWN on a 4-GPU fabric; relays 2 and 3 are both
-    // CONGESTED on their first hop but with very different backlogs.
+    // CONGESTED on their first hop. Routing reads the classification,
+    // not the backlog behind it, so however deep either queue is,
+    // both relays pay the same flat congestedPenalty.
     EventQueue eq;
     FabricSpec spec = sharedVolta().fabric;
     Interconnect fabric(eq, spec, 4);
     ScriptedLinkState health;
     health.set(0, 1, LinkState::Down);
-    health.set(0, 2, LinkState::Congested, 1.0);
-    health.set(0, 3, LinkState::Congested, 4.0);
+    health.set(0, 2, LinkState::Congested);
+    health.set(0, 3, LinkState::Congested);
 
-    ReroutePolicy flat;
-    flat.queueWeightedCongestion = false;
-    Rerouter rr(eq, fabric, health, flat);
+    Rerouter rr(eq, fabric, health);
     const auto &plan = rr.plan(0, 1);
     ASSERT_EQ(plan.size(), 2u);
-    // The flat congestedPenalty cannot tell a barely-congested relay
-    // from a drowning one: both get the same share.
     EXPECT_DOUBLE_EQ(relayFraction(plan, 2), relayFraction(plan, 3));
-}
-
-TEST(QueueWeightedReroute, QueueWeightShedsLoadFromDeepBacklogs)
-{
-    EventQueue eq;
-    FabricSpec spec = sharedVolta().fabric;
-    Interconnect fabric(eq, spec, 4);
-    ScriptedLinkState health;
-    health.set(0, 1, LinkState::Down);
-    health.set(0, 2, LinkState::Congested, 1.0);
-    health.set(0, 3, LinkState::Congested, 4.0);
-
-    ReroutePolicy weighted;
-    weighted.queueWeightedCongestion = true;
-    Rerouter rr(eq, fabric, health, weighted);
-    const auto &plan = rr.plan(0, 1);
-    ASSERT_EQ(plan.size(), 2u);
-    const double quiet = relayFraction(plan, 2);
-    const double deep = relayFraction(plan, 3);
-    // Scores divide by (1 + queueRatio): relay 2 weighs 1/2, relay 3
-    // weighs 1/5, so the split is 5:2 toward the shallower queue.
-    EXPECT_GT(quiet, deep);
-    EXPECT_NEAR(quiet / deep, 2.5, 1e-9);
-    EXPECT_NEAR(quiet + deep, 1.0, 1e-9);
 }

@@ -3,10 +3,10 @@
  * DGX-2 scale tests for the fault-adaptive stack: topology
  * invariants of the 16-GPU NVSwitch fabric (every directed pair
  * reachable even with its direct link dead, redundant disjoint relay
- * candidates, bandwidth symmetry), multi-relay BFS detours when the
+ * candidates, bandwidth symmetry), multi-relay chain detours when the
  * single-relay fan-out is wiped out, chassis-level fault-plan
- * builders, epoch-keyed plan-cache invalidation, and end-to-end
- * delivery across a dead baseboard.
+ * builders, exact plan-cache invalidation, and end-to-end delivery
+ * across a dead baseboard.
  */
 
 #include "health/link_health.hh"
@@ -16,6 +16,8 @@
 #include "system/platform.hh"
 
 #include <gtest/gtest.h>
+
+#include <vector>
 
 using namespace proact;
 
@@ -173,7 +175,7 @@ TEST(Dgx2RerouteTest, MultiRelayDetourWhenEverySingleRelayIsDead)
 {
     // Wipe out every single-relay candidate for 0 -> 2: gpu0 can only
     // reach gpu1, and gpu1 cannot reach gpu2. The shortest surviving
-    // route needs two relays (0 -> 1 -> x -> 2); the BFS fallback
+    // route needs two relays (0 -> 1 -> x -> 2); the chain search
     // must find it, deterministically picking the lowest-id x = 3.
     MultiGpuSystem system(dgx2Platform());
     LinkHealthMonitor &mon = system.enableHealth();
@@ -208,6 +210,36 @@ TEST(Dgx2RerouteTest, MultiRelayDetourWhenEverySingleRelayIsDead)
     EXPECT_EQ(completions, 1);
     EXPECT_GT(rr.stats().get("reroute.relay_hops"), 1.0);
     EXPECT_GT(rr.stats().get("reroute.detours"), 0.0);
+}
+
+TEST(Dgx2RerouteTest, ChainPlanDropsADeadInteriorHop)
+{
+    // A relay chain reads links outside its own row and column, so
+    // every wire transition must evict it: 1 -> 3 dying makes the
+    // cached 0 -> 1 -> 3 -> 2 chain useless, and a DOWN-direct plan
+    // that found no chain at all must see an interior link recover.
+    MultiGpuSystem system(dgx2Platform());
+    LinkHealthMonitor &mon = system.enableHealth();
+    ReroutePolicy policy;
+    policy.planTtl = 0; // Only transitions evict.
+    Rerouter &rr = system.enableReroute(policy);
+
+    for (int k = 2; k < numGpus; ++k)
+        killLink(mon, 0, k);
+    killLink(mon, 1, 2);
+    ASSERT_EQ(rr.plan(0, 2).front().vias, (std::vector<int>{1, 3}));
+
+    killLink(mon, 1, 3);
+    EXPECT_EQ(rr.plan(0, 2).front().vias, (std::vector<int>{1, 4}));
+
+    // Sever every chain through gpu1: no path, the plan is direct.
+    for (int k = 4; k < numGpus; ++k)
+        killLink(mon, 1, k);
+    ASSERT_EQ(rr.plan(0, 2).size(), 1u);
+    EXPECT_TRUE(rr.plan(0, 2).front().direct());
+
+    reviveLink(mon, 1, 9);
+    EXPECT_EQ(rr.plan(0, 2).front().vias, (std::vector<int>{1, 9}));
 }
 
 TEST(Dgx2FaultPlanTest, ChassisBuildersExpandCorrectly)
@@ -315,7 +347,7 @@ TEST(Dgx2FaultPlanTest, NodeDownBuilder)
     EXPECT_THROW(nodeDown(bad, platform, 0, maxTick, -1), FatalError);
 }
 
-TEST(Dgx2RerouteTest, EpochCacheInvalidatesExactly)
+TEST(Dgx2RerouteTest, PlanCacheInvalidatesExactly)
 {
     MultiGpuSystem system(dgx2Platform());
     LinkHealthMonitor &mon = system.enableHealth();

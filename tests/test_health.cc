@@ -2,7 +2,8 @@
  * @file
  * Tests for the fault-adaptive runtime: link-health classification
  * (hysteresis, bounded DOWN-detection latency, recovery), rerouting
- * around unhealthy links, adaptive re-profiling, and tick-for-tick
+ * around unhealthy links (with the relay-chain search pinned against
+ * reference searches), adaptive re-profiling, and tick-for-tick
  * determinism of the whole stack under identical seeds.
  */
 
@@ -12,11 +13,19 @@
 #include "proact/runtime.hh"
 #include "proact/transfer_agent.hh"
 #include "sim/logging.hh"
+#include "sim/random.hh"
+#include "tests/scripted_link_state.hh"
 #include "tests/small_workloads.hh"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <memory>
+#include <queue>
+#include <tuple>
+#include <utility>
+#include <vector>
 
 using namespace proact;
 using namespace proact::test;
@@ -526,7 +535,6 @@ TEST(RerouterTest, PushInvalidatesExactlyOncePerWireTransition)
     MultiGpuSystem system(pairwiseVolta());
     LinkHealthMonitor &mon = system.enableHealth();
     Rerouter &rr = system.enableReroute();
-    ASSERT_TRUE(rr.pushInvalidation());
 
     // Congestion round trip: HEALTHY -> CONGESTED -> HEALTHY. Both
     // flips reach the push listener and both are ignored.
@@ -555,11 +563,11 @@ TEST(RerouterTest, PushInvalidatesExactlyOncePerWireTransition)
     EXPECT_EQ(rr.stats().get("reroute.push_ignored"), 2.0);
 }
 
-TEST(RerouterTest, QuietFabricServesPlansWithZeroEpochReads)
+TEST(RerouterTest, QuietFabricServesPlansFromCache)
 {
     MultiGpuSystem system(pairwiseVolta());
     system.enableHealth();
-    Rerouter &rr = system.enableReroute(); // Push-invalidation mode.
+    Rerouter &rr = system.enableReroute();
 
     const int n = system.numGpus();
     const int pairs = n * (n - 1);
@@ -574,20 +582,236 @@ TEST(RerouterTest, QuietFabricServesPlansWithZeroEpochReads)
         }
     }
     // Quiet fabric: one compute per pair, everything else a flag
-    // check — and not a single provider epoch read on the send path.
-    EXPECT_EQ(rr.stats().get("reroute.epoch_reads"), 0.0);
+    // check.
     EXPECT_EQ(rr.stats().get("reroute.plan_computes"),
               static_cast<double>(pairs));
     EXPECT_EQ(rr.stats().get("reroute.plan_cache_hits"),
               static_cast<double>((rounds - 1) * pairs));
+}
 
-    // Contrast: a pull-mode rerouter on the same monitor pays epoch
-    // reads on every validated lookup.
-    Rerouter pull(system.eventQueue(), system.fabric(),
-                  *system.health());
-    for (int round = 0; round < 10; ++round)
-        pull.plan(0, 1);
-    EXPECT_GT(pull.stats().get("reroute.epoch_reads"), 0.0);
+namespace {
+
+/**
+ * Reference for single-node fabrics: the edge-count BFS the relay-chain
+ * search replaced, kept as it was. Shortest src -> dst path over
+ * non-DOWN links within @p max_edges, neighbours visited in id order;
+ * the relays in order, or empty when unreachable.
+ */
+std::vector<int>
+referenceBfs(const LinkStateProvider &health, int n, int src, int dst,
+             int max_edges)
+{
+    std::vector<int> parent(n, -1);
+    std::vector<int> dist(n, -1);
+    std::queue<int> frontier;
+    dist[src] = 0;
+    frontier.push(src);
+
+    while (!frontier.empty()) {
+        const int node = frontier.front();
+        frontier.pop();
+        if (node == dst)
+            break;
+        if (dist[node] >= max_edges)
+            continue;
+        for (int next = 0; next < n; ++next) {
+            if (next == node || dist[next] >= 0)
+                continue;
+            if (health.linkState(node, next) == LinkState::Down)
+                continue;
+            dist[next] = dist[node] + 1;
+            parent[next] = node;
+            frontier.push(next);
+        }
+    }
+
+    if (dist[dst] < 0 || dist[dst] > max_edges)
+        return {};
+    std::vector<int> vias;
+    for (int node = parent[dst]; node != src; node = parent[node])
+        vias.push_back(node);
+    std::reverse(vias.begin(), vias.end());
+    return vias;
+}
+
+/**
+ * Reference for multi-node fabrics: the lexicographic
+ * (network hops, edges) Dijkstra the relay-chain search replaced,
+ * kept as it was, with heap ties broken by node id.
+ */
+std::vector<int>
+referenceDijkstra(const Interconnect &fabric,
+                  const LinkStateProvider &health, int src, int dst,
+                  int max_edges)
+{
+    const int n = fabric.numGpus();
+    struct Cost
+    {
+        int inter;
+        int edges;
+    };
+    std::vector<Cost> best(n, Cost{n + 1, n + 1});
+    std::vector<int> parent(n, -1);
+    using Key = std::tuple<int, int, int>;
+    std::priority_queue<Key, std::vector<Key>, std::greater<Key>> heap;
+    best[src] = Cost{0, 0};
+    heap.push({0, 0, src});
+    while (!heap.empty()) {
+        const auto [ci, ce, node] = heap.top();
+        heap.pop();
+        if (ci != best[node].inter || ce != best[node].edges)
+            continue;
+        if (node == dst)
+            break;
+        if (ce >= max_edges)
+            continue;
+        for (int next = 0; next < n; ++next) {
+            if (next == node)
+                continue;
+            if (health.linkState(node, next) == LinkState::Down)
+                continue;
+            const int ninter =
+                ci + (fabric.interNodePair(node, next) ? 1 : 0);
+            const int nedges = ce + 1;
+            if (ninter > best[next].inter ||
+                (ninter == best[next].inter &&
+                 nedges >= best[next].edges)) {
+                continue;
+            }
+            best[next] = Cost{ninter, nedges};
+            parent[next] = node;
+            heap.push({ninter, nedges, next});
+        }
+    }
+    if (parent[dst] < 0)
+        return {};
+    std::vector<int> vias;
+    for (int node = parent[dst]; node != src; node = parent[node])
+        vias.push_back(node);
+    std::reverse(vias.begin(), vias.end());
+    return vias;
+}
+
+/** The hops of the chain src -> vias... -> dst, in order. */
+std::vector<std::pair<int, int>>
+chainHops(int src, const std::vector<int> &vias, int dst)
+{
+    std::vector<std::pair<int, int>> hops;
+    int from = src;
+    for (const int via : vias) {
+        hops.emplace_back(from, via);
+        from = via;
+    }
+    hops.emplace_back(from, dst);
+    return hops;
+}
+
+/** (network hops, edges) of the chain src -> vias... -> dst. */
+std::pair<int, int>
+chainCost(const Interconnect &fabric, int src,
+          const std::vector<int> &vias, int dst)
+{
+    int inter = 0;
+    for (const auto &[a, b] : chainHops(src, vias, dst))
+        inter += fabric.interNodePair(a, b) ? 1 : 0;
+    return {inter, static_cast<int>(vias.size()) + 1};
+}
+
+} // namespace
+
+TEST(RerouterSearchTest, RelayChainsMatchTheReferenceSearches)
+{
+    // Each seeded case kills the direct link and, for every other GPU
+    // k, either src -> k or k -> dst, so no single relay survives and
+    // plan() must search for a chain; random extra DOWN links and
+    // relay bounds shape the graph. On one node the chain must equal
+    // the edge-count BFS exactly. Across nodes it must match the
+    // node-id Dijkstra's reachability and (network hops, edges) cost
+    // over live hops only; equal-cost ties may pick another chain.
+    constexpr std::uint64_t kCampaign = 0x7365617263u;
+    constexpr int kCases = 2400;
+    const FabricSpec chassis = dgx2Platform().fabric;
+    int chains[2] = {0, 0};
+    int no_path[2] = {0, 0};
+    int crossings = 0;
+
+    for (int c = 0; c < kCases; ++c) {
+        Rng rng(deriveSeed(kCampaign, static_cast<std::uint64_t>(c)));
+        const bool multi = c % 2 == 1;
+        const int nodes = multi ? static_cast<int>(rng.between(2, 4)) : 1;
+        const int per_node =
+            static_cast<int>(multi ? rng.between(2, 8)
+                                   : rng.between(3, 16));
+        const int n = nodes * per_node;
+        EventQueue eq;
+        Interconnect fabric(
+            eq,
+            multi ? multiNodePlatform(nodes, per_node).fabric : chassis,
+            n);
+
+        const int src = static_cast<int>(rng.below(n));
+        int dst = static_cast<int>(rng.below(n - 1));
+        if (dst >= src)
+            ++dst;
+        ScriptedLinkState health;
+        health.set(src, dst, LinkState::Down);
+        for (int k = 0; k < n; ++k) {
+            if (k == src || k == dst)
+                continue;
+            if (rng.below(2) == 0)
+                health.set(src, k, LinkState::Down);
+            else
+                health.set(k, dst, LinkState::Down);
+        }
+        const double density = 0.5 * rng.uniform();
+        for (int a = 0; a < n; ++a) {
+            for (int b = 0; b < n; ++b) {
+                if (a != b && rng.uniform() < density)
+                    health.set(a, b, LinkState::Down);
+            }
+        }
+
+        ReroutePolicy policy;
+        policy.maxRelayHops = static_cast<int>(rng.between(1, 4));
+        const int max_edges = policy.maxRelayHops + 1;
+        Rerouter rr(eq, fabric, health, policy);
+        ASSERT_TRUE(rr.relayCandidates(src, dst).empty()) << "case " << c;
+        const auto &legs = rr.plan(src, dst);
+        ASSERT_EQ(legs.size(), 1u) << "case " << c;
+        const std::vector<int> &vias = legs.front().vias;
+        const int kind = multi ? 1 : 0;
+        if (vias.empty())
+            ++no_path[kind];
+        else
+            ++chains[kind];
+
+        if (!multi) {
+            EXPECT_EQ(vias, referenceBfs(health, n, src, dst, max_edges))
+                << "case " << c;
+            continue;
+        }
+        const std::vector<int> reference =
+            referenceDijkstra(fabric, health, src, dst, max_edges);
+        ASSERT_EQ(vias.empty(), reference.empty()) << "case " << c;
+        if (vias.empty())
+            continue;
+        const auto cost = chainCost(fabric, src, vias, dst);
+        EXPECT_EQ(cost, chainCost(fabric, src, reference, dst))
+            << "case " << c;
+        crossings += cost.first > 0 ? 1 : 0;
+        for (const auto &[a, b] : chainHops(src, vias, dst)) {
+            EXPECT_NE(health.linkState(a, b), LinkState::Down)
+                << "case " << c << ": " << a << "->" << b;
+        }
+    }
+
+    // Both outcomes on both kinds of fabric, and chains that had to
+    // cross the network tier.
+    for (int kind = 0; kind < 2; ++kind) {
+        EXPECT_GE(chains[kind], kCases / 10) << kind;
+        EXPECT_GE(no_path[kind], kCases / 10) << kind;
+    }
+    EXPECT_GE(crossings, kCases / 20);
 }
 
 TEST(ReprofilerTest, RequiresHealthMonitor)

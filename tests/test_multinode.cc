@@ -6,13 +6,13 @@
  * two-tier fabric (per-tier link counts, bandwidth/latency symmetry,
  * builder validation), hierarchical-routing properties (healthy
  * cross-node pairs never detour through a third node, per-tier
- * packetization goodput is monotone in transfer size, the BFS
- * minimizes network-tier hops before edge count, and the tier-masked
- * plan cache lets cross-node link epochs invalidate independently of
- * intra-node ones), all five workloads completing and replaying
- * identically at 2x16 and 4x16 GPUs, and a 24-seed fault fuzz mixing
- * inter-node link flaps with device loss that must drain with zero
- * leaked flights.
+ * packetization goodput is monotone in transfer size, the relay-chain
+ * search minimizes network-tier hops before edge count, and the
+ * tier-masked plan cache lets cross-node link transitions evict
+ * independently of intra-node ones), all five workloads completing
+ * and replaying identically at 2x16 and 4x16 GPUs, and a 24-seed
+ * fault fuzz mixing inter-node link flaps with device loss that must
+ * drain with zero leaked flights.
  */
 
 #include "faults/fault_plan.hh"
@@ -218,7 +218,7 @@ TEST(MultiNodeRouting, DetoursStayOnEndpointNodes)
         EXPECT_TRUE(via >= 8 && via < 12) << via;
 }
 
-TEST(MultiNodeRouting, BfsMinimizesNetworkHopsBeforeEdgeCount)
+TEST(MultiNodeRouting, RelayChainMinimizesNetworkHopsBeforeEdgeCount)
 {
     // 2 nodes x 8 GPUs, pair 0->2. Kill links so that no single
     // relay survives and exactly two multi-relay detours remain:
@@ -246,9 +246,8 @@ TEST(MultiNodeRouting, BfsMinimizesNetworkHopsBeforeEdgeCount)
 
 TEST(MultiNodeRouting, TierMaskedCacheInvalidatesIndependently)
 {
-    // Push-invalidation mode (the product wiring): a cached plan is
-    // evicted by a row/column link transition only when the plan
-    // actually read that link's tier.
+    // A cached relay plan is evicted by a row/column link transition
+    // only when the plan actually read that link's tier.
     MultiGpuSystem system(multiNodePlatform(2, 4));
     LinkHealthMonitor &mon = system.enableHealth();
     Rerouter &rr = system.enableReroute();
