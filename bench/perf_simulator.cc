@@ -7,13 +7,17 @@
  * cache miss, so simulation throughput is a product feature. These
  * benches time its building blocks: event dispatch and cancellation
  * on the slab/4-ary-heap EventQueue, FIFO channel booking, R-MAT
- * graph generation, and one timing-only PROACT run (the profiler's
- * unit of work). The committed perfbench baseline (sim.ns_per_event,
- * simulate_s) is the regression record for the event core.
+ * graph generation, one timing-only PROACT run (the profiler's unit
+ * of work), and one run through a baseboard loss under the adaptive
+ * fault stack (the unit of work perfbench's faults workload repeats).
+ * The committed perfbench baseline (sim.ns_per_event, simulate_s) is
+ * the regression record for the event core.
  *
  * Usage: perf_simulator [google-benchmark flags]
  */
 
+#include "faults/fault_plan.hh"
+#include "health/link_health.hh"
 #include "proact/runtime.hh"
 #include "sim/channel.hh"
 #include "sim/event_queue.hh"
@@ -23,6 +27,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <utility>
 #include <vector>
 
 using namespace proact;
@@ -122,6 +127,58 @@ BM_TimingOnlyRun(benchmark::State &state)
     }
 }
 BENCHMARK(BM_TimingOnlyRun);
+
+void
+BM_FaultedRun(benchmark::State &state)
+{
+    // Timing-only Jacobi on the DGX-2, losing baseboard 0 a quarter
+    // of the way in, under the adaptive stack of the fault studies:
+    // health with a 50 us holdoff, rebooking, rerouting, and acked
+    // retry that re-plans after two lost attempts.
+    const PlatformSpec platform = dgx2Platform();
+    auto workload = makeWorkload("Jacobi", 3);
+    workload->setFootprintScale(16);
+    workload->setup(platform.numGpus);
+
+    ProactRuntime::Options options;
+    options.config.mechanism = TransferMechanism::Polling;
+    options.config.chunkBytes = 64 * KiB;
+    options.config.transferThreads = 2048;
+    options.config.retry.enabled = true;
+    options.config.retry.maxAttempts = 5;
+    options.config.retry.rerouteAfterAttempts = 2;
+
+    auto run = [&](const FaultPlan &plan) {
+        MultiGpuSystem system(platform);
+        system.setFunctional(false);
+        if (!plan.empty()) {
+            system.installFaults(plan);
+            HealthPolicy health;
+            health.transitionHoldoff = 50 * ticksPerMicrosecond;
+            system.enableHealth(health);
+            system.fabric().setRebooking(true);
+            system.enableReroute();
+        }
+        ProactRuntime runtime(system, options);
+        const Tick ticks = runtime.run(*workload);
+        return std::pair<Tick, std::size_t>(
+            ticks, system.fabric().numTrackedFlights());
+    };
+    const Tick clean = run(FaultPlan{}).first;
+    FaultPlan plan;
+    dgx2DownBaseboard(plan, clean / 4, maxTick, 0);
+
+    for (auto _ : state) {
+        const auto [ticks, flights] = run(plan);
+        if (ticks == 0 || flights != 0) {
+            state.SkipWithError("faulted run took no time or left "
+                                "tracked flights");
+            break;
+        }
+        benchmark::DoNotOptimize(ticks);
+    }
+}
+BENCHMARK(BM_FaultedRun)->Unit(benchmark::kMillisecond);
 
 } // namespace
 

@@ -94,12 +94,35 @@ FaultInjector::applyRateScales()
 }
 
 void
+FaultInjector::indexLinkEpisodes()
+{
+    const auto n = static_cast<std::size_t>(_fabric.numGpus());
+    _linkOffsets.assign(n * n + 1, 0);
+    _linkEpisodes.clear();
+    for (std::size_t link = 0; link < n * n; ++link) {
+        const int src = static_cast<int>(link / n);
+        const int dst = static_cast<int>(link % n);
+        for (std::size_t i = 0; i < _plan.episodes.size(); ++i) {
+            const FaultEpisode &ep = _plan.episodes[i];
+            const bool filtered = ep.kind == FaultKind::LinkDown
+                || ep.kind == FaultKind::DeliveryDrop
+                || ep.kind == FaultKind::DeliveryDelay;
+            if (filtered && src != dst && ep.matchesLink(src, dst))
+                _linkEpisodes.push_back(static_cast<std::uint32_t>(i));
+        }
+        _linkOffsets[link + 1] =
+            static_cast<std::uint32_t>(_linkEpisodes.size());
+    }
+}
+
+void
 FaultInjector::arm()
 {
     if (_armed)
         fatalError("FaultInjector: arm() called twice");
     _plan.validate(_fabric.numGpus());
     _armed = true;
+    indexLinkEpisodes();
 
     _fabric.setFaultFilter(
         [this](const Interconnect::Request &req, Tick delivered) {
@@ -209,33 +232,36 @@ FaultInjector::onTransfer(const Interconnect::Request &req,
     // Episodes judge a transfer at its submission tick — the
     // cut-through booking model decides the whole path up front, so
     // the wire state "now" is what the transfer experiences.
+    // Only the episodes indexed under this directed link can match
+    // it; the fabric validated the endpoints before asking. Degrade
+    // windows and DMA stalls act through arm()'s events, and device
+    // death through the fabric's refuse path before the filter runs.
     const Tick now = _eq.curTick();
     Interconnect::FaultVerdict verdict;
 
-    for (const FaultEpisode &ep : _plan.episodes) {
+    const auto link = static_cast<std::size_t>(req.src)
+            * static_cast<std::size_t>(_fabric.numGpus())
+        + static_cast<std::size_t>(req.dst);
+    for (std::uint32_t k = _linkOffsets[link];
+         k < _linkOffsets[link + 1]; ++k) {
+        const FaultEpisode &ep = _plan.episodes[_linkEpisodes[k]];
         if (!ep.active(now))
             continue;
         switch (ep.kind) {
           case FaultKind::LinkDown:
-            if (ep.matchesLink(req.src, req.dst))
-                verdict.drop = true;
+            verdict.drop = true;
             break;
           case FaultKind::DeliveryDrop:
-            if (verdict.drop || !ep.matchesLink(req.src, req.dst))
-                break;
-            if (_rng.uniform() < ep.severity)
+            if (!verdict.drop && _rng.uniform() < ep.severity)
                 verdict.drop = true;
             break;
           case FaultKind::DeliveryDelay:
-            if (ep.matchesLink(req.src, req.dst))
-                verdict.extraDelay += ep.delay;
+            verdict.extraDelay += ep.delay;
             break;
           case FaultKind::LinkDegrade:
           case FaultKind::DmaStall:
           case FaultKind::GpuDown:
-            // Device death is enforced by the fabric's refuse path
-            // before the filter runs, reliable traffic included.
-            break;
+            break; // Never indexed.
         }
     }
 

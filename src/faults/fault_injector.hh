@@ -22,6 +22,7 @@
 #include "sim/stats.hh"
 #include "sim/trace.hh"
 
+#include <cstdint>
 #include <functional>
 #include <set>
 #include <vector>
@@ -110,6 +111,20 @@ class FaultInjector
     std::vector<DeviceUpListener> _deviceUpListeners;
     std::set<int> _begunGroups;
     bool _armed = false;
+
+    /**
+     * Per-directed-link index of the episodes the fault filter acts
+     * on (LinkDown, DeliveryDrop, DeliveryDelay), built by arm() in
+     * CSR form: link src * n + dst owns
+     * _linkEpisodes[_linkOffsets[link], _linkOffsets[link + 1]),
+     * plan indices in plan order, so drop draws happen in the order
+     * a scan of the whole plan would make them.
+     */
+    std::vector<std::uint32_t> _linkOffsets;
+    std::vector<std::uint32_t> _linkEpisodes;
+
+    /** Build _linkOffsets/_linkEpisodes from the plan. */
+    void indexLinkEpisodes();
 
     Interconnect::FaultVerdict onTransfer(
         const Interconnect::Request &req, Tick delivered);

@@ -72,7 +72,10 @@ FaultPlan::validate(int num_gpus) const
         const std::string what = ep.describe();
         if (ep.start >= ep.end)
             fatalError("FaultPlan: empty window for episode ", what);
-        if (ep.src >= num_gpus || ep.dst >= num_gpus ||
+        // -1 is the one wildcard; anything below it is a typo that
+        // would silently widen to every GPU.
+        if (ep.src < -1 || ep.dst < -1 || ep.gpu < -1 ||
+            ep.src >= num_gpus || ep.dst >= num_gpus ||
             ep.gpu >= num_gpus) {
             fatalError("FaultPlan: target out of range for episode ",
                        what, " (", num_gpus, " GPUs)");
@@ -80,13 +83,15 @@ FaultPlan::validate(int num_gpus) const
         if (ep.src >= 0 && ep.src == ep.dst)
             fatalError("FaultPlan: src == dst for episode ", what);
         switch (ep.kind) {
+          // Written as "not inside" so NaN, which fails every
+          // comparison, is rejected too.
           case FaultKind::LinkDegrade:
-            if (ep.severity <= 0.0 || ep.severity >= 1.0)
+            if (!(ep.severity > 0.0 && ep.severity < 1.0))
                 fatalError("FaultPlan: degrade fraction must be in "
                            "(0, 1), got ", ep.severity);
             break;
           case FaultKind::DeliveryDrop:
-            if (ep.severity <= 0.0 || ep.severity > 1.0)
+            if (!(ep.severity > 0.0 && ep.severity <= 1.0))
                 fatalError("FaultPlan: drop probability must be in "
                            "(0, 1], got ", ep.severity);
             break;

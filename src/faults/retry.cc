@@ -30,19 +30,6 @@ RetryingSender::send(Interconnect::Request req)
     return attempt(req, 1);
 }
 
-namespace {
-
-/** Shared ack-timeout bookkeeping so rebooking can push it out. */
-struct TimeoutState
-{
-    EventId event = 0;
-    Tick when = 0;
-    Tick floor = 0;
-    EventQueue::Callback cb;
-};
-
-} // namespace
-
 bool
 RetryingSender::replan(const Interconnect::Request &req,
                        int attempt_no)
@@ -86,33 +73,38 @@ RetryingSender::attempt(const Interconnect::Request &req,
         return _eq.curTick();
     }
 
-    auto acked = std::make_shared<bool>(false);
-    auto tstate = std::make_shared<TimeoutState>();
+    const auto a = std::make_shared<Attempt>();
+    a->req = req;
+    a->number = attempt_no;
+    a->replanned = replanned;
+    a->submit = _eq.curTick();
 
+    // The fabric holds the wire callbacks and the queue holds the
+    // timeout; none of them is stored in the record, so the record
+    // dies with the last of them and never keeps itself alive.
     Interconnect::Request wire = req;
-    wire.onComplete = [this, acked, cb = req.onComplete] {
-        *acked = true;
+    wire.onComplete = [this, a] {
+        a->acked = true;
         --_inFlight;
-        if (cb)
-            cb();
+        if (a->req.onComplete)
+            a->req.onComplete();
     };
     // Boundary-aware fabrics can move a live delivery when a fault
     // window re-books wire time mid-flight; follow it with the ack
     // horizon so a slowed (not lost) delivery never looks like a
     // loss. The horizon only ever moves out: a delivery that speeds
     // up simply acks before the (now pessimistic) timeout fires.
-    wire.onRebook = [this, acked, tstate](Tick new_delivered) {
-        if (*acked || tstate->event == 0)
+    wire.onRebook = [this, a](Tick new_delivered) {
+        if (a->acked || a->timeout == 0)
             return;
-        const Tick want = std::max(new_delivered + 1, tstate->floor);
-        if (want <= tstate->when)
+        const Tick want = std::max(new_delivered + 1, a->floor);
+        if (want <= a->when)
             return;
-        _eq.deschedule(tstate->event);
-        tstate->when = want;
-        tstate->event = _eq.schedule(want, tstate->cb);
+        _eq.deschedule(a->timeout);
+        a->when = want;
+        a->timeout = _eq.schedule(want, [this, a] { onTimeout(a); });
     };
 
-    const Tick submit = _eq.curTick();
     const Tick predicted = _fabric.transfer(wire);
     ++_inFlight;
 
@@ -121,52 +113,49 @@ RetryingSender::attempt(const Interconnect::Request &req,
     // one tick past it can only mean loss. The ackTimeout floor
     // models the real cost of discovering the loss, counted from the
     // moment the transfer enters the fabric (after any backoff hold).
-    const Tick entered = std::max(submit, req.notBefore);
-    const Tick timeout =
-        std::max(predicted + 1, entered + _policy.ackTimeout);
-
-    tstate->floor = entered + _policy.ackTimeout;
-    tstate->when = timeout;
-    tstate->cb = [this, req, attempt_no, replanned, acked, submit] {
-        if (*acked)
-            return;
-        --_inFlight;
-        if (_trace) {
-            _trace->record(submit, _eq.curTick(), "retry",
-                           label(req) + " attempt"
-                               + std::to_string(attempt_no)
-                               + " lost");
-        }
-        // The endpoint may have died while this attempt was on the
-        // wire; orphan instead of escalating (see above).
-        if (_fabric.deviceDown(req.src) ||
-            _fabric.deviceDown(req.dst)) {
-            bumpStat("transfers.orphaned");
-            return;
-        }
-        if (attempt_no >= _policy.maxAttempts) {
-            fallback(req, submit);
-            return;
-        }
-        // Reroute-aware retry: once the loss streak has given the
-        // health monitor a chance to reclassify the link, ask the
-        // rerouter for a better route before burning more attempts
-        // on the original path.
-        if (!replanned && _rerouter
-            && _policy.rerouteAfterAttempts > 0
-            && attempt_no >= _policy.rerouteAfterAttempts
-            && replan(req, attempt_no)) {
-            return;
-        }
-        bumpStat("transfers.retried");
-        Interconnect::Request again = req;
-        again.notBefore =
-            _eq.curTick() + _policy.backoff(attempt_no);
-        attempt(again, attempt_no + 1, replanned);
-    };
-    tstate->event = _eq.schedule(timeout, tstate->cb);
+    const Tick entered = std::max(a->submit, req.notBefore);
+    a->floor = entered + _policy.ackTimeout;
+    a->when = std::max(predicted + 1, a->floor);
+    a->timeout = _eq.schedule(a->when, [this, a] { onTimeout(a); });
 
     return predicted;
+}
+
+void
+RetryingSender::onTimeout(const AttemptPtr &a)
+{
+    if (a->acked)
+        return;
+    --_inFlight;
+    const Interconnect::Request &req = a->req;
+    if (_trace) {
+        _trace->record(a->submit, _eq.curTick(), "retry",
+                       label(req) + " attempt"
+                           + std::to_string(a->number) + " lost");
+    }
+    // The endpoint may have died while this attempt was on the
+    // wire; orphan instead of escalating (see attempt()).
+    if (_fabric.deviceDown(req.src) || _fabric.deviceDown(req.dst)) {
+        bumpStat("transfers.orphaned");
+        return;
+    }
+    if (a->number >= _policy.maxAttempts) {
+        fallback(req, a->submit);
+        return;
+    }
+    // Reroute-aware retry: once the loss streak has given the
+    // health monitor a chance to reclassify the link, ask the
+    // rerouter for a better route before burning more attempts on
+    // the original path.
+    if (!a->replanned && _rerouter && _policy.rerouteAfterAttempts > 0
+        && a->number >= _policy.rerouteAfterAttempts
+        && replan(req, a->number)) {
+        return;
+    }
+    bumpStat("transfers.retried");
+    Interconnect::Request again = req;
+    again.notBefore = _eq.curTick() + _policy.backoff(a->number);
+    attempt(again, a->number + 1, a->replanned);
 }
 
 void

@@ -39,6 +39,7 @@
 #include "sim/types.hh"
 
 #include <cstdint>
+#include <memory>
 
 namespace proact {
 
@@ -143,12 +144,32 @@ class RetryingSender
     std::uint64_t _inFlight = 0;
 
     /**
+     * One submitted attempt, shared by its ack, rebook and timeout
+     * callbacks (each captures only the sender and this record).
+     */
+    struct Attempt
+    {
+        Interconnect::Request req; ///< As the caller handed it in.
+        int number = 1;            ///< 1-based attempt count.
+        bool replanned = false;    ///< Rides a rerouter-planned route.
+        bool acked = false;
+        Tick submit = 0;           ///< Tick the attempt was submitted.
+        EventId timeout = 0;       ///< Pending ack-timeout event.
+        Tick when = 0;             ///< Tick that timeout fires at.
+        Tick floor = 0;            ///< Entry tick + ackTimeout.
+    };
+    using AttemptPtr = std::shared_ptr<Attempt>;
+
+    /**
      * Submit attempt @p attempt_no of @p req. @p replanned marks
      * legs already moved to a rerouter-planned route: they never
      * re-plan again, bounding the recursion.
      */
     Tick attempt(const Interconnect::Request &req, int attempt_no,
                  bool replanned = false);
+
+    /** No ack by the horizon: orphan, retry, re-plan or fall back. */
+    void onTimeout(const AttemptPtr &a);
 
     /**
      * Re-plan @p req through the rerouter after @p attempt_no lost

@@ -3,7 +3,6 @@
 #include "sim/logging.hh"
 
 #include <algorithm>
-#include <memory>
 #include <sstream>
 
 namespace proact {
@@ -371,7 +370,8 @@ LinkHealthMonitor::sendProbe(int src, int dst)
         return; // Recovered through real traffic; probing is moot.
 
     _stats.inc("health.probes");
-    auto landed = std::make_shared<bool>(false);
+    const std::uint64_t probe = ++_probesSent;
+    _probesInFlight.emplace(probe, false);
 
     Interconnect::Request req;
     req.src = src;
@@ -382,14 +382,22 @@ LinkHealthMonitor::sendProbe(int src, int dst)
         _policy.probeBytes,
         _fabric.pairPacketModel(src, dst).maxPayloadBytes));
     req.threads = 1;
-    req.onComplete = [landed] { *landed = true; };
+    req.onComplete = [this, probe] {
+        // A delivery rebooked past its check finds no entry.
+        const auto it = _probesInFlight.find(probe);
+        if (it != _probesInFlight.end())
+            it->second = true;
+    };
     const Tick predicted = _fabric.transfer(req);
 
     // The probe's own delivery (or drop) already updated the link via
     // the fabric observer; this check only paces the probe loop.
-    _eq.schedule(predicted + 1, [this, src, dst, landed] {
+    _eq.schedule(predicted + 1, [this, src, dst, probe] {
+        const auto it = _probesInFlight.find(probe);
+        const bool landed = it->second;
+        _probesInFlight.erase(it);
         Link &lk = link(src, dst);
-        if (*landed) {
+        if (landed) {
             lk.probeFailures = 0;
         } else {
             ++lk.probeFailures;

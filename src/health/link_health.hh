@@ -37,6 +37,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -255,6 +256,14 @@ class LinkHealthMonitor : public LinkStateProvider
     std::vector<Link> _links;
     std::vector<Listener> _listeners;
     std::vector<Transition> _transitions;
+
+    /**
+     * Probe number -> landed, for probes awaiting their pacing check.
+     * A probe's delivery marks its entry; the check reads and drops
+     * it.
+     */
+    std::map<std::uint64_t, bool> _probesInFlight;
+    std::uint64_t _probesSent = 0;
 
     Link &link(int src, int dst);
     const Link &link(int src, int dst) const;

@@ -190,6 +190,7 @@ Interconnect::transfer(const Request &req)
     _writeSizes.record(gran, packets);
 
     const Tick nb = std::max(_eq.curTick(), req.notBefore);
+    const std::uint64_t fid = _nextFlightId++;
 
     DeliverySample sample;
     sample.enqueued = nb;
@@ -205,7 +206,7 @@ Interconnect::transfer(const Request &req)
         const auto pair_wire_eq = static_cast<std::uint64_t>(
             static_cast<double>(wire) * link.rate() / pair_eff);
         const Channel::Timing t =
-            link.submitTimed(nb, pair_wire_eq, req.bytes);
+            link.submitTimed(nb, pair_wire_eq, req.bytes, nullptr, fid);
 
         sample.start = t.start;
         sample.delivered = t.delivered;
@@ -213,24 +214,21 @@ Interconnect::transfer(const Request &req)
         sample.serviceTime = t.serviceTicks() + link.latency();
 
         std::vector<Hop> hops;
-        if (_rebooking) {
-            hops.push_back(Hop{&link, link.lastBookingId(),
-                               link.latency(), t.serviceEnd});
-        }
-        return finishDelivery(req, sample, std::move(hops));
+        if (_rebooking)
+            hops.push_back(Hop{&link, link.latency(), t.serviceEnd});
+        return finishDelivery(req, sample, std::move(hops), fid);
     }
 
     // Cut-through booking: each hop starts once the previous hop
     // begins streaming; delivery waits for the slowest hop to drain
     // plus the fabric latency (carried by the ingress channel).
-    const Channel::Timing e =
-        _egress[req.src]->submitTimed(nb, wire_eq, req.bytes);
+    const Channel::Timing e = _egress[req.src]->submitTimed(
+        nb, wire_eq, req.bytes, nullptr, fid);
 
     std::vector<Hop> hops;
     if (_rebooking) {
-        hops.push_back(Hop{_egress[req.src].get(),
-                           _egress[req.src]->lastBookingId(),
-                           _spec.latency, e.serviceEnd});
+        hops.push_back(
+            Hop{_egress[req.src].get(), _spec.latency, e.serviceEnd});
     }
 
     Tick c_end = e.start;
@@ -238,20 +236,17 @@ Interconnect::transfer(const Request &req)
     Tick i_nb = e.start;
     if (_core) {
         const Channel::Timing c =
-            _core->submitTimed(e.start, wire, req.bytes);
+            _core->submitTimed(e.start, wire, req.bytes, nullptr, fid);
         i_nb = c.start;
         c_end = c.serviceEnd;
         c_dur = c.serviceTicks();
-        if (_rebooking) {
-            hops.push_back(Hop{_core.get(), _core->lastBookingId(),
-                               _spec.latency, c.serviceEnd});
-        }
+        if (_rebooking)
+            hops.push_back(Hop{_core.get(), _spec.latency, c.serviceEnd});
     }
-    const Channel::Timing i =
-        _ingress[req.dst]->submitTimed(i_nb, wire, req.bytes);
+    const Channel::Timing i = _ingress[req.dst]->submitTimed(
+        i_nb, wire, req.bytes, nullptr, fid);
     if (_rebooking) {
         hops.push_back(Hop{_ingress[req.dst].get(),
-                           _ingress[req.dst]->lastBookingId(),
                            _ingress[req.dst]->latency(),
                            i.serviceEnd});
     }
@@ -272,12 +267,12 @@ Interconnect::transfer(const Request &req)
         std::max({e.serviceTicks(), c_dur, i.serviceTicks()})
         + _spec.latency;
     sample.queueDelay = delivered - nb - sample.serviceTime;
-    return finishDelivery(req, sample, std::move(hops));
+    return finishDelivery(req, sample, std::move(hops), fid);
 }
 
 Tick
 Interconnect::finishDelivery(const Request &req, DeliverySample sample,
-                             std::vector<Hop> hops)
+                             std::vector<Hop> hops, std::uint64_t id)
 {
     Tick delivered = sample.delivered;
     bool dropped = false;
@@ -302,8 +297,7 @@ Interconnect::finishDelivery(const Request &req, DeliverySample sample,
                (req.onComplete || req.onRebook)) {
         // Track the flight so a mid-run rate change can move its
         // completion. Dropped deliveries are not tracked: their wire
-        // occupancy still re-times, but there is nothing to fire.
-        const std::uint64_t fid = _nextFlightId++;
+        // occupancy still re-times, but their tag finds no flight.
         Flight flight;
         flight.src = req.src;
         flight.dst = req.dst;
@@ -314,11 +308,9 @@ Interconnect::finishDelivery(const Request &req, DeliverySample sample,
         flight.onRebook = req.onRebook;
         if (req.onComplete) {
             flight.event = _eq.schedule(
-                delivered, [this, fid] { completeFlight(fid); });
+                delivered, [this, id] { completeFlight(id); });
         }
-        for (const Hop &hop : flight.hops)
-            _hopIndex[hop.channel][hop.booking] = fid;
-        _flights.emplace(fid, std::move(flight));
+        _flights.emplace(id, std::move(flight));
     } else if (req.onComplete) {
         _eq.schedule(delivered, req.onComplete);
     }
@@ -388,11 +380,6 @@ Interconnect::quiesceDevice(int gpu)
         }
         if (flight.event != 0)
             _eq.deschedule(flight.event);
-        for (const Hop &hop : flight.hops) {
-            const auto per_channel = _hopIndex.find(hop.channel);
-            if (per_channel != _hopIndex.end())
-                per_channel->second.erase(hop.booking);
-        }
         it = _flights.erase(it);
         ++aborted;
     }
@@ -451,10 +438,11 @@ Interconnect::setRebooking(bool on)
         ch.setRebookable(on);
         if (on) {
             Channel *cp = &ch;
-            ch.setRebookListener(
-                [this, cp](Channel::BookingId id, Tick end) {
-                    onHopRebooked(cp, id, end);
-                });
+            ch.setRebookListener([this, cp](Channel::BookingId,
+                                            Channel::BookingTag id,
+                                            Tick end) {
+                onHopRebooked(cp, id, end);
+            });
         } else {
             ch.setRebookListener(nullptr);
         }
@@ -463,29 +451,21 @@ Interconnect::setRebooking(bool on)
         // Pending completion events stay scheduled at their current
         // ticks; they just can no longer move.
         _flights.clear();
-        _hopIndex.clear();
     }
 }
 
 void
-Interconnect::onHopRebooked(Channel *channel,
-                            Channel::BookingId booking,
+Interconnect::onHopRebooked(Channel *channel, std::uint64_t id,
                             Tick new_service_end)
 {
-    const auto per_channel = _hopIndex.find(channel);
-    if (per_channel == _hopIndex.end())
-        return;
-    const auto entry = per_channel->second.find(booking);
-    if (entry == per_channel->second.end())
-        return;
-    const auto fit = _flights.find(entry->second);
+    const auto fit = _flights.find(id);
     if (fit == _flights.end())
         return;
     Flight &flight = fit->second;
 
     Tick delivered = 0;
     for (Hop &hop : flight.hops) {
-        if (hop.channel == channel && hop.booking == booking)
+        if (hop.channel == channel)
             hop.serviceEnd = new_service_end;
         delivered = std::max(delivered,
                              hop.serviceEnd + hop.latencyAdd);
@@ -499,9 +479,8 @@ Interconnect::onHopRebooked(Channel *channel,
     ++_rebookedDeliveries;
     if (flight.event != 0) {
         _eq.deschedule(flight.event);
-        const std::uint64_t fid = entry->second;
         flight.event = _eq.schedule(
-            delivered, [this, fid] { completeFlight(fid); });
+            delivered, [this, id] { completeFlight(id); });
     }
     if (flight.onRebook)
         flight.onRebook(delivered);
@@ -514,11 +493,6 @@ Interconnect::completeFlight(std::uint64_t id)
     if (fit == _flights.end())
         return;
     EventQueue::Callback cb = std::move(fit->second.onComplete);
-    for (const Hop &hop : fit->second.hops) {
-        const auto per_channel = _hopIndex.find(hop.channel);
-        if (per_channel != _hopIndex.end())
-            per_channel->second.erase(hop.booking);
-    }
     _flights.erase(fit);
     if (cb)
         cb();

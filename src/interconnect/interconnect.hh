@@ -18,6 +18,7 @@
 #include "interconnect/packet_model.hh"
 #include "sim/channel.hh"
 #include "sim/event_queue.hh"
+#include "sim/small_fn.hh"
 #include "sim/stats.hh"
 #include "sim/trace.hh"
 #include "sim/types.hh"
@@ -41,6 +42,13 @@ namespace proact {
 class Interconnect
 {
   public:
+    /**
+     * Told a tracked transfer's new delivery tick (rebooking).
+     * Small-buffer storage like event callbacks: every acknowledged
+     * attempt carries one.
+     */
+    using RebookCallback = SmallFn<void(Tick)>;
+
     /** One transfer submission. */
     struct Request
     {
@@ -87,7 +95,7 @@ class Interconnect
          * mid-flight rate change. Lets the retry layer push its ack
          * horizon out instead of declaring a slowed delivery lost.
          */
-        std::function<void(Tick)> onRebook = nullptr;
+        RebookCallback onRebook = nullptr;
     };
 
     /** What fault injection decided about one delivery. */
@@ -351,11 +359,13 @@ class Interconnect
 
     std::uint64_t _droppedDeliveries = 0;
 
-    /** One channel hop of a tracked in-flight transfer. */
+    /**
+     * One channel hop of a tracked in-flight transfer. A transfer
+     * books each channel at most once, so the channel names the hop.
+     */
     struct Hop
     {
         Channel *channel;
-        Channel::BookingId booking;
         Tick latencyAdd;   ///< Post-service latency this hop adds.
         Tick serviceEnd;   ///< Current service end on the channel.
     };
@@ -370,10 +380,16 @@ class Interconnect
         Tick delivered = 0;             ///< Current delivery tick.
         EventId event = 0;              ///< Completion event (0=none).
         EventQueue::Callback onComplete;
-        std::function<void(Tick)> onRebook;
+        RebookCallback onRebook;
     };
 
     bool _rebooking = false;
+    /**
+     * Every submission takes the next id before it books a channel
+     * and tags its bookings with it; only tracked flights enter
+     * _flights, so a rebooked tag that finds nothing belongs to a
+     * dropped, untracked, completed or quiesced transfer.
+     */
     std::uint64_t _nextFlightId = 1;
     std::uint64_t _rebookedDeliveries = 0;
     std::uint64_t _refusedDeliveries = 0;
@@ -382,11 +398,6 @@ class Interconnect
     /** Per-GPU down flags (see setDeviceDown). */
     std::vector<char> _deadDevice;
     std::unordered_map<std::uint64_t, Flight> _flights;
-
-    /** (channel, booking) -> flight id, per channel. */
-    std::unordered_map<Channel *,
-                       std::unordered_map<Channel::BookingId,
-                                          std::uint64_t>> _hopIndex;
 
     void validate(const Request &req) const;
 
@@ -397,8 +408,8 @@ class Interconnect
     /** Apply @p f to every channel of the fabric. */
     void forEachChannel(const std::function<void(Channel &)> &f);
 
-    /** Channel rebook listener: move the owning flight's delivery. */
-    void onHopRebooked(Channel *channel, Channel::BookingId booking,
+    /** Channel rebook listener: move flight @p id's delivery. */
+    void onHopRebooked(Channel *channel, std::uint64_t id,
                        Tick new_service_end);
 
     /** Fire and garbage-collect a tracked flight's completion. */
@@ -410,12 +421,12 @@ class Interconnect
      * observer, and trace the span. @p sample carries the pre-fault
      * timing split; fault delay spikes are charged to its service
      * component (they are a wire symptom, not queueing). Under
-     * rebooking @p hops carries the channel bookings so the
-     * completion can later move.
+     * rebooking @p hops carries the channel bookings, tagged @p id,
+     * so the completion can later move.
      * @return The (possibly delayed) delivery tick.
      */
     Tick finishDelivery(const Request &req, DeliverySample sample,
-                        std::vector<Hop> hops = {});
+                        std::vector<Hop> hops, std::uint64_t id);
 };
 
 } // namespace proact

@@ -1,6 +1,7 @@
 #include "proact/config.hh"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdlib>
 #include <sstream>
 
@@ -87,7 +88,9 @@ envDouble(const char *name, double fallback, double lo, double hi)
         return fallback;
     char *end = nullptr;
     const double v = std::strtod(env, &end);
-    if (end == env)
+    // NaN parses, but clamps to itself, and callers cast the result
+    // to int or Tick: treat it as unparsable.
+    if (end == env || std::isnan(v))
         return fallback;
     return std::clamp(v, lo, hi);
 }

@@ -105,7 +105,7 @@ Channel::retimeBookings(double old_rate, double new_rate)
             b.event = _eq.schedule(new_end + _latency, b.callback);
         }
         if (_rebookListener)
-            _rebookListener(b.id, new_end);
+            _rebookListener(b.id, b.tag, new_end);
     }
     _busyUntil = prev_end;
 }
@@ -136,7 +136,7 @@ Channel::submitAfter(Tick not_before, std::uint64_t wire_bytes,
 Channel::Timing
 Channel::submitTimed(Tick not_before, std::uint64_t wire_bytes,
                      std::uint64_t payload_bytes,
-                     EventQueue::Callback on_delivered)
+                     EventQueue::Callback on_delivered, BookingTag tag)
 {
     const Tick enqueued = std::max(_eq.curTick(), not_before);
     const Tick start = nextStart(not_before);
@@ -155,6 +155,7 @@ Channel::submitTimed(Tick not_before, std::uint64_t wire_bytes,
         pruneBookings();
         Booking b;
         b.id = _nextBookingId++;
+        b.tag = tag;
         b.notBefore = not_before;
         b.start = start;
         b.serviceEnd = service_end;

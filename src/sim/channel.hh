@@ -37,11 +37,18 @@ class Channel
     using BookingId = std::uint64_t;
 
     /**
-     * Notified after a booking's service end moved (rebooking).
+     * Caller-chosen value stored with a booking and handed back to
+     * the rebook listener (the fabric passes its flight id).
+     */
+    using BookingTag = std::uint64_t;
+
+    /**
+     * Notified after a booking's service end moved (rebooking), with
+     * the booking's id, its submission tag and the new service end.
      * Small-buffer storage, same as event callbacks: rebooking sits
      * on the delivery hot path and must not allocate per booking.
      */
-    using RebookListener = SmallFn<void(BookingId, Tick)>;
+    using RebookListener = SmallFn<void(BookingId, BookingTag, Tick)>;
 
     /**
      * Per-submission timing breakdown. The gap between @c enqueued and
@@ -104,11 +111,13 @@ class Channel
      * Like submitAfter, but returns the full timing breakdown
      * (enqueue/dequeue/service-end/delivery stamps) instead of just
      * the delivery tick. This is the fabric's entry point: it needs
-     * the queueing/service split to build a DeliverySample.
+     * the queueing/service split to build a DeliverySample. While
+     * rebookable, the booking keeps @p tag for the rebook listener.
      */
     Timing submitTimed(Tick not_before, std::uint64_t wire_bytes,
                        std::uint64_t payload_bytes,
-                       EventQueue::Callback on_delivered = nullptr);
+                       EventQueue::Callback on_delivered = nullptr,
+                       BookingTag tag = 0);
 
     /** First tick at which a new request could begin service. */
     Tick busyUntil() const { return _busyUntil; }
@@ -188,6 +197,7 @@ class Channel
     struct Booking
     {
         BookingId id;
+        BookingTag tag;    ///< Handed back to the rebook listener.
         Tick notBefore;    ///< Earliest permissible service start.
         Tick start;        ///< Current service start.
         Tick serviceEnd;   ///< Current service end (excl. latency).

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <vector>
 
 using namespace proact;
 
@@ -153,4 +154,61 @@ TEST(Channel, GoodputIsOneWhenIdle)
     EventQueue eq;
     Channel ch(eq, "ch", gigabytePerSec);
     EXPECT_DOUBLE_EQ(ch.goodput(), 1.0);
+}
+
+TEST(Channel, RebookRetimesLiveBookingsAndReturnsTheirTags)
+{
+    // Three back-to-back 1 us bookings; halving the rate 0.5 us in
+    // re-times the first one's remainder and the two queued behind
+    // it. The listener hears every live booking, in FIFO order, with
+    // the tag it was submitted with, and the deliveries move.
+    EventQueue eq;
+    const Tick latency = 100;
+    Channel ch(eq, "ch", gigabytePerSec, latency);
+    ch.setRebookable(true);
+
+    struct Move
+    {
+        Channel::BookingId id;
+        Channel::BookingTag tag;
+        Tick serviceEnd;
+    };
+    std::vector<Move> moves;
+    ch.setRebookListener([&moves](Channel::BookingId id,
+                                  Channel::BookingTag tag, Tick end) {
+        moves.push_back({id, tag, end});
+    });
+
+    const Tick us = 1000 * ticksPerNanosecond;
+    const Channel::BookingTag tags[] = {11, 22, 33};
+    Channel::BookingId ids[3] = {0, 0, 0};
+    Tick booked[3] = {0, 0, 0};
+    Tick fired[3] = {0, 0, 0};
+    for (int i = 0; i < 3; ++i) {
+        booked[i] = ch.submitTimed(0, 1000, 1000,
+                                   [&eq, &fired, i] {
+                                       fired[i] = eq.curTick();
+                                   },
+                                   tags[i])
+                        .delivered;
+        ids[i] = ch.lastBookingId();
+    }
+    EXPECT_EQ(booked[2], 3 * us + latency);
+
+    eq.schedule(us / 2, [&ch] { ch.setRateScale(0.5); });
+    eq.run();
+
+    // In service: the unserved half takes twice as long. Queued: the
+    // whole booking does, chained behind its predecessor.
+    const Tick ends[] = {us / 2 + us, us / 2 + us + 2 * us,
+                         us / 2 + us + 4 * us};
+    ASSERT_EQ(moves.size(), 3u);
+    for (int i = 0; i < 3; ++i) {
+        EXPECT_EQ(moves[i].id, ids[i]);
+        EXPECT_EQ(moves[i].tag, tags[i]);
+        EXPECT_EQ(moves[i].serviceEnd, ends[i]);
+        EXPECT_EQ(fired[i], ends[i] + latency);
+        EXPECT_GT(fired[i], booked[i]);
+    }
+    EXPECT_EQ(ch.busyUntil(), ends[2]);
 }

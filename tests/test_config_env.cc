@@ -163,6 +163,14 @@ TEST(ConfigEnv, FaultKnobsClampAndDefault)
         EXPECT_NO_THROW(plan.validate(4));
     }
     {
+        // NaN is unparsable: the default drop rate, not no drops.
+        ScopedEnv drop("PROACT_FAULT_DROP_RATE", "nan");
+        ScopedEnv degrade("PROACT_FAULT_DEGRADE", "nan");
+        const FaultPlan plan = envFaultPlan();
+        ASSERT_EQ(plan.episodes.size(), 1u);
+        EXPECT_DOUBLE_EQ(plan.episodes[0].severity, 0.01);
+    }
+    {
         ScopedEnv attempts("PROACT_RETRY_MAX_ATTEMPTS", "99");
         EXPECT_EQ(envRetryPolicy().maxAttempts, 16); // Clamped.
     }
@@ -170,6 +178,13 @@ TEST(ConfigEnv, FaultKnobsClampAndDefault)
         ScopedEnv attempts("PROACT_RETRY_MAX_ATTEMPTS", "3");
         EXPECT_EQ(envRetryPolicy().maxAttempts, 3);
     }
+}
+
+TEST(ConfigEnv, NanNodesFallBackToOneNode)
+{
+    // The count is cast to int, and a NaN cast is undefined.
+    ScopedEnv nodes("PROACT_NODES", "nan");
+    EXPECT_EQ(envNodes(), 1);
 }
 
 TEST(ConfigEnv, DecoupledPredicate)

@@ -2,8 +2,10 @@
  * @file
  * Tests for the fault-injection & resilience subsystem (src/faults):
  * plan validation, episode scheduling, deterministic seeded drops,
- * retry/backoff ordering, reliable-path fallback, and end-to-end
- * survival of every transfer mechanism on a faulty fabric.
+ * the per-link fault filter against a whole-plan scan, retry/backoff
+ * ordering, reliable-path fallback, rebooking of live and dead
+ * flights, and end-to-end survival of every transfer mechanism on a
+ * faulty fabric.
  */
 
 #include "faults/fault_injector.hh"
@@ -18,9 +20,12 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <memory>
 #include <set>
 #include <string>
 #include <utility>
+#include <vector>
 
 using namespace proact;
 using namespace proact::test;
@@ -70,6 +75,242 @@ testRetry(int max_attempts = 5)
     return policy;
 }
 
+/**
+ * The fault filter as a linear scan: every episode of the plan, in
+ * plan order, judged at the submission tick, with its own RNG seeded
+ * like the injector's. The reference the injector's per-link episode
+ * index must agree with verdict for verdict.
+ */
+class LinearScanFilter
+{
+  public:
+    LinearScanFilter(const EventQueue &eq, FaultPlan plan)
+        : _eq(eq), _plan(std::move(plan)), _rng(_plan.seed)
+    {
+    }
+
+    Interconnect::FaultVerdict
+    operator()(const Interconnect::Request &req, Tick /*delivered*/)
+    {
+        const Tick now = _eq.curTick();
+        Interconnect::FaultVerdict verdict;
+        for (const FaultEpisode &ep : _plan.episodes) {
+            if (!ep.active(now))
+                continue;
+            switch (ep.kind) {
+              case FaultKind::LinkDown:
+                if (ep.matchesLink(req.src, req.dst))
+                    verdict.drop = true;
+                break;
+              case FaultKind::DeliveryDrop:
+                if (verdict.drop || !ep.matchesLink(req.src, req.dst))
+                    break;
+                ++draws;
+                if (_rng.uniform() < ep.severity)
+                    verdict.drop = true;
+                break;
+              case FaultKind::DeliveryDelay:
+                if (ep.matchesLink(req.src, req.dst))
+                    verdict.extraDelay += ep.delay;
+                break;
+              case FaultKind::LinkDegrade:
+              case FaultKind::DmaStall:
+              case FaultKind::GpuDown:
+                break;
+            }
+        }
+        if (verdict.drop) {
+            ++dropped;
+            verdict.extraDelay = 0;
+        } else if (verdict.extraDelay > 0) {
+            ++delayed;
+        }
+        return verdict;
+    }
+
+    std::uint64_t draws = 0;
+    std::uint64_t dropped = 0;
+    std::uint64_t delayed = 0;
+
+  private:
+    const EventQueue &_eq;
+    FaultPlan _plan;
+    Rng _rng;
+};
+
+/**
+ * A seeded plan exercising every filter path on @p num_gpus GPUs
+ * within [0, horizon): overlapping drops on one hot link (so the
+ * draw order matters), stacked concrete and wildcard delays, LinkDown
+ * windows that open and close, and the degrade, DMA-stall and
+ * device-loss episodes the filter must skip, in shuffled plan order.
+ */
+FaultPlan
+filterCoveragePlan(Rng &rng, int num_gpus, Tick horizon)
+{
+    auto gpu = [&] { return static_cast<int>(rng.below(num_gpus)); };
+    auto other = [&](int g) {
+        return (g + 1 + static_cast<int>(rng.below(num_gpus - 1)))
+            % num_gpus;
+    };
+    auto window = [&](Tick &start, Tick &end) {
+        start = rng.below(horizon);
+        end = rng.below(4) == 0
+            ? maxTick
+            : start + 1 + rng.below(horizon / 3);
+    };
+    auto probability = [&] { return 0.1 + 0.8 * rng.uniform(); };
+
+    FaultPlan plan;
+    plan.seed = rng();
+    Tick start = 0;
+    Tick end = 0;
+
+    const int hot_src = gpu();
+    const int hot_dst = other(hot_src);
+    for (int i = 0; i < 2; ++i) {
+        window(start, end);
+        plan.dropDeliveries(start, end, probability(), hot_src,
+                            hot_dst);
+    }
+    window(start, end);
+    plan.dropDeliveries(start, end, probability(), -1, hot_dst);
+    window(start, end);
+    plan.dropDeliveries(start, end, probability() / 4);
+
+    window(start, end);
+    plan.delayDeliveries(start, end, 1 + rng.below(ticksPerMicrosecond),
+                         hot_src, hot_dst);
+    window(start, end);
+    plan.delayDeliveries(start, end, 1 + rng.below(ticksPerMicrosecond),
+                         hot_src, -1);
+    window(start, end);
+    plan.delayDeliveries(start, end, 1 + rng.below(ticksPerMicrosecond));
+
+    for (int i = 0; i < 2; ++i) {
+        start = rng.below(horizon);
+        const int src = i == 0 ? hot_src : gpu();
+        plan.downLink(start, start + 1 + rng.below(horizon / 4), src,
+                      i == 0 ? hot_dst : other(src));
+    }
+    start = rng.below(horizon);
+    plan.downLink(start, start + 1 + rng.below(horizon / 8), -1, gpu());
+
+    window(start, end);
+    plan.degradeLink(start, end, probability(), hot_src, hot_dst);
+    window(start, end);
+    plan.degradeLink(start, end, probability());
+    window(start, end);
+    plan.stallDma(start, end, gpu());
+    start = rng.below(horizon);
+    plan.downGpu(start, start + 1 + rng.below(horizon / 8), gpu());
+
+    for (std::size_t i = plan.episodes.size() - 1; i > 0; --i)
+        std::swap(plan.episodes[i], plan.episodes[rng.below(i + 1)]);
+    return plan;
+}
+
+/**
+ * Everything one system saw of a seeded transfer stream. Not the
+ * rebook count: a degrade boundary re-times the fabric's channels in
+ * address order, and a multi-hop flight counts one move per hop whose
+ * re-time changed its delivery, so the count depends on heap layout.
+ * The delivery ticks do not.
+ */
+struct FilterOutcome
+{
+    std::vector<Tick> predicted;
+    std::vector<Tick> landed;  ///< maxTick when never delivered.
+    std::vector<bool> dropped; ///< Per observed submission.
+    std::uint64_t droppedDeliveries = 0;
+    /** Filter verdict counts: the injector's stats, or the scan's. */
+    std::uint64_t verdictDrops = 0;
+    std::uint64_t verdictDelays = 0;
+    std::uint64_t draws = 0; ///< RNG draws (reference scan only).
+
+    bool
+    operator==(const FilterOutcome &o) const
+    {
+        return predicted == o.predicted && landed == o.landed
+            && dropped == o.dropped
+            && droppedDeliveries == o.droppedDeliveries
+            && verdictDrops == o.verdictDrops
+            && verdictDelays == o.verdictDelays;
+    }
+};
+
+/**
+ * Arm @p plan on a fresh @p platform system and push @p transfers
+ * seeded transfers through its fabric at staggered ticks. With
+ * @p linear_scan set, the injector still drives degrade windows, DMA
+ * stalls and device loss, but a LinearScanFilter judges every
+ * delivery.
+ */
+FilterOutcome
+runFilterCase(const PlatformSpec &platform, const FaultPlan &plan,
+              std::uint64_t stream_seed, int transfers, Tick horizon,
+              bool linear_scan)
+{
+    MultiGpuSystem system(platform);
+    system.setFunctional(false);
+    Interconnect &fabric = system.fabric();
+    fabric.setRebooking(stream_seed % 2 == 0);
+    FaultInjector &inj = system.installFaults(plan);
+    std::shared_ptr<LinearScanFilter> reference;
+    if (linear_scan) {
+        reference = std::make_shared<LinearScanFilter>(
+            system.eventQueue(), plan);
+        fabric.setFaultFilter(
+            [reference](const Interconnect::Request &req, Tick t) {
+                return (*reference)(req, t);
+            });
+    }
+
+    FilterOutcome out;
+    out.predicted.assign(transfers, 0);
+    out.landed.assign(transfers, maxTick);
+    fabric.addDeliveryObserver(
+        [&out](const Interconnect::Request &,
+               const Interconnect::DeliverySample &sample) {
+            out.dropped.push_back(sample.dropped);
+        });
+
+    Rng rng(stream_seed);
+    const int n = system.numGpus();
+    const std::uint32_t grains[] = {32, 128, 4096};
+    for (int i = 0; i < transfers; ++i) {
+        Interconnect::Request req;
+        req.src = static_cast<int>(rng.below(n));
+        req.dst = (req.src + 1 + static_cast<int>(rng.below(n - 1))) % n;
+        req.bytes = 256 + rng.below(64 * KiB);
+        req.writeGranularity = grains[rng.below(3)];
+        req.threads = rng.below(2) == 0 ? 0 : 2048;
+        req.reliable = rng.below(10) == 0;
+        const Tick at = rng.below(horizon);
+        system.eventQueue().schedule(at, [&fabric, &out, &system, req,
+                                          i]() mutable {
+            req.onComplete = [&out, &system, i] {
+                out.landed[i] = system.now();
+            };
+            out.predicted[i] = fabric.transfer(req);
+        });
+    }
+    system.run();
+
+    out.droppedDeliveries = fabric.droppedDeliveries();
+    if (reference) {
+        out.verdictDrops = reference->dropped;
+        out.verdictDelays = reference->delayed;
+        out.draws = reference->draws;
+    } else {
+        out.verdictDrops = static_cast<std::uint64_t>(
+            inj.stats().get("faults.dropped"));
+        out.verdictDelays = static_cast<std::uint64_t>(
+            inj.stats().get("faults.delayed"));
+    }
+    return out;
+}
+
 } // namespace
 
 TEST(FaultPlanTest, ValidateRejectsNonsense)
@@ -102,6 +343,32 @@ TEST(FaultPlanTest, ValidateRejectsNonsense)
     {
         FaultPlan plan;
         plan.delayDeliveries(0, maxTick, 0); // Zero spike.
+        EXPECT_THROW(plan.validate(4), FatalError);
+    }
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    {
+        FaultPlan plan;
+        plan.degradeLink(0, maxTick, nan); // NaN fraction.
+        EXPECT_THROW(plan.validate(4), FatalError);
+    }
+    {
+        FaultPlan plan;
+        plan.dropDeliveries(0, maxTick, nan); // NaN probability.
+        EXPECT_THROW(plan.validate(4), FatalError);
+    }
+    {
+        FaultPlan plan;
+        plan.downLink(0, maxTick, -2, 1); // Below the -1 wildcard.
+        EXPECT_THROW(plan.validate(4), FatalError);
+    }
+    {
+        FaultPlan plan;
+        plan.dropDeliveries(0, maxTick, 0.5, 0, -7);
+        EXPECT_THROW(plan.validate(4), FatalError);
+    }
+    {
+        FaultPlan plan;
+        plan.stallDma(0, maxTick, -3);
         EXPECT_THROW(plan.validate(4), FatalError);
     }
     {
@@ -439,6 +706,50 @@ TEST(FaultInjectorTest, ReliablePathIsExemptFromLoss)
     EXPECT_EQ(system.fabric().droppedDeliveries(), 0u);
 }
 
+TEST(FaultInjectorTest, VerdictsMatchLinearScanReference)
+{
+    // The injector's filter must return, transfer for transfer, what
+    // a linear scan over the whole plan returns: same drops, same
+    // delays, same RNG draws in the same order.
+    const Tick horizon = 60 * ticksPerMicrosecond;
+    const int transfers = 96;
+    const std::pair<PlatformSpec, int> platforms[] = {
+        {voltaPlatform(), 120},
+        {multiNodePlatform(2, 4), 100},
+    };
+
+    std::uint64_t draws = 0;
+    std::uint64_t drops = 0;
+    std::uint64_t delays = 0;
+    std::uint64_t landed = 0;
+    for (const auto &[platform, cases] : platforms) {
+        for (int c = 0; c < cases; ++c) {
+            SCOPED_TRACE(platform.name + " case " + std::to_string(c));
+            Rng rng(deriveSeed(0xf11e, static_cast<std::uint64_t>(c)));
+            const FaultPlan plan =
+                filterCoveragePlan(rng, platform.numGpus, horizon);
+            const std::uint64_t stream_seed = rng();
+
+            const FilterOutcome indexed = runFilterCase(
+                platform, plan, stream_seed, transfers, horizon, false);
+            const FilterOutcome scanned = runFilterCase(
+                platform, plan, stream_seed, transfers, horizon, true);
+            ASSERT_TRUE(indexed == scanned);
+
+            draws += scanned.draws;
+            drops += scanned.verdictDrops;
+            delays += scanned.verdictDelays;
+            for (const Tick t : indexed.landed)
+                landed += t != maxTick;
+        }
+    }
+    // Not vacuous: every filter path fired somewhere.
+    EXPECT_GT(draws, 2000u);
+    EXPECT_GT(drops, 1000u);
+    EXPECT_GT(delays, 1000u);
+    EXPECT_GT(landed, 10000u);
+}
+
 TEST(FaultInjectorTest, SeededDropsAreDeterministic)
 {
     auto run_once = [] {
@@ -528,6 +839,59 @@ TEST(RebookingTest, RetryHorizonFollowsASlowedDelivery)
     // Nothing was dropped, so nothing may have been retried.
     EXPECT_DOUBLE_EQ(h.stats.get("transfers.retried"), 0.0);
     EXPECT_DOUBLE_EQ(h.stats.get("transfers.abandoned"), 0.0);
+}
+
+TEST(RebookingTest, DroppedAndQuiescedFlightsIgnoreLaterRetimes)
+{
+    // Three transfers share a degrade window that opens while they
+    // are all still on the wire: one was dropped by a LinkDown, one
+    // was aborted by quiesceDevice, one is live. The window re-times
+    // all three bookings, but only the live flight may move or fire.
+    PlatformSpec platform = voltaPlatform();
+    platform.fabric.topology = FabricTopology::PairwiseLinks;
+    MultiGpuSystem system(platform);
+    system.setFunctional(false);
+    Interconnect &fabric = system.fabric();
+    fabric.setRebooking(true);
+
+    const Tick window = 5 * ticksPerMicrosecond;
+    FaultPlan plan;
+    plan.downLink(0, window, 0, 1);
+    plan.degradeLink(window, maxTick, 0.5);
+    system.installFaults(std::move(plan));
+
+    int fired[3] = {0, 0, 0};
+    Tick predicted[3] = {0, 0, 0};
+    Tick landed = 0;
+    const std::pair<int, int> pairs[] = {{0, 1}, {2, 3}, {0, 2}};
+    for (int i = 0; i < 3; ++i) {
+        Interconnect::Request req;
+        req.src = pairs[i].first;
+        req.dst = pairs[i].second;
+        req.bytes = 4 * MiB;
+        req.writeGranularity = 4096;
+        req.onComplete = [&fired, &landed, &system, i] {
+            ++fired[i];
+            landed = system.now();
+        };
+        predicted[i] = fabric.transfer(req);
+        ASSERT_GT(predicted[i], window); // On the wire when it opens.
+    }
+    EXPECT_EQ(fabric.droppedDeliveries(), 1u);
+    EXPECT_EQ(fabric.numTrackedFlights(), 2u);
+
+    system.eventQueue().schedule(ticksPerMicrosecond, [&fabric] {
+        EXPECT_EQ(fabric.quiesceDevice(3), 1u);
+    });
+    system.run();
+
+    EXPECT_EQ(fired[0], 0); // Dropped.
+    EXPECT_EQ(fired[1], 0); // Quiesced.
+    EXPECT_EQ(fired[2], 1); // Live, and moved by the window.
+    EXPECT_GT(landed, predicted[2]);
+    EXPECT_EQ(fabric.rebookedDeliveries(), 1u);
+    EXPECT_EQ(fabric.quiescedFlights(), 1u);
+    EXPECT_EQ(fabric.numTrackedFlights(), 0u);
 }
 
 TEST(RetryRerouteTest, ReplansThroughRerouterInsteadOfFallback)
