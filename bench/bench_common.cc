@@ -1,9 +1,11 @@
 #include "bench/bench_common.hh"
 
+#include "proact/config.hh"
 #include "sim/logging.hh"
 
 #include <cstdlib>
 #include <iomanip>
+#include <limits>
 #include <sstream>
 
 namespace proact::bench {
@@ -11,11 +13,9 @@ namespace proact::bench {
 std::uint64_t
 envFootprintScale()
 {
-    const char *env = std::getenv("PROACT_FOOTPRINT_SCALE");
-    if (env == nullptr)
-        return 16;
-    const long v = std::atol(env);
-    return v >= 1 ? static_cast<std::uint64_t>(v) : 1;
+    return static_cast<std::uint64_t>(
+        envInt("PROACT_FOOTPRINT_SCALE", 16, 1,
+               std::numeric_limits<std::int64_t>::max()));
 }
 
 Tick

@@ -1,14 +1,8 @@
 #include "fleet/admission.hh"
 
 #include <algorithm>
-#include <utility>
 
 namespace proact::fleet {
-
-AdmissionController::AdmissionController(AdmissionPolicy policy)
-    : _policy(std::move(policy))
-{
-}
 
 void
 AdmissionController::sortQueue(std::vector<const JobSpec *> &queue)
@@ -39,11 +33,9 @@ AdmissionController::tryAdmit(const JobSpec &job,
 
     // Sharing seats on a plane whose port group is still backed up
     // buys queueing, not progress: undo the allocation and wait for
-    // the monitor to clear the plane. shareCount > 1 is the sharing
-    // signal — a plane all to ourselves is fine even if its EWMA has
-    // not decayed yet.
-    if (_policy.deferOnCongestion && placement->shareCount > 1
-        && congested) {
+    // the plane to clear. shareCount > 1 is the sharing signal — a
+    // plane all to ourselves is fine even while it reads congested.
+    if (placement->shareCount > 1 && congested) {
         bool blocked = false;
         for (const int plane : placement->planes)
             blocked = blocked || congested(plane);

@@ -5,10 +5,9 @@
  * Pending jobs queue in a strict priority order (priority desc,
  * arrival asc, id asc). A job is admitted when the placement
  * allocator can seat it AND the seats are acceptable: co-locating
- * onto a plane whose representative link the LinkHealthMonitor
- * currently classifies CONGESTED is deferred until the backlog
- * clears — unless the fabric is otherwise idle, in which case
- * waiting would serve nobody and the job is force-admitted.
+ * onto a plane the caller reports as contended is deferred until
+ * the plane clears — unless the fabric is otherwise idle, in which
+ * case waiting would serve nobody and the job is force-admitted.
  */
 
 #ifndef PROACT_FLEET_ADMISSION_HH
@@ -24,21 +23,12 @@
 
 namespace proact::fleet {
 
-/** Admission knobs. */
-struct AdmissionPolicy
-{
-    /** Defer co-location onto CONGESTED planes. */
-    bool deferOnCongestion = true;
-};
-
 /** Orders the queue and decides who may start now. */
 class AdmissionController
 {
   public:
     /** Tells whether a plane's port group is currently congested. */
     using CongestionQuery = std::function<bool(int plane)>;
-
-    explicit AdmissionController(AdmissionPolicy policy = {});
 
     /**
      * Admission order: priority desc, then arrival asc, then id asc.
@@ -68,7 +58,6 @@ class AdmissionController
     const StatSet &stats() const { return _stats; }
 
   private:
-    AdmissionPolicy _policy;
     StatSet _stats;
 };
 

@@ -28,25 +28,10 @@ envRecoveryPolicy()
     // time — a repeatedly faulted job would never converge.
     policy.checkpoint.enabled |= policy.enabled;
     policy.deviceHealth = envDeviceHealthPolicy();
-    if (const char *min = std::getenv("PROACT_RECOVERY_MIN_GPUS");
-        min != nullptr && *min != '\0') {
-        policy.minGpus = std::clamp(std::atoi(min), 2, 64);
-    }
-    if (const char *max = std::getenv("PROACT_RECOVERY_MAX_ATTEMPTS");
-        max != nullptr && *max != '\0') {
-        policy.maxAttempts = std::clamp(std::atoi(max), 1, 16);
-    }
-    return policy;
-}
-
-HealthPolicy
-fleetHealthPolicy()
-{
-    HealthPolicy policy;
-    // The fleet fabric carries no payload, only booked observations:
-    // there is nothing for a probe to traverse, and the fleet event
-    // queue is never run.
-    policy.probeInterval = 0;
+    policy.minGpus = static_cast<int>(
+        envInt("PROACT_RECOVERY_MIN_GPUS", policy.minGpus, 2, 64));
+    policy.maxAttempts = static_cast<int>(envInt(
+        "PROACT_RECOVERY_MAX_ATTEMPTS", policy.maxAttempts, 1, 16));
     return policy;
 }
 
@@ -202,10 +187,9 @@ FleetReport::toJson(const std::string &platform_name,
 
 FleetSession::FleetSession(PlatformSpec platform, Options options)
     : _platform(std::move(platform)), _options(std::move(options)),
-      _elector(_platform, _options.elector),
-      _fabric(_eq, _platform.fabric, _platform.numGpus),
-      _monitor(_eq, _fabric, fleetHealthPolicy())
+      _elector(_platform, _options.elector)
 {
+    _platform.fabric.validate(_platform.numGpus);
     if (_platform.numGpus < 2)
         fatalError("FleetSession: need a multi-GPU platform");
 }
@@ -213,46 +197,6 @@ FleetSession::FleetSession(PlatformSpec platform, Options options)
 FleetSession::FleetSession(PlatformSpec platform)
     : FleetSession(std::move(platform), Options{})
 {
-}
-
-void
-FleetSession::feedPlane(const PlacementAllocator &allocator,
-                        int plane, int samples, double ratio)
-{
-    const auto [src, dst] = allocator.planeRepLink(plane);
-    if (src == dst)
-        return;
-
-    // Mirror the monitor's own expected-time computation so a fed
-    // ratio of R lands as a per-sample queue ratio of exactly R: the
-    // wire time of the sample payload at the pair's nominal rate
-    // plus the pair's latency. On a pairwise fabric all three inputs
-    // are per-pair (a multi-node plane's rep link is an intra-node
-    // pair with an intra-node divisor, not a machine-wide one).
-    // Service time equals the expectation, so the wire signal stays
-    // pinned HEALTHY — co-tenant contention is queueing, never
-    // degradation.
-    const PacketModel &packet = _fabric.pairwise()
-        ? _fabric.pairPacketModel(src, dst)
-        : _fabric.packetModel();
-    const std::uint64_t wire = packet.wireBytes(
-        _options.congestionSampleBytes, packet.maxPayloadBytes);
-    double nominal = _fabric.spec().egressRate();
-    if (_fabric.pairwise())
-        nominal = _fabric.nominalPairRate(src, dst);
-    const double rate =
-        std::min(_fabric.effectiveEgressRate(0), nominal);
-    const Tick expected = transferTicks(wire, rate)
-        + (_fabric.pairwise() ? _fabric.pairLatency(src, dst)
-                              : _fabric.spec().latency);
-    const Tick queue_delay =
-        static_cast<Tick>(ratio * static_cast<double>(expected));
-
-    for (int i = 0; i < samples; ++i) {
-        _monitor.recordSample(src, dst,
-                              _options.congestionSampleBytes,
-                              queue_delay, expected);
-    }
 }
 
 TenantRecord
@@ -327,7 +271,7 @@ FleetSession::serve(const std::vector<JobSpec> &jobs)
 {
     PlacementAllocator allocator(_platform, _options.placement,
                                  _options.maxTenantsPerPlane);
-    AdmissionController admission(_options.admission);
+    AdmissionController admission;
 
     const double sweeps_before = _elector.stats().get("elect.sweeps");
     const double hits_before =
@@ -370,10 +314,14 @@ FleetSession::serve(const std::vector<JobSpec> &jobs)
     std::deque<JobSpec> respawned;
     std::vector<RecoveryEvent> recoveries;
 
-    const auto plane_congested = [&](int plane) {
-        const auto [src, dst] = allocator.planeRepLink(plane);
-        return src != dst
-            && _monitor.linkState(src, dst) == LinkState::Congested;
+    // Plane contention: an admission that leaves two or more tenants
+    // on a plane sets its flag, and only the plane emptying clears
+    // it. A plane back down to one tenant still reads contended, so
+    // a newcomer waits for the backlog to drain instead of sharing.
+    std::vector<bool> contended(
+        static_cast<std::size_t>(allocator.numPlanes()), false);
+    const auto plane_contended = [&](int plane) -> bool {
+        return contended[static_cast<std::size_t>(plane)];
     };
 
     while (!events.empty()) {
@@ -386,14 +334,10 @@ FleetSession::serve(const std::vector<JobSpec> &jobs)
                 records[static_cast<std::size_t>(event.idx)];
             allocator.release(done.placement);
             --running;
-            // A plane that just emptied cools down: clean
-            // observations decay the queue EWMA below the clear
-            // threshold, re-opening the plane to co-location.
+            // A plane that just emptied re-opens to co-location.
             for (const int plane : done.placement.planes) {
-                if (allocator.tenantsOnPlane(plane) == 0) {
-                    feedPlane(allocator, plane,
-                              _options.congestionClearSamples, 0.0);
-                }
+                if (allocator.tenantsOnPlane(plane) == 0)
+                    contended[static_cast<std::size_t>(plane)] = false;
             }
 
             if (done.run.aborted && _options.recovery.enabled) {
@@ -466,7 +410,7 @@ FleetSession::serve(const std::vector<JobSpec> &jobs)
         for (auto it = pending.begin(); it != pending.end();) {
             const JobSpec *spec = *it;
             auto placement = admission.tryAdmit(
-                *spec, allocator, plane_congested, running == 0);
+                *spec, allocator, plane_contended, running == 0);
             if (!placement && _options.recovery.enabled
                 && spec->gpus > allocator.maxAllocatableGpus()) {
                 // Quarantine shrank the machine under a waiting
@@ -485,7 +429,7 @@ FleetSession::serve(const std::vector<JobSpec> &jobs)
                 respawned.push_back(std::move(shrunk));
                 *it = spec = &respawned.back();
                 placement = admission.tryAdmit(
-                    *spec, allocator, plane_congested, running == 0);
+                    *spec, allocator, plane_contended, running == 0);
             }
             if (!placement) {
                 ++it;
@@ -508,11 +452,8 @@ FleetSession::serve(const std::vector<JobSpec> &jobs)
             ++running;
             // Fresh co-location backs up the plane's port group.
             for (const int plane : placement->planes) {
-                if (allocator.tenantsOnPlane(plane) > 1) {
-                    feedPlane(allocator, plane,
-                              _options.congestionFeedSamples,
-                              _options.sharedQueueRatio);
-                }
+                if (allocator.tenantsOnPlane(plane) > 1)
+                    contended[static_cast<std::size_t>(plane)] = true;
             }
             it = pending.erase(it);
         }

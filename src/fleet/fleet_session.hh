@@ -15,13 +15,11 @@
  *    platform slice (its GPU count, its plane's bandwidth share),
  *    optionally with a per-tenant fault plan and delivery observer.
  *
- * Fabric-wide contention is tracked by a fleet-owned
- * LinkHealthMonitor: when a plane becomes shared the session books
- * synthetic queueing observations on the plane's representative
- * link, driving it CONGESTED exactly as real co-tenant backlog
- * would; when the plane empties, clean observations decay the EWMA
- * and the link recovers. Admission consults that state before
- * co-locating.
+ * Plane contention is one flag per plane for the length of a serve:
+ * an admission that leaves two or more tenants on a plane marks it
+ * contended, and only the plane emptying clears it, so a plane that
+ * drops back to one tenant still turns co-location away. Admission
+ * consults the flag before co-locating.
  *
  * Everything is deterministic: the fleet clock is a discrete event
  * list ordered by (tick, kind, id), every per-job random draw comes
@@ -38,10 +36,8 @@
 #include "fleet/job.hh"
 #include "fleet/placement.hh"
 #include "harness/session.hh"
-#include "proact/config.hh"
-#include "health/link_health.hh"
 #include "interconnect/interconnect.hh"
-#include "sim/event_queue.hh"
+#include "proact/config.hh"
 
 #include <functional>
 #include <map>
@@ -225,7 +221,6 @@ class FleetSession
     {
         PlacementMode placement = PlacementMode::PlaneSharing;
         int maxTenantsPerPlane = 2;
-        AdmissionPolicy admission;
         StrategyElector::Options elector;
 
         /** Functional (verified) tenant runs; timing-only default. */
@@ -265,20 +260,12 @@ class FleetSession
          */
         std::function<Interconnect::DeliveryObserver(const JobSpec &)>
             observerFor;
-
-        /** @{ @name Synthetic plane-contention feed
-         * Queue-ratio target and sample counts booked on a plane's
-         * representative link when it becomes shared / empties.
-         * sharedQueueRatio must exceed the monitor's CONGESTED entry
-         * threshold for sharing to register.
-         */
-        double sharedQueueRatio = 4.0;
-        int congestionFeedSamples = 6;
-        int congestionClearSamples = 12;
-        std::uint64_t congestionSampleBytes = 1 * MiB;
-        /** @} */
     };
 
+    /**
+     * Throws FatalError on a single-GPU platform or on a fabric that
+     * FabricSpec::validate rejects, before any tenant runs.
+     */
     FleetSession(PlatformSpec platform, Options options);
 
     /** Same, with default Options (overload: a nested class's member
@@ -293,7 +280,6 @@ class FleetSession
     FleetReport serve(const std::vector<JobSpec> &jobs);
 
     StrategyElector &elector() { return _elector; }
-    const LinkHealthMonitor &health() const { return _monitor; }
     const PlatformSpec &platform() const { return _platform; }
     const Options &options() const { return _options; }
 
@@ -302,29 +288,11 @@ class FleetSession
     Options _options;
     StrategyElector _elector;
 
-    /**
-     * Fleet-level fabric bookkeeping: never carries tenant payload
-     * (each tenant simulates on its own private system), but its
-     * health monitor holds the cross-tenant congestion state that
-     * admission consults. The event queue only provides the
-     * monitor's clock; it is never run.
-     */
-    EventQueue _eq;
-    Interconnect _fabric;
-    LinkHealthMonitor _monitor;
-
-    /** Book @p samples observations at @p ratio on a plane's link. */
-    void feedPlane(const PlacementAllocator &allocator, int plane,
-                   int samples, double ratio);
-
     /** Execute one admitted tenant on its platform slice. */
     TenantRecord runTenant(const JobSpec &job,
                            const Placement &placement, Tick now,
                            int attempt, int first_iteration);
 };
-
-/** Monitor policy used for the fleet-level congestion state. */
-HealthPolicy fleetHealthPolicy();
 
 } // namespace proact::fleet
 

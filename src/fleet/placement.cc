@@ -3,6 +3,7 @@
 #include "sim/logging.hh"
 
 #include <algorithm>
+#include <utility>
 
 namespace proact::fleet {
 
@@ -175,18 +176,6 @@ PlacementAllocator::quarantinedGpus() const
             total += q ? 1 : 0;
     }
     return total;
-}
-
-std::pair<int, int>
-PlacementAllocator::planeRepLink(int plane) const
-{
-    const Plane &p = _planes.at(static_cast<std::size_t>(plane));
-    if (p.busy.size() < 2) {
-        // Single-GPU plane: no intra-plane link exists; point at the
-        // first cross-plane pair instead.
-        return {p.firstGpu, p.firstGpu == 0 ? 1 : 0};
-    }
-    return {p.firstGpu, p.firstGpu + 1};
 }
 
 } // namespace proact::fleet

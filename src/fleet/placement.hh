@@ -21,7 +21,6 @@
 #include "system/platform.hh"
 
 #include <optional>
-#include <utility>
 #include <vector>
 
 namespace proact::fleet {
@@ -105,13 +104,6 @@ class PlacementAllocator
 
     /** Free GPUs remaining on @p plane. */
     int freeGpusOnPlane(int plane) const;
-
-    /**
-     * Representative directed link of @p plane — its two lowest GPU
-     * ids — on which the fleet layer books congestion observations
-     * for the whole plane's port group.
-     */
-    std::pair<int, int> planeRepLink(int plane) const;
 
     PlacementMode mode() const { return _mode; }
 

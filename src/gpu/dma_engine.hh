@@ -60,9 +60,6 @@ class DmaEngine
      */
     void stall(Tick until) { _stalledUntil = std::max(_stalledUntil, until); }
 
-    /** Tick until which new copies are held back (0 = not stalled). */
-    Tick stalledUntil() const { return _stalledUntil; }
-
   private:
     EventQueue &_eq;
     Gpu &_gpu;

@@ -131,13 +131,6 @@ LinkHealthMonitor::ewmaLatency(int src, int dst) const
     return static_cast<Tick>(link(src, dst).ewmaLatency);
 }
 
-double
-LinkHealthMonitor::ewmaBandwidth(int src, int dst) const
-{
-    const Link &l = link(src, dst);
-    return l.ewmaFraction * nominalBandwidth(src, dst);
-}
-
 void
 LinkHealthMonitor::addListener(Listener listener)
 {

@@ -186,9 +186,6 @@ class LinkHealthMonitor : public LinkStateProvider
     /** EWMA wire service latency of a link (0 before any delivery). */
     Tick ewmaLatency(int src, int dst) const;
 
-    /** EWMA achieved bandwidth estimate (bytes/s), wire time only. */
-    double ewmaBandwidth(int src, int dst) const;
-
     /** EWMA of queueing delay over expected service time (0 = quiet). */
     double ewmaQueueRatio(int src, int dst) const;
 

@@ -4,6 +4,28 @@
 
 namespace proact {
 
+void
+FabricSpec::validate(int num_gpus) const
+{
+    if (num_gpus < 1)
+        fatalError("FabricSpec: need at least one GPU, got ", num_gpus);
+    if (!multiNode())
+        return;
+    if (topology != FabricTopology::PairwiseLinks) {
+        fatalError("FabricSpec: multi-node fabrics need PairwiseLinks "
+                   "(per-pair tier parameters)");
+    }
+    if (interLatency < latency) {
+        fatalError("FabricSpec: inter-node latency (", interLatency,
+                   ") below the intra-node latency (", latency,
+                   "): the network tier cannot be faster than the "
+                   "chassis tier");
+    }
+    if (interEgressRate() <= 0.0 && num_gpus > gpusPerNode)
+        fatalError("FabricSpec: multi-node fabric with zero inter-node "
+                   "bandwidth");
+}
+
 FabricSpec
 pcie3Fabric()
 {

@@ -117,6 +117,14 @@ struct FabricSpec
     {
         return egressRate() / static_cast<double>(saturationThreads);
     }
+
+    /**
+     * Reject (FatalError) a fabric that cannot connect @p num_gpus
+     * GPUs: no GPUs at all, or a multi-node tier that is not
+     * PairwiseLinks, is faster than the chassis tier, or has no
+     * bandwidth while the GPUs span more than one node.
+     */
+    void validate(int num_gpus) const;
 };
 
 /** PCIe 3.0 fabric of the 4x Kepler system (16 GB/s per GPU). */

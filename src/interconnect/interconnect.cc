@@ -16,25 +16,7 @@ Interconnect::Interconnect(EventQueue &eq, const FabricSpec &spec,
       _numGpus(num_gpus), _storeTransactions(num_gpus, 0),
       _deadDevice(static_cast<std::size_t>(num_gpus), 0)
 {
-    if (num_gpus < 1)
-        fatalError("Interconnect: need at least one GPU, got ",
-                   num_gpus);
-    if (spec.multiNode()) {
-        if (spec.topology != FabricTopology::PairwiseLinks) {
-            fatalError("Interconnect: multi-node fabrics need "
-                       "PairwiseLinks (per-pair tier parameters)");
-        }
-        if (spec.interLatency < spec.latency) {
-            fatalError("Interconnect: inter-node latency (",
-                       spec.interLatency, ") below the intra-node "
-                       "latency (", spec.latency,
-                       "): the network tier cannot be faster than "
-                       "the chassis tier");
-        }
-        if (spec.interEgressRate() <= 0.0 && num_gpus > spec.gpusPerNode)
-            fatalError("Interconnect: multi-node fabric with zero "
-                       "inter-node bandwidth");
-    }
+    spec.validate(num_gpus);
 
     _egress.reserve(num_gpus);
     _ingress.reserve(num_gpus);

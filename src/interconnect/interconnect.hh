@@ -148,6 +148,7 @@ class Interconnect
     /** Token identifying one registered delivery observer. */
     using ObserverHandle = std::uint64_t;
 
+    /** @throws FatalError when FabricSpec::validate rejects @p spec. */
     Interconnect(EventQueue &eq, const FabricSpec &spec, int num_gpus);
 
     /**
@@ -242,8 +243,6 @@ class Interconnect
     {
         _faultFilter = std::move(filter);
     }
-
-    bool hasFaultFilter() const { return _faultFilter != nullptr; }
 
     /** Deliveries the fault filter dropped so far. */
     std::uint64_t droppedDeliveries() const { return _droppedDeliveries; }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <sstream>
 
 namespace proact {
@@ -97,6 +98,21 @@ envDouble(const char *name, double fallback, double lo, double hi)
 
 } // namespace
 
+std::int64_t
+envInt(const char *name, std::int64_t fallback, std::int64_t lo,
+       std::int64_t hi)
+{
+    const char *env = std::getenv(name);
+    if (env == nullptr || *env == '\0')
+        return fallback;
+    char *end = nullptr;
+    // strtoll saturates on overflow, so a huge value clamps to hi.
+    const long long v = std::strtoll(env, &end, 10);
+    if (end == env)
+        return fallback;
+    return std::clamp<std::int64_t>(v, lo, hi);
+}
+
 bool
 envFaultsEnabled()
 {
@@ -112,9 +128,9 @@ envFaultPlan()
     if (!envFaultsEnabled())
         return plan;
 
-    const char *seed_env = std::getenv("PROACT_FAULT_SEED");
-    if (seed_env != nullptr && *seed_env != '\0')
-        plan.seed = std::strtoull(seed_env, nullptr, 10);
+    plan.seed = static_cast<std::uint64_t>(
+        envInt("PROACT_FAULT_SEED", static_cast<std::int64_t>(plan.seed),
+               0, std::numeric_limits<std::int64_t>::max()));
 
     const double drop =
         envDouble("PROACT_FAULT_DROP_RATE", 0.01, 0.0, 1.0);
@@ -280,8 +296,8 @@ envMultiNodePlatform(int gpus_per_node)
         0.0, 1e6);
     Tick latency = static_cast<Tick>(
         latency_us * static_cast<double>(ticksPerMicrosecond));
-    // The network tier is never faster than the chassis tier (the
-    // Interconnect rejects such a FabricSpec).
+    // The network tier is never faster than the chassis tier
+    // (FabricSpec::validate rejects such a fabric).
     if (latency < fabric.latency)
         latency = fabric.latency;
     fabric.interLatency = latency;
@@ -291,13 +307,8 @@ envMultiNodePlatform(int gpus_per_node)
 int
 envSimShards()
 {
-    const char *env = std::getenv("PROACT_SIM_SHARDS");
-    if (!env || !*env)
-        return 0;
-    const long v = std::strtol(env, nullptr, 10);
-    if (v <= 1)
-        return 0;
-    return static_cast<int>(std::min<long>(v, 64));
+    const auto v = static_cast<int>(envInt("PROACT_SIM_SHARDS", 0, 0, 64));
+    return v <= 1 ? 0 : v;
 }
 
 RetryPolicy
@@ -306,9 +317,8 @@ envRetryPolicy()
     RetryPolicy policy;
     policy.enabled = envFaultsEnabled();
 
-    const char *env = std::getenv("PROACT_RETRY_MAX_ATTEMPTS");
-    if (env != nullptr && *env != '\0')
-        policy.maxAttempts = std::clamp(std::atoi(env), 1, 16);
+    policy.maxAttempts = static_cast<int>(envInt(
+        "PROACT_RETRY_MAX_ATTEMPTS", policy.maxAttempts, 1, 16));
 
     // Reroute-aware retry defaults on whenever rerouting itself is
     // on: two lost attempts is exactly the streak that can flip a
@@ -316,12 +326,8 @@ envRetryPolicy()
     // retries overlap), so consulting the rerouter then is cheap and
     // never earlier than the health picture can change.
     if (envRerouteEnabled()) {
-        policy.rerouteAfterAttempts = 2;
-        const char *after = std::getenv("PROACT_RETRY_REROUTE_AFTER");
-        if (after != nullptr && *after != '\0') {
-            policy.rerouteAfterAttempts =
-                std::clamp(std::atoi(after), 0, 16);
-        }
+        policy.rerouteAfterAttempts = static_cast<int>(
+            envInt("PROACT_RETRY_REROUTE_AFTER", 2, 0, 16));
     }
     return policy;
 }

@@ -103,6 +103,14 @@ std::vector<std::uint64_t> chunkSizeSweep();
 /** Paper's studied transfer-thread sweep: 32 ... 8192. */
 std::vector<std::uint32_t> threadCountSweep();
 
+/**
+ * Integer knob @p name from the environment: @p fallback when it is
+ * unset, empty or does not start with a number, otherwise the value
+ * clamped to [lo, hi] (a number too large to parse clamps too).
+ */
+std::int64_t envInt(const char *name, std::int64_t fallback,
+                    std::int64_t lo, std::int64_t hi);
+
 /** @{ @name Environment-variable fault knobs
  *
  * Benchmarks enable fault injection without recompiling:

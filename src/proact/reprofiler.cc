@@ -127,7 +127,6 @@ AdaptiveReprofiler::refresh()
     const ProfileResult result = profiler.profile(*workload);
     _stats.inc("reprofile.candidates",
                static_cast<double>(result.entries.size()));
-    _lastSweepCost = result.sweepTicks;
     _stats.inc("reprofile.sweep_ticks",
                static_cast<double>(result.sweepTicks));
     if (_options.chargeTimeline)

@@ -69,11 +69,11 @@ class AdaptiveReprofiler
         /**
          * Charge each narrowed sweep's simulated cost (the sum of
          * its candidate measurements) to the live run's timeline:
-         * after a refresh the runtime stalls for lastSweepCost()
-         * ticks at the region boundary, exposing the
-         * adaptation-latency trade-off instead of re-profiling for
-         * free. Off by default (PROACT_REPROFILE_CHARGE enables it
-         * via env wiring); off preserves historical timings.
+         * after a refresh the runtime stalls for that cost at the
+         * region boundary, exposing the adaptation-latency
+         * trade-off instead of re-profiling for free. Off by default
+         * (PROACT_REPROFILE_CHARGE enables it via env wiring); off
+         * preserves historical timings.
          */
         bool chargeTimeline = false;
     };
@@ -120,9 +120,6 @@ class AdaptiveReprofiler
     /** Whether a link-state change awaits the next refresh(). */
     bool dirty() const { return _dirty; }
 
-    /** Simulated cost of the most recent narrowed sweep. */
-    Tick lastSweepCost() const { return _lastSweepCost; }
-
     /**
      * Sweep cost accrued since the last consume (non-zero only with
      * chargeTimeline). The runtime drains this at the region
@@ -152,7 +149,6 @@ class AdaptiveReprofiler
     Options _options;
     StatSet _stats;
     bool _dirty = false;
-    Tick _lastSweepCost = 0;
     Tick _pendingCharge = 0;
 
     Profiler::Options sweepOptions() const;

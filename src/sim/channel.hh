@@ -133,9 +133,6 @@ class Channel
     /** Effective service rate (nominal rate x fault scale). */
     double rate() const { return _nominalRate * _rateScale; }
 
-    /** Healthy service rate, unaffected by fault scaling. */
-    double nominalRate() const { return _nominalRate; }
-
     /** Change the nominal rate; affects only future submissions. */
     void setRate(double bytes_per_sec);
 
@@ -174,7 +171,6 @@ class Channel
 
     /** Fixed post-service delivery latency. */
     Tick latency() const { return _latency; }
-    void setLatency(Tick latency) { _latency = latency; }
 
     /** @{ @name Accumulated statistics */
     std::uint64_t numTransfers() const { return _numTransfers; }

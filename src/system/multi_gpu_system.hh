@@ -60,8 +60,6 @@ class Host
         return _nextFree;
     }
 
-    Tick opCost() const { return _opCost; }
-
   private:
     EventQueue &_eq;
     Tick _opCost;

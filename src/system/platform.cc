@@ -49,11 +49,8 @@ multiNodePlatform(int nodes, int gpus_per_node)
     fabric.interProtocol = inter.protocol;
     fabric.interPerGpuBidirBandwidth = inter.perGpuBidirBandwidth;
     fabric.interLatency = inter.latency;
-    if (fabric.interLatency < fabric.latency) {
-        fatalError("multiNodePlatform: inter-node latency below the "
-                   "intra-node latency");
-    }
     fabric.name = fabric.name + "+" + inter.name;
+    fabric.validate(nodes * gpus_per_node);
 
     PlatformSpec p{std::to_string(nodes) + "x" +
                        std::to_string(gpus_per_node) + " Volta",

@@ -178,6 +178,23 @@ TEST(ConfigEnv, FaultKnobsClampAndDefault)
         ScopedEnv attempts("PROACT_RETRY_MAX_ATTEMPTS", "3");
         EXPECT_EQ(envRetryPolicy().maxAttempts, 3);
     }
+    {
+        // Too large for any integer type: clamped, not wrapped.
+        ScopedEnv attempts("PROACT_RETRY_MAX_ATTEMPTS",
+                           "99999999999999999999");
+        EXPECT_EQ(envRetryPolicy().maxAttempts, 16);
+    }
+    {
+        // A value that does not parse keeps the default.
+        ScopedEnv reroute("PROACT_REROUTE", nullptr);
+        ScopedEnv attempts("PROACT_RETRY_MAX_ATTEMPTS", "abc");
+        ScopedEnv after("PROACT_RETRY_REROUTE_AFTER", "abc");
+        ScopedEnv seed("PROACT_FAULT_SEED", "abc");
+        const RetryPolicy policy = envRetryPolicy();
+        EXPECT_EQ(policy.maxAttempts, RetryPolicy{}.maxAttempts);
+        EXPECT_EQ(policy.rerouteAfterAttempts, 2);
+        EXPECT_EQ(envFaultPlan().seed, FaultPlan{}.seed);
+    }
 }
 
 TEST(ConfigEnv, NanNodesFallBackToOneNode)
@@ -211,6 +228,7 @@ TEST(ConfigEnv, SimShardsParsesAndClamps)
         {"4", 4},
         {"999", 64},
         {"-3", 0},
+        {"abc", 0},
     };
     for (const auto &[value, workers] : cases) {
         ScopedEnv env("PROACT_SIM_SHARDS", value);

@@ -334,13 +334,62 @@ TEST(FleetSessionTest, PlaneSharingContentionRaisesTenantP95)
     EXPECT_GT(FleetReport::percentile(shared_service, 95.0),
               FleetReport::percentile(exclusive_service, 95.0));
 
-    // ... and the fleet-level monitor saw the co-location: the
-    // shared planes were classified CONGESTED at admission time.
     EXPECT_GT(shared.admitted, 0u);
-    bool any_congestion_event = false;
-    for (const auto &t : shared_session.health().transitions())
-        any_congestion_event |= t.to == LinkState::Congested;
-    EXPECT_TRUE(any_congestion_event);
+}
+
+TEST(FleetSessionTest, ContendedPlaneDefersCoLocationUntilItEmpties)
+{
+    // Jobs 0 and 1 spread over the two planes; job 2 co-locates on
+    // plane 0, which makes it contended. Job 2 finishes before job 3
+    // arrives, so plane 0 is down to one tenant, but it stays
+    // contended until it empties: job 3 waits for job 0 to finish and
+    // then gets plane 0 to itself.
+    constexpr Tick us = ticksPerMicrosecond;
+    const std::vector<JobSpec> jobs = {
+        fixedJob(0, "Jacobi", 4), fixedJob(1, "Jacobi", 4),
+        fixedJob(2, "ALS", 4), fixedJob(3, "ALS", 4, 160 * us)};
+
+    FleetSession session(dgx2Platform());
+    const FleetReport report = session.serve(jobs);
+    ASSERT_EQ(report.tenants.size(), 4u);
+
+    // Tenants are reported in admission order.
+    const TenantRecord &first = report.tenants[0];
+    const TenantRecord &sharer = report.tenants[2];
+    const TenantRecord &late = report.tenants[3];
+    ASSERT_EQ(first.job.id, 0);
+    ASSERT_EQ(sharer.job.id, 2);
+    ASSERT_EQ(late.job.id, 3);
+
+    ASSERT_EQ(sharer.placement.planes, std::vector<int>{0});
+    ASSERT_EQ(sharer.placement.shareCount, 2);
+    ASSERT_LT(sharer.completion, jobs[3].arrival);
+    ASSERT_GT(first.completion, jobs[3].arrival);
+
+    EXPECT_EQ(report.deferredCongestion, 1u);
+    EXPECT_EQ(late.admitted, first.completion);
+    EXPECT_EQ(late.placement.planes, std::vector<int>{0});
+    EXPECT_EQ(late.placement.shareCount, 1);
+}
+
+TEST(FleetSessionTest, RejectsInvalidFabricsUpFront)
+{
+    // Every fabric the Interconnect rejects is rejected when the
+    // session is built, before any tenant runs.
+    const PlatformSpec good = multiNodePlatform(2, 16);
+    EXPECT_NO_THROW(FleetSession{good});
+
+    PlatformSpec fast_network = good;
+    fast_network.fabric.interLatency = good.fabric.latency - 1;
+    EXPECT_THROW(FleetSession{fast_network}, FatalError);
+
+    PlatformSpec no_network = good;
+    no_network.fabric.interPerGpuBidirBandwidth = 0.0;
+    EXPECT_THROW(FleetSession{no_network}, FatalError);
+
+    PlatformSpec shared_ports = good;
+    shared_ports.fabric.topology = FabricTopology::SharedPorts;
+    EXPECT_THROW(FleetSession{shared_ports}, FatalError);
 }
 
 TEST(FleetSessionTest, PriorityJumpsTheQueueUnderBackpressure)

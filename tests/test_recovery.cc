@@ -673,6 +673,13 @@ TEST(RecoveryEnv, PoliciesClampAndDefaultOff)
     EXPECT_EQ(rp.minGpus, 2);
     EXPECT_EQ(rp.maxAttempts, 16);
 
+    // A value that does not parse keeps the default.
+    setenv("PROACT_RECOVERY_MIN_GPUS", "abc", 1);
+    setenv("PROACT_RECOVERY_MAX_ATTEMPTS", "abc", 1);
+    const RecoveryPolicy garbled = envRecoveryPolicy();
+    EXPECT_EQ(garbled.minGpus, RecoveryPolicy{}.minGpus);
+    EXPECT_EQ(garbled.maxAttempts, RecoveryPolicy{}.maxAttempts);
+
     unsetenv("PROACT_CHECKPOINT");
     unsetenv("PROACT_CHECKPOINT_INTERVAL");
     unsetenv("PROACT_CHECKPOINT_COST_US");
