@@ -8,8 +8,10 @@
  * benches time its building blocks: event dispatch and cancellation
  * on the slab/4-ary-heap EventQueue, FIFO channel booking, R-MAT
  * graph generation, one timing-only PROACT run (the profiler's unit
- * of work), and one run through a baseboard loss under the adaptive
- * fault stack (the unit of work perfbench's faults workload repeats).
+ * of work), one run through a baseboard loss under the adaptive
+ * fault stack (the unit of work perfbench's faults workload repeats),
+ * and one cold fleet serve (election sweeps, tenant set-up and
+ * tenant runs, as perfbench's fleet workload serves them).
  * The committed perfbench baseline (sim.ns_per_event, simulate_s) is
  * the regression record for the event core.
  *
@@ -17,6 +19,8 @@
  */
 
 #include "faults/fault_plan.hh"
+#include "fleet/fleet_session.hh"
+#include "fleet/job.hh"
 #include "health/link_health.hh"
 #include "proact/runtime.hh"
 #include "sim/channel.hh"
@@ -179,6 +183,41 @@ BM_FaultedRun(benchmark::State &state)
     }
 }
 BENCHMARK(BM_FaultedRun)->Unit(benchmark::kMillisecond);
+
+void
+BM_FleetServe(benchmark::State &state)
+{
+    // A seeded 12-job stream of registry workloads served on the
+    // DGX-2 with up to two tenants per plane, on a fresh session per
+    // iteration: every election misses the empty cache, and each
+    // application's graph is built once for the session.
+    fleet::ArrivalModel model;
+    model.seed = 7;
+    model.numJobs = 12;
+    const std::vector<fleet::JobSpec> jobs =
+        fleet::generateJobStream(model);
+
+    fleet::FleetSession::Options options;
+    options.placement = fleet::PlacementMode::PlaneSharing;
+    options.maxTenantsPerPlane = 2;
+    options.chargeElections = false;
+
+    for (auto _ : state) {
+        fleet::FleetSession session(dgx2Platform(), options);
+        const fleet::FleetReport report = session.serve(jobs);
+        bool complete = report.tenants.size() == jobs.size();
+        for (const fleet::TenantRecord &t : report.tenants)
+            complete = complete && !t.run.aborted;
+        if (!complete) {
+            state.SkipWithError("fleet serve left a job incomplete");
+            break;
+        }
+        benchmark::DoNotOptimize(report.makespan);
+    }
+    state.SetItemsProcessed(state.iterations()
+                            * static_cast<std::int64_t>(jobs.size()));
+}
+BENCHMARK(BM_FleetServe)->Unit(benchmark::kMillisecond);
 
 } // namespace
 

@@ -9,8 +9,9 @@
 namespace proact::fleet {
 
 StrategyElector::StrategyElector(PlatformSpec platform,
-                                 Options options)
-    : _platform(std::move(platform)), _options(std::move(options))
+                                 Options options, GraphCache *graphs)
+    : _platform(std::move(platform)), _options(std::move(options)),
+      _graphs(graphs)
 {
 }
 
@@ -55,7 +56,8 @@ StrategyElector::elect(const std::string &workload, int gpus,
     opts.profileIterations = _options.profileIterations;
 
     Profiler profiler(slice, opts);
-    auto instance = makeWorkload(workload, _options.scaleShift);
+    auto instance =
+        makeWorkload(workload, _options.scaleShift, _graphs);
     instance->setup(gpus);
     const ProfileResult result = profiler.profile(*instance);
     _stats.inc("elect.candidates",

@@ -19,6 +19,7 @@
 #include "proact/reprofiler.hh"
 #include "sim/stats.hh"
 #include "system/platform.hh"
+#include "workloads/graph.hh"
 
 #include <map>
 #include <string>
@@ -70,7 +71,12 @@ class StrategyElector
         int scaleShift = 6;
     };
 
-    StrategyElector(PlatformSpec platform, Options options);
+    /**
+     * With @p graphs, the profiling instances take their input graphs
+     * from that cache, which must outlive the elector.
+     */
+    StrategyElector(PlatformSpec platform, Options options,
+                    GraphCache *graphs = nullptr);
 
     /** Same, with default Options (overload: a nested class's member
      * initializers cannot appear in a default argument). */
@@ -95,6 +101,7 @@ class StrategyElector
   private:
     PlatformSpec _platform;
     Options _options;
+    GraphCache *_graphs;
     StatSet _stats;
     std::map<std::string, Election> _cache;
 };

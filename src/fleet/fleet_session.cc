@@ -187,7 +187,7 @@ FleetReport::toJson(const std::string &platform_name,
 
 FleetSession::FleetSession(PlatformSpec platform, Options options)
     : _platform(std::move(platform)), _options(std::move(options)),
-      _elector(_platform, _options.elector)
+      _elector(_platform, _options.elector, &_graphs)
 {
     _platform.fabric.validate(_platform.numGpus);
     if (_platform.numGpus < 2)
@@ -223,7 +223,8 @@ FleetSession::runTenant(const JobSpec &job,
     slice.fabric.perGpuBidirBandwidth /=
         static_cast<double>(placement.shareCount);
 
-    auto workload = makeWorkload(job.workload, _options.scaleShift);
+    auto workload =
+        makeWorkload(job.workload, _options.scaleShift, &_graphs);
     workload->setFootprintScale(_options.footprintScale);
     workload->setup(job.gpus);
 

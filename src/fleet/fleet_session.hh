@@ -38,6 +38,7 @@
 #include "harness/session.hh"
 #include "interconnect/interconnect.hh"
 #include "proact/config.hh"
+#include "workloads/graph.hh"
 
 #include <functional>
 #include <map>
@@ -272,6 +273,10 @@ class FleetSession
      * initializers cannot appear in a default argument). */
     explicit FleetSession(PlatformSpec platform);
 
+    /** The elector holds the address of the session's graph cache. */
+    FleetSession(const FleetSession &) = delete;
+    FleetSession &operator=(const FleetSession &) = delete;
+
     /**
      * Serve the whole stream to completion and report. Callable
      * repeatedly; the election cache persists across calls (a second
@@ -283,9 +288,16 @@ class FleetSession
     const PlatformSpec &platform() const { return _platform; }
     const Options &options() const { return _options; }
 
+    /**
+     * Input graphs of the elector's profiling instances and of every
+     * tenant, each built once per session (DESIGN.md §10).
+     */
+    const GraphCache &graphs() const { return _graphs; }
+
   private:
     PlatformSpec _platform;
     Options _options;
+    GraphCache _graphs;
     StrategyElector _elector;
 
     /** Execute one admitted tenant on its platform slice. */

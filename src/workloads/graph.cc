@@ -91,10 +91,9 @@ buildCsr(std::int64_t num_vertices, const EdgeList &edges, Rng &rng,
     return g;
 }
 
-} // namespace
-
-Graph
-generateRmat(const RmatParams &params)
+/** Throw FatalError on parameters generateRmat must not run with. */
+void
+validateRmat(const RmatParams &params)
 {
     if (params.numVertices <= 0 || params.numEdges <= 0)
         fatalError("generateRmat: empty graph requested");
@@ -120,7 +119,14 @@ generateRmat(const RmatParams &params)
         fatalError("generateRmat: max edge weight must be at least 1, "
                    "got ", params.maxWeight);
     }
+}
 
+} // namespace
+
+Graph
+generateRmat(const RmatParams &params)
+{
+    validateRmat(params);
     const int scale = std::bit_width(
         static_cast<std::uint64_t>(params.numVertices)) - 1;
 
@@ -143,6 +149,27 @@ generateRmat(const RmatParams &params)
 
     return buildCsr(params.numVertices, edges, rng,
                     params.maxWeight);
+}
+
+std::shared_ptr<const Graph>
+GraphCache::get(const RmatParams &params)
+{
+    // Before the lookup: a NaN probability would break the map's
+    // ordering.
+    validateRmat(params);
+    if (const auto it = _graphs.find(params); it != _graphs.end())
+        return it->second;
+    auto graph = std::make_shared<const Graph>(generateRmat(params));
+    _graphs.emplace(params, graph);
+    return graph;
+}
+
+std::shared_ptr<const Graph>
+rmatGraph(const RmatParams &params, GraphCache *cache)
+{
+    if (cache != nullptr)
+        return cache->get(params);
+    return std::make_shared<const Graph>(generateRmat(params));
 }
 
 Graph

@@ -16,7 +16,10 @@
 
 #include "sim/random.hh"
 
+#include <compare>
 #include <cstdint>
+#include <map>
+#include <memory>
 #include <vector>
 
 namespace proact {
@@ -78,6 +81,12 @@ struct RmatParams
      * standard hash-partitioning practice real frameworks use).
      */
     bool shuffleVertices = true;
+
+    /**
+     * Field by field, so equal parameters key one GraphCache entry.
+     * The order is partial: a NaN probability compares unordered.
+     */
+    auto operator<=>(const RmatParams &) const = default;
 };
 
 /**
@@ -91,6 +100,39 @@ struct RmatParams
  * maxWeight >= 1.
  */
 Graph generateRmat(const RmatParams &params);
+
+/**
+ * R-MAT graphs shared by every workload built against one cache,
+ * keyed by their parameters. Each distinct input is generated once
+ * and stays alive as long as the cache does. A FleetSession owns one
+ * for its elector and its tenants; a cache is never process-wide
+ * (DESIGN.md §11). Not thread-safe: one thread uses a cache at a
+ * time.
+ */
+class GraphCache
+{
+  public:
+    /**
+     * The graph generateRmat(@p params) builds, generated on the
+     * first request for these parameters and shared afterwards.
+     * Throws FatalError, and caches nothing, on parameters
+     * generateRmat rejects; they are checked before the lookup.
+     */
+    std::shared_ptr<const Graph> get(const RmatParams &params);
+
+    /** Distinct graphs held. */
+    std::size_t size() const { return _graphs.size(); }
+
+  private:
+    std::map<RmatParams, std::shared_ptr<const Graph>> _graphs;
+};
+
+/**
+ * generateRmat(@p params) from @p cache when there is one, else a
+ * fresh graph the caller alone holds.
+ */
+std::shared_ptr<const Graph> rmatGraph(const RmatParams &params,
+                                       GraphCache *cache);
 
 /**
  * Uniform-degree ring-like graph (each vertex receives edges from

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 namespace proact {
 
@@ -16,59 +17,72 @@ JacobiWorkload::setup(int num_gpus)
     _numGpus = num_gpus;
 
     const std::int64_t n = _params.numUnknowns;
+    _bounds.resize(num_gpus + 1);
+    for (int p = 0; p <= num_gpus; ++p)
+        _bounds[p] = n * p / num_gpus;
+
+    // A fresh run starts from the seed's system and a zero iterate.
+    _numeric.reset();
+}
+
+JacobiWorkload::Numeric &
+JacobiWorkload::numeric() const
+{
+    if (_numeric)
+        return *_numeric;
+
+    const std::int64_t n = _params.numUnknowns;
     const int bw = bandWidth();
 
+    Numeric num;
     Rng rng(_params.seed);
-    _band.assign(static_cast<std::size_t>(n) * bw, 0.0);
-    _rhs.assign(n, 0.0);
+    num.band.assign(static_cast<std::size_t>(n) * bw, 0.0);
+    num.rhs.assign(n, 0.0);
     for (std::int64_t i = 0; i < n; ++i) {
         double off_sum = 0.0;
         for (int k = 0; k < bw; ++k) {
             if (k == _params.halfBand)
                 continue;
             const double v = rng.uniform() - 0.5;
-            _band[i * bw + k] = v;
+            num.band[i * bw + k] = v;
             off_sum += std::abs(v);
         }
         // Strict diagonal dominance guarantees Jacobi convergence.
-        _band[i * bw + _params.halfBand] = off_sum + 1.0
+        num.band[i * bw + _params.halfBand] = off_sum + 1.0
             + rng.uniform();
-        _rhs[i] = rng.uniform() * 2.0 - 1.0;
+        num.rhs[i] = rng.uniform() * 2.0 - 1.0;
     }
 
-    _xOld.assign(n, 0.0);
-    _xNew.assign(n, 0.0);
-
-    _bounds.resize(num_gpus + 1);
-    for (int p = 0; p <= num_gpus; ++p)
-        _bounds[p] = n * p / num_gpus;
-
-    _initialResidual = relativeResidual();
+    num.xOld.assign(n, 0.0);
+    num.xNew.assign(n, 0.0);
+    num.initialResidual = residualOf(num);
+    return _numeric.emplace(std::move(num));
 }
 
 double
-JacobiWorkload::rowUpdate(std::int64_t row) const
+JacobiWorkload::rowUpdate(const Numeric &num, std::int64_t row) const
 {
     const int bw = bandWidth();
     const int hb = _params.halfBand;
     const std::int64_t n = _params.numUnknowns;
-    const std::vector<double> &src = _xOld;
+    const std::vector<double> &src = num.xOld;
 
-    double acc = _rhs[row];
+    double acc = num.rhs[row];
     for (int k = 0; k < bw; ++k) {
         if (k == hb)
             continue;
         const std::int64_t j = row + k - hb;
         if (j < 0 || j >= n)
             continue;
-        acc -= _band[row * bw + k] * src[j];
+        acc -= num.band[row * bw + k] * src[j];
     }
-    return acc / _band[row * bw + hb];
+    return acc / num.band[row * bw + hb];
 }
 
 void
 JacobiWorkload::computeCta(int gpu, int cta)
 {
+    Numeric &num = numeric();
     const std::int64_t lo =
         _bounds[gpu] + static_cast<std::int64_t>(cta)
             * _params.rowsPerCta;
@@ -76,7 +90,7 @@ JacobiWorkload::computeCta(int gpu, int cta)
         std::min<std::int64_t>(lo + _params.rowsPerCta,
                                _bounds[gpu + 1]);
     for (std::int64_t row = lo; row < hi; ++row)
-        _xNew[row] = rowUpdate(row);
+        num.xNew[row] = rowUpdate(num, row);
 }
 
 CtaWork
@@ -109,10 +123,11 @@ JacobiWorkload::buildPhase(int iter)
     // Double buffering by iteration parity: iteration i reads the
     // buffer written by iteration i-1. The swap is performed here
     // (functionally free) so phase() stays idempotent for the
-    // profiler's timing-only replays.
-    if (iter > 0)
-        std::swap(_xOld, _xNew);
-    (void)iter;
+    // profiler's timing-only replays. Both iterates are zero until a
+    // functional CTA writes one, so skipping the swap while they do
+    // not exist yet changes nothing.
+    if (iter > 0 && _numeric)
+        std::swap(_numeric->xOld, _numeric->xNew);
 
     for (int g = 0; g < _numGpus; ++g) {
         const std::int64_t rows = _bounds[g + 1] - _bounds[g];
@@ -145,10 +160,16 @@ JacobiWorkload::buildPhase(int iter)
 double
 JacobiWorkload::relativeResidual() const
 {
+    return residualOf(numeric());
+}
+
+double
+JacobiWorkload::residualOf(const Numeric &num) const
+{
     const std::int64_t n = _params.numUnknowns;
     const int bw = bandWidth();
     const int hb = _params.halfBand;
-    const std::vector<double> &x = _xNew;
+    const std::vector<double> &x = num.xNew;
 
     double res2 = 0.0, rhs2 = 0.0;
     for (std::int64_t i = 0; i < n; ++i) {
@@ -157,11 +178,11 @@ JacobiWorkload::relativeResidual() const
             const std::int64_t j = i + k - hb;
             if (j < 0 || j >= n)
                 continue;
-            ax += _band[i * bw + k] * x[j];
+            ax += num.band[i * bw + k] * x[j];
         }
-        const double r = _rhs[i] - ax;
+        const double r = num.rhs[i] - ax;
         res2 += r * r;
-        rhs2 += _rhs[i] * _rhs[i];
+        rhs2 += num.rhs[i] * num.rhs[i];
     }
     return rhs2 > 0.0 ? std::sqrt(res2 / rhs2) : 0.0;
 }
@@ -171,7 +192,7 @@ JacobiWorkload::verify() const
 {
     const double res = relativeResidual();
     return std::isfinite(res) && res < 0.1
-        && res < _initialResidual;
+        && res < numeric().initialResidual;
 }
 
 } // namespace proact

@@ -17,6 +17,7 @@
 #include "workloads/workload.hh"
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 namespace proact {
@@ -54,23 +55,40 @@ class JacobiWorkload : public Workload
     /** Relative residual ||Ax - b|| / ||b|| of the current iterate. */
     double relativeResidual() const;
 
-    const std::vector<double> &solution() const { return _xOld; }
+    /**
+     * Whether the band, right-hand side and iterates exist. setup()
+     * computes only the row partition the footprints read; the
+     * numeric state is built from the seed on first functional use
+     * (a functional CTA, relativeResidual() or verify()), so
+     * timing-only runs never allocate the band.
+     */
+    bool numericStateBuilt() const { return _numeric.has_value(); }
 
   private:
+    /** The system and its iterates. */
+    struct Numeric
+    {
+        /** Band coefficients, row-major: row i at [i * bandWidth()]. */
+        std::vector<double> band;
+        std::vector<double> rhs;
+        std::vector<double> xOld;
+        std::vector<double> xNew;
+        double initialResidual = 0.0;
+    };
+
     Params _params;
 
-    /** Band coefficients, row-major: row i at [i * bandWidth()]. */
-    std::vector<double> _band;
-    std::vector<double> _rhs;
-    std::vector<double> _xOld;
-    std::vector<double> _xNew;
-    double _initialResidual = 0.0;
+    /** Built by numeric(), which const accessors call too. */
+    mutable std::optional<Numeric> _numeric;
 
     std::vector<std::int64_t> _bounds; ///< Row partition boundaries.
 
     int bandWidth() const { return 2 * _params.halfBand + 1; }
 
-    double rowUpdate(std::int64_t row) const;
+    /** The numeric state, built on the first call after setup(). */
+    Numeric &numeric() const;
+    double residualOf(const Numeric &num) const;
+    double rowUpdate(const Numeric &num, std::int64_t row) const;
     void computeCta(int gpu, int cta);
     CtaWork ctaFootprint(int gpu, int cta) const;
 };

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 namespace proact {
 
@@ -16,47 +17,60 @@ MbirWorkload::setup(int num_gpus)
     _numGpus = num_gpus;
 
     const std::int64_t n = _params.numPixels;
+    _bounds.resize(num_gpus + 1);
+    for (int p = 0; p <= num_gpus; ++p)
+        _bounds[p] = n * p / num_gpus;
+
+    // A fresh run starts from the seed's image and a zero iterate.
+    _numeric.reset();
+}
+
+MbirWorkload::Numeric &
+MbirWorkload::numeric() const
+{
+    if (_numeric)
+        return *_numeric;
+
+    const std::int64_t n = _params.numPixels;
     const int hb = _params.halfBand;
     const int bw = bandWidth();
 
     // Normalized Gaussian projection footprint: row sums of A are 1,
     // so ||A||_2 <= 1 and Landweber converges for alpha in (0, 2).
-    _weights.resize(bw);
+    Numeric num;
+    num.weights.resize(bw);
     double wsum = 0.0;
     for (int k = 0; k < bw; ++k) {
         const double d = k - hb;
-        _weights[k] = std::exp(-d * d / (2.0 * hb * hb / 4.0 + 1.0));
-        wsum += _weights[k];
+        num.weights[k] = std::exp(-d * d / (2.0 * hb * hb / 4.0 + 1.0));
+        wsum += num.weights[k];
     }
-    for (auto &w : _weights)
+    for (auto &w : num.weights)
         w /= wsum;
 
     // Piecewise-smooth ground-truth image.
     Rng rng(_params.seed);
-    _truth.assign(n, 0.0);
+    num.truth.assign(n, 0.0);
     double level = rng.uniform();
     for (std::int64_t i = 0; i < n; ++i) {
         if (rng.below(4096) == 0)
             level = rng.uniform();
-        _truth[i] = level;
+        num.truth[i] = level;
     }
 
-    _sino.resize(n);
+    num.sino.resize(n);
     for (std::int64_t j = 0; j < n; ++j)
-        _sino[j] = project(_truth, j);
+        num.sino[j] = project(num.weights, num.truth, j);
 
-    _xOld.assign(n, 0.0);
-    _xNew.assign(n, 0.0);
-
-    _bounds.resize(num_gpus + 1);
-    for (int p = 0; p <= num_gpus; ++p)
-        _bounds[p] = n * p / num_gpus;
-
-    _initialError = reconstructionError();
+    num.xOld.assign(n, 0.0);
+    num.xNew.assign(n, 0.0);
+    num.initialError = errorOf(num);
+    return _numeric.emplace(std::move(num));
 }
 
 double
-MbirWorkload::project(const std::vector<double> &img,
+MbirWorkload::project(const std::vector<double> &weights,
+                      const std::vector<double> &img,
                       std::int64_t j) const
 {
     const int hb = _params.halfBand;
@@ -66,7 +80,7 @@ MbirWorkload::project(const std::vector<double> &img,
         const std::int64_t i = j + k - hb;
         if (i < 0 || i >= n)
             continue;
-        acc += _weights[k] * img[i];
+        acc += weights[k] * img[i];
     }
     return acc;
 }
@@ -74,6 +88,7 @@ MbirWorkload::project(const std::vector<double> &img,
 void
 MbirWorkload::computeCta(int gpu, int cta)
 {
+    Numeric &num = numeric();
     const std::int64_t lo = _bounds[gpu]
         + static_cast<std::int64_t>(cta) * _params.pixelsPerCta;
     const std::int64_t hi =
@@ -87,8 +102,10 @@ MbirWorkload::computeCta(int gpu, int cta)
     const std::int64_t rlo = std::max<std::int64_t>(0, lo - hb);
     const std::int64_t rhi = std::min<std::int64_t>(n, hi + hb);
     std::vector<double> residual(rhi - rlo);
-    for (std::int64_t j = rlo; j < rhi; ++j)
-        residual[j - rlo] = _sino[j] - project(_xOld, j);
+    for (std::int64_t j = rlo; j < rhi; ++j) {
+        residual[j - rlo] =
+            num.sino[j] - project(num.weights, num.xOld, j);
+    }
 
     // Back-project: x_new[i] = x[i] + alpha * sum_j a_ji r_j.
     for (std::int64_t i = lo; i < hi; ++i) {
@@ -97,9 +114,9 @@ MbirWorkload::computeCta(int gpu, int cta)
             const std::int64_t j = i + hb - k;
             if (j < rlo || j >= rhi)
                 continue;
-            acc += _weights[k] * residual[j - rlo];
+            acc += num.weights[k] * residual[j - rlo];
         }
-        _xNew[i] = _xOld[i] + _params.stepSize * acc;
+        num.xNew[i] = num.xOld[i] + _params.stepSize * acc;
     }
 }
 
@@ -130,8 +147,10 @@ MbirWorkload::buildPhase(int iter)
     Phase p;
     p.perGpu.resize(_numGpus);
 
-    if (iter > 0)
-        std::swap(_xOld, _xNew);
+    // Both iterates are zero until a functional CTA writes one, so
+    // skipping the swap while they do not exist yet changes nothing.
+    if (iter > 0 && _numeric)
+        std::swap(_numeric->xOld, _numeric->xNew);
 
     for (int g = 0; g < _numGpus; ++g) {
         const std::int64_t pixels = _bounds[g + 1] - _bounds[g];
@@ -165,11 +184,12 @@ MbirWorkload::buildPhase(int iter)
 double
 MbirWorkload::relativeResidual() const
 {
+    const Numeric &num = numeric();
     double res2 = 0.0, y2 = 0.0;
     for (std::int64_t j = 0; j < _params.numPixels; ++j) {
-        const double r = _sino[j] - project(_xNew, j);
+        const double r = num.sino[j] - project(num.weights, num.xNew, j);
         res2 += r * r;
-        y2 += _sino[j] * _sino[j];
+        y2 += num.sino[j] * num.sino[j];
     }
     return y2 > 0.0 ? std::sqrt(res2 / y2) : 0.0;
 }
@@ -177,11 +197,17 @@ MbirWorkload::relativeResidual() const
 double
 MbirWorkload::reconstructionError() const
 {
+    return errorOf(numeric());
+}
+
+double
+MbirWorkload::errorOf(const Numeric &num) const
+{
     double e2 = 0.0, t2 = 0.0;
     for (std::int64_t i = 0; i < _params.numPixels; ++i) {
-        const double e = _xNew[i] - _truth[i];
+        const double e = num.xNew[i] - num.truth[i];
         e2 += e * e;
-        t2 += _truth[i] * _truth[i];
+        t2 += num.truth[i] * num.truth[i];
     }
     return t2 > 0.0 ? std::sqrt(e2 / t2) : 0.0;
 }
@@ -192,7 +218,7 @@ MbirWorkload::verify() const
     const double err = reconstructionError();
     const double res = relativeResidual();
     return std::isfinite(err) && std::isfinite(res)
-        && err < _initialError && res < 0.5;
+        && err < numeric().initialError && res < 0.5;
 }
 
 } // namespace proact

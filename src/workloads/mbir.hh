@@ -20,6 +20,7 @@
 #include "workloads/workload.hh"
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 namespace proact {
@@ -61,20 +62,42 @@ class MbirWorkload : public Workload
     /** Relative reconstruction error vs. the ground-truth image. */
     double reconstructionError() const;
 
+    /**
+     * Whether the projection kernel, image, sinogram and iterates
+     * exist. setup() computes only the pixel partition the
+     * footprints read; the numeric state is built from the seed on
+     * first functional use (a functional CTA, relativeResidual(),
+     * reconstructionError() or verify()), so timing-only runs never
+     * allocate it.
+     */
+    bool numericStateBuilt() const { return _numeric.has_value(); }
+
   private:
+    /** The reconstruction problem and its iterates. */
+    struct Numeric
+    {
+        std::vector<double> weights; ///< Normalized projection kernel.
+        std::vector<double> truth;
+        std::vector<double> sino;    ///< Measurements y = A truth.
+        std::vector<double> xOld;
+        std::vector<double> xNew;
+        double initialError = 0.0;
+    };
+
     Params _params;
 
-    std::vector<double> _weights; ///< Normalized projection kernel.
-    std::vector<double> _truth;
-    std::vector<double> _sino;    ///< Measurements y = A truth.
-    std::vector<double> _xOld;
-    std::vector<double> _xNew;
+    /** Built by numeric(), which const accessors call too. */
+    mutable std::optional<Numeric> _numeric;
+
     std::vector<std::int64_t> _bounds;
-    double _initialError = 0.0;
 
     int bandWidth() const { return 2 * _params.halfBand + 1; }
 
-    double project(const std::vector<double> &img,
+    /** The numeric state, built on the first call after setup(). */
+    Numeric &numeric() const;
+    double errorOf(const Numeric &num) const;
+    double project(const std::vector<double> &weights,
+                   const std::vector<double> &img,
                    std::int64_t j) const;
     void computeCta(int gpu, int cta);
     CtaWork ctaFootprint(int gpu, int cta) const;

@@ -14,11 +14,11 @@ PagerankWorkload::setup(int num_gpus)
         fatalError("PagerankWorkload: need at least one GPU");
     _numGpus = num_gpus;
 
-    _graph = generateRmat(_params.graph);
-    const std::int64_t n = _graph.numVertices;
+    _graph = rmatGraph(_params.graph, _graphs);
+    const std::int64_t n = _graph->numVertices;
     _rankOld.assign(n, 1.0 / static_cast<double>(n));
     _rankNew.assign(n, 0.0);
-    _bounds = partitionByEdges(_graph, num_gpus);
+    _bounds = partitionByEdges(*_graph, num_gpus);
 
     // Edge-balanced CTA assignment (hubs would otherwise serialize
     // whole kernels behind one monster CTA).
@@ -28,9 +28,9 @@ PagerankWorkload::setup(int num_gpus)
         const std::int64_t target_ctas = std::max<std::int64_t>(
             1, verts / _params.vertsPerCta);
         const std::int64_t edges =
-            _graph.edgesInRange(_bounds[g], _bounds[g + 1]);
+            _graph->edgesInRange(_bounds[g], _bounds[g + 1]);
         _ctaBounds[g] = balanceByWeight(
-            _graph.inOffsets, _bounds[g], _bounds[g + 1],
+            _graph->inOffsets, _bounds[g], _bounds[g + 1],
             std::max<std::int64_t>(1, edges / target_ctas),
             4 * _params.vertsPerCta);
     }
@@ -47,13 +47,13 @@ PagerankWorkload::computeCta(int gpu, int cta)
 {
     const auto [lo, hi] = ctaVerts(gpu, cta);
     const double base = (1.0 - _params.damping)
-        / static_cast<double>(_graph.numVertices);
+        / static_cast<double>(_graph->numVertices);
     for (std::int64_t v = lo; v < hi; ++v) {
         double acc = 0.0;
-        for (std::int64_t e = _graph.inOffsets[v];
-             e < _graph.inOffsets[v + 1]; ++e) {
-            const std::int32_t u = _graph.inNeighbors[e];
-            const std::int32_t deg = _graph.outDegree[u];
+        for (std::int64_t e = _graph->inOffsets[v];
+             e < _graph->inOffsets[v + 1]; ++e) {
+            const std::int32_t u = _graph->inNeighbors[e];
+            const std::int32_t deg = _graph->outDegree[u];
             if (deg > 0)
                 acc += _rankOld[u] / static_cast<double>(deg);
         }
@@ -67,7 +67,7 @@ PagerankWorkload::ctaFootprint(int gpu, int cta) const
     const auto [lo, hi] = ctaVerts(gpu, cta);
     const auto verts = static_cast<double>(hi - lo);
     const auto edges =
-        static_cast<double>(_graph.edgesInRange(lo, hi));
+        static_cast<double>(_graph->edgesInRange(lo, hi));
 
     CtaWork work;
     work.flops = 2.0 * edges + 2.0 * verts;
@@ -129,7 +129,7 @@ PagerankWorkload::verify() const
         max_rank = std::max(max_rank, r);
     }
     const double uniform =
-        1.0 / static_cast<double>(_graph.numVertices);
+        1.0 / static_cast<double>(_rankNew.size());
     return sum > 1.0 - _params.damping && sum <= 1.0 + 1e-9
         && max_rank > 2.0 * uniform;
 }

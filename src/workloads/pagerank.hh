@@ -20,6 +20,7 @@
 #include "workloads/workload.hh"
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 namespace proact {
@@ -37,7 +38,14 @@ class PagerankWorkload : public Workload
     };
 
     PagerankWorkload() : PagerankWorkload(Params{}) {}
-    explicit PagerankWorkload(Params params) : _params(params) {}
+
+    /**
+     * With @p graphs, setup() takes the graph from that cache, which
+     * must outlive the workload; without, it generates its own.
+     */
+    explicit PagerankWorkload(Params params, GraphCache *graphs = nullptr)
+        : _params(params), _graphs(graphs)
+    {}
 
     std::string name() const override { return "Pagerank"; }
     void setup(int num_gpus) override;
@@ -55,11 +63,13 @@ class PagerankWorkload : public Workload
     bool verify() const override;
 
     const std::vector<double> &ranks() const { return _rankNew; }
-    const Graph &graph() const { return _graph; }
+    /** The input graph; valid after setup(). */
+    const Graph &graph() const { return *_graph; }
 
   private:
     Params _params;
-    Graph _graph;
+    GraphCache *_graphs;
+    std::shared_ptr<const Graph> _graph;
     std::vector<double> _rankOld;
     std::vector<double> _rankNew;
     std::vector<std::int64_t> _bounds;

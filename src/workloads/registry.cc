@@ -19,7 +19,8 @@ standardWorkloadNames()
 }
 
 std::unique_ptr<Workload>
-makeWorkload(const std::string &name, int scale_shift)
+makeWorkload(const std::string &name, int scale_shift,
+             GraphCache *graphs)
 {
     const int s = std::clamp(scale_shift, 0, 8);
 
@@ -37,13 +38,13 @@ makeWorkload(const std::string &name, int scale_shift)
         PagerankWorkload::Params p;
         p.graph.numVertices >>= s;
         p.graph.numEdges >>= s;
-        return std::make_unique<PagerankWorkload>(p);
+        return std::make_unique<PagerankWorkload>(p, graphs);
     }
     if (name == "SSSP") {
         SsspWorkload::Params p;
         p.graph.numVertices >>= s;
         p.graph.numEdges >>= s;
-        return std::make_unique<SsspWorkload>(p);
+        return std::make_unique<SsspWorkload>(p, graphs);
     }
     if (name == "ALS") {
         AlsWorkload::Params p;
@@ -61,8 +62,12 @@ envScaleShift()
     const char *env = std::getenv("PROACT_SCALE_SHIFT");
     if (env == nullptr)
         return 0;
-    const int v = std::atoi(env);
-    return std::clamp(v, 0, 8);
+    char *end = nullptr;
+    // strtoll saturates on overflow, so a huge value clamps to 8.
+    const long long v = std::strtoll(env, &end, 10);
+    if (end == env)
+        return 0;
+    return static_cast<int>(std::clamp(v, 0LL, 8LL));
 }
 
 } // namespace proact

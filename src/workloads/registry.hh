@@ -11,6 +11,7 @@
 #ifndef PROACT_WORKLOADS_REGISTRY_HH
 #define PROACT_WORKLOADS_REGISTRY_HH
 
+#include "workloads/graph.hh"
 #include "workloads/workload.hh"
 
 #include <memory>
@@ -25,12 +26,19 @@ std::vector<std::string> standardWorkloadNames();
 /**
  * Create a workload by name ("X-ray CT", "Jacobi", "Pagerank",
  * "SSSP", "ALS") at standard size scaled down by 2^scale_shift.
+ * Pagerank and SSSP take their graph from @p graphs when given
+ * (it must outlive the workload).
  * @throws FatalError for unknown names.
  */
 std::unique_ptr<Workload> makeWorkload(const std::string &name,
-                                       int scale_shift = 0);
+                                       int scale_shift = 0,
+                                       GraphCache *graphs = nullptr);
 
-/** Scale shift from PROACT_SCALE_SHIFT (0 when unset/invalid). */
+/**
+ * Scale shift from PROACT_SCALE_SHIFT: 0 when unset or without
+ * digits, else the value clamped to [0, 8] (an overflowing value
+ * saturates first).
+ */
 int envScaleShift();
 
 } // namespace proact

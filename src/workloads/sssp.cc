@@ -19,15 +19,15 @@ SsspWorkload::setup(int num_gpus)
         fatalError("SsspWorkload: need at least one GPU");
     _numGpus = num_gpus;
 
-    _graph = generateRmat(_params.graph);
-    if (_params.source < 0 || _params.source >= _graph.numVertices)
+    _graph = rmatGraph(_params.graph, _graphs);
+    if (_params.source < 0 || _params.source >= _graph->numVertices)
         fatalError("SsspWorkload: source vertex out of range");
 
-    _distOld.assign(_graph.numVertices, inf);
-    _distNew.assign(_graph.numVertices, inf);
+    _distOld.assign(_graph->numVertices, inf);
+    _distNew.assign(_graph->numVertices, inf);
     _distOld[_params.source] = 0.0;
     _distNew[_params.source] = 0.0;
-    _bounds = partitionByEdges(_graph, num_gpus);
+    _bounds = partitionByEdges(*_graph, num_gpus);
 
     _ctaBounds.resize(num_gpus);
     for (int g = 0; g < num_gpus; ++g) {
@@ -35,9 +35,9 @@ SsspWorkload::setup(int num_gpus)
         const std::int64_t target_ctas = std::max<std::int64_t>(
             1, verts / _params.vertsPerCta);
         const std::int64_t edges =
-            _graph.edgesInRange(_bounds[g], _bounds[g + 1]);
+            _graph->edgesInRange(_bounds[g], _bounds[g + 1]);
         _ctaBounds[g] = balanceByWeight(
-            _graph.inOffsets, _bounds[g], _bounds[g + 1],
+            _graph->inOffsets, _bounds[g], _bounds[g + 1],
             std::max<std::int64_t>(1, edges / target_ctas),
             4 * _params.vertsPerCta);
     }
@@ -55,11 +55,11 @@ SsspWorkload::computeCta(int gpu, int cta)
     const auto [lo, hi] = ctaVerts(gpu, cta);
     for (std::int64_t v = lo; v < hi; ++v) {
         double best = _distOld[v];
-        for (std::int64_t e = _graph.inOffsets[v];
-             e < _graph.inOffsets[v + 1]; ++e) {
-            const std::int32_t u = _graph.inNeighbors[e];
+        for (std::int64_t e = _graph->inOffsets[v];
+             e < _graph->inOffsets[v + 1]; ++e) {
+            const std::int32_t u = _graph->inNeighbors[e];
             const double cand =
-                _distOld[u] + _graph.inWeights[e];
+                _distOld[u] + _graph->inWeights[e];
             best = std::min(best, cand);
         }
         _distNew[v] = best;
@@ -72,7 +72,7 @@ SsspWorkload::ctaFootprint(int gpu, int cta) const
     const auto [lo, hi] = ctaVerts(gpu, cta);
     const auto verts = static_cast<double>(hi - lo);
     const auto edges =
-        static_cast<double>(_graph.edgesInRange(lo, hi));
+        static_cast<double>(_graph->edgesInRange(lo, hi));
 
     CtaWork work;
     work.flops = 2.0 * edges;
@@ -123,16 +123,16 @@ SsspWorkload::buildPhase(int iter)
 std::vector<double>
 SsspWorkload::referenceDistances(int hops) const
 {
-    std::vector<double> dist(_graph.numVertices, inf);
-    std::vector<double> next(_graph.numVertices, inf);
+    std::vector<double> dist(_graph->numVertices, inf);
+    std::vector<double> next(_graph->numVertices, inf);
     dist[_params.source] = 0.0;
     for (int round = 0; round < hops; ++round) {
-        for (std::int64_t v = 0; v < _graph.numVertices; ++v) {
+        for (std::int64_t v = 0; v < _graph->numVertices; ++v) {
             double best = dist[v];
-            for (std::int64_t e = _graph.inOffsets[v];
-                 e < _graph.inOffsets[v + 1]; ++e) {
-                best = std::min(best, dist[_graph.inNeighbors[e]]
-                                          + _graph.inWeights[e]);
+            for (std::int64_t e = _graph->inOffsets[v];
+                 e < _graph->inOffsets[v + 1]; ++e) {
+                best = std::min(best, dist[_graph->inNeighbors[e]]
+                                          + _graph->inWeights[e]);
             }
             next[v] = best;
         }

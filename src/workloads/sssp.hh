@@ -19,6 +19,7 @@
 #include "workloads/workload.hh"
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 namespace proact {
@@ -36,7 +37,14 @@ class SsspWorkload : public Workload
     };
 
     SsspWorkload() : SsspWorkload(Params{}) {}
-    explicit SsspWorkload(Params params) : _params(params) {}
+
+    /**
+     * With @p graphs, setup() takes the graph from that cache, which
+     * must outlive the workload; without, it generates its own.
+     */
+    explicit SsspWorkload(Params params, GraphCache *graphs = nullptr)
+        : _params(params), _graphs(graphs)
+    {}
 
     std::string name() const override { return "SSSP"; }
     void setup(int num_gpus) override;
@@ -59,7 +67,8 @@ class SsspWorkload : public Workload
 
   private:
     Params _params;
-    Graph _graph;
+    GraphCache *_graphs;
+    std::shared_ptr<const Graph> _graph;
     std::vector<double> _distOld;
     std::vector<double> _distNew;
     std::vector<std::int64_t> _bounds;

@@ -140,7 +140,12 @@ class Workload
 
     virtual std::string name() const = 0;
 
-    /** Allocate and initialize data for a run on @p num_gpus GPUs. */
+    /**
+     * Prepare a run on @p num_gpus GPUs. Everything the footprints
+     * read is ready afterwards; state only the math reads may be
+     * built on first functional use instead, so that timing-only
+     * runs never pay for it.
+     */
     virtual void setup(int num_gpus) = 0;
 
     /** Bulk-synchronous iterations in one run. */

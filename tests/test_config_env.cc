@@ -75,6 +75,15 @@ TEST(ConfigEnv, ScaleShiftParsesAndClamps)
         ScopedEnv env("PROACT_SCALE_SHIFT", "garbage");
         EXPECT_EQ(envScaleShift(), 0);
     }
+    {
+        // Out of long long's range: saturates, then clamps.
+        ScopedEnv env("PROACT_SCALE_SHIFT", "99999999999999999999");
+        EXPECT_EQ(envScaleShift(), 8);
+    }
+    {
+        ScopedEnv env("PROACT_SCALE_SHIFT", "-99999999999999999999");
+        EXPECT_EQ(envScaleShift(), 0);
+    }
 }
 
 TEST(ConfigEnv, ScaledWorkloadsShrink)

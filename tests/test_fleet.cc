@@ -17,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
 #include <vector>
 
 using namespace proact;
@@ -230,6 +231,53 @@ TEST(FleetSessionTest, SecondServeElectsEntirelyFromCache)
               static_cast<std::uint64_t>(jobs.size()));
     for (const TenantRecord &t : second.tenants)
         EXPECT_TRUE(t.election.cacheHit);
+}
+
+TEST(FleetSessionTest, ElectorAndTenantsShareOneGraphPerApp)
+{
+    // Pagerank and SSSP tenants at 2, 4 and 8 GPUs: the first two
+    // take a plane each, the next two share those planes, and the
+    // rest arrive as planes drain.
+    constexpr Tick us = ticksPerMicrosecond;
+    const std::vector<JobSpec> jobs = {
+        fixedJob(0, "Pagerank", 4),
+        fixedJob(1, "SSSP", 4),
+        fixedJob(2, "SSSP", 2),
+        fixedJob(3, "Pagerank", 2),
+        fixedJob(4, "Pagerank", 8, 400 * us),
+        fixedJob(5, "SSSP", 8, 800 * us),
+        fixedJob(6, "SSSP", 2, 900 * us),
+        fixedJob(7, "Pagerank", 4, 900 * us)};
+
+    FleetSession session(dgx2Platform());
+    const FleetReport report = session.serve(jobs);
+    ASSERT_EQ(report.tenants.size(), jobs.size());
+
+    std::set<int> gpu_counts, shares;
+    for (const TenantRecord &t : report.tenants) {
+        gpu_counts.insert(t.job.gpus);
+        shares.insert(t.placement.shareCount);
+    }
+    EXPECT_GE(gpu_counts.size(), 2u);
+    EXPECT_EQ(shares, (std::set<int>{1, 2}));
+    EXPECT_GT(report.electionSweeps, 0u);
+
+    // One graph per application, shared by every election sweep and
+    // every tenant of it.
+    EXPECT_EQ(session.graphs().size(), 2u);
+
+    FleetSession fresh(dgx2Platform());
+    EXPECT_EQ(fresh.serve(jobs).toJson("dgx2", 0),
+              report.toJson("dgx2", 0));
+    EXPECT_EQ(fresh.graphs().size(), 2u);
+
+    // The elector's profiling instances draw from the same cache: at
+    // a scale shift of their own they add one graph per application.
+    FleetSession::Options split;
+    split.elector.scaleShift = split.scaleShift + 1;
+    FleetSession split_session(dgx2Platform(), split);
+    split_session.serve(jobs);
+    EXPECT_EQ(split_session.graphs().size(), 4u);
 }
 
 TEST(FleetSessionTest, DisjointPlacementIsolatesTenantFaults)

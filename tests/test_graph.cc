@@ -300,6 +300,117 @@ TEST(Graph, RmatRejectsInvalidParams)
     EXPECT_THROW(generateRmat(params), FatalError);
 }
 
+namespace {
+
+/** A graph small enough to build dozens of times per test. */
+RmatParams
+smallRmat()
+{
+    RmatParams params;
+    params.numVertices = 1 << 8;
+    params.numEdges = 1 << 11;
+    return params;
+}
+
+} // namespace
+
+TEST(GraphCache, EqualParamsShareOneGraph)
+{
+    GraphCache cache;
+    const auto first = cache.get(smallRmat());
+    const auto second = cache.get(smallRmat());
+    EXPECT_EQ(first.get(), second.get());
+    EXPECT_EQ(cache.size(), 1u);
+}
+
+TEST(GraphCache, EverySingleFieldChangeIsADistinctGraph)
+{
+    // One variant per RmatParams field, each valid on its own.
+    const std::vector<std::pair<const char *,
+                                void (*)(RmatParams &)>> variants = {
+        {"numVertices", [](RmatParams &p) { p.numVertices <<= 1; }},
+        {"numEdges", [](RmatParams &p) { p.numEdges <<= 1; }},
+        {"a", [](RmatParams &p) { p.a = 0.5; }},
+        {"b", [](RmatParams &p) { p.b = 0.2; }},
+        {"c", [](RmatParams &p) { p.c = 0.2; }},
+        {"seed", [](RmatParams &p) { ++p.seed; }},
+        {"maxWeight", [](RmatParams &p) { ++p.maxWeight; }},
+        {"shuffleVertices",
+         [](RmatParams &p) { p.shuffleVertices = !p.shuffleVertices; }},
+    };
+
+    GraphCache cache;
+    std::vector<const Graph *> seen = {cache.get(smallRmat()).get()};
+    for (const auto &[field, change] : variants) {
+        RmatParams params = smallRmat();
+        change(params);
+        const Graph *graph = cache.get(params).get();
+        for (const Graph *other : seen)
+            EXPECT_NE(graph, other) << field;
+        seen.push_back(graph);
+    }
+    EXPECT_EQ(cache.size(), variants.size() + 1);
+}
+
+TEST(GraphCache, CachedGraphEqualsAFreshBuild)
+{
+    GraphCache cache;
+    for (const bool shuffle : {true, false}) {
+        RmatParams params = smallRmat();
+        params.shuffleVertices = shuffle;
+        expectSameGraph(*cache.get(params), generateRmat(params));
+        // A hit returns the same contents.
+        expectSameGraph(*cache.get(params), generateRmat(params));
+    }
+    EXPECT_EQ(cache.size(), 2u);
+}
+
+TEST(GraphCache, RejectsInvalidParamsAndCachesNothing)
+{
+    RmatParams nan_a = smallRmat();
+    nan_a.a = std::numeric_limits<double>::quiet_NaN();
+    RmatParams no_weight = smallRmat();
+    no_weight.maxWeight = 0;
+    RmatParams odd_vertices = smallRmat();
+    odd_vertices.numVertices = 1000;
+
+    GraphCache cache;
+    for (const RmatParams &params : {nan_a, no_weight, odd_vertices}) {
+        EXPECT_THROW(cache.get(params), FatalError);
+        // A second request is checked again, not served from a slot
+        // the first left behind.
+        EXPECT_THROW(cache.get(params), FatalError);
+        EXPECT_EQ(cache.size(), 0u);
+    }
+    EXPECT_THROW(rmatGraph(nan_a, &cache), FatalError);
+    EXPECT_EQ(cache.size(), 0u);
+
+    // A NaN compares unordered with every key, so a lookup before
+    // the check would match the graph already cached.
+    cache.get(smallRmat());
+    EXPECT_THROW(cache.get(nan_a), FatalError);
+    EXPECT_EQ(cache.size(), 1u);
+}
+
+TEST(GraphCache, WorkloadsBuiltAgainstOneCacheShareTheirGraph)
+{
+    GraphCache cache;
+    PagerankWorkload::Params params;
+    params.graph = smallRmat();
+    PagerankWorkload first(params, &cache);
+    PagerankWorkload second(params, &cache);
+    first.setup(2);
+    second.setup(4);
+    EXPECT_EQ(&first.graph(), &second.graph());
+    EXPECT_EQ(cache.size(), 1u);
+
+    // Without a cache each workload builds its own, equal, graph.
+    PagerankWorkload own(params);
+    own.setup(2);
+    EXPECT_NE(&own.graph(), &first.graph());
+    expectSameGraph(own.graph(), first.graph());
+}
+
 TEST(Graph, PartitionByEdgesBalances)
 {
     RmatParams params;

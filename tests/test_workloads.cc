@@ -6,6 +6,8 @@
  */
 
 #include "baselines/runner.hh"
+#include "proact/profiler.hh"
+#include "proact/runtime.hh"
 #include "tests/small_workloads.hh"
 #include "workloads/registry.hh"
 
@@ -13,10 +15,24 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 
 using namespace proact;
 using namespace proact::test;
+
+/** Test name of a (workload, gpu count) case: "X_ray_CT_4gpu". */
+std::string
+appGpuName(
+    const ::testing::TestParamInfo<std::tuple<std::string, int>> &info)
+{
+    std::string name = std::get<0>(info.param);
+    for (auto &c : name) {
+        if (c == ' ' || c == '-')
+            c = '_';
+    }
+    return name + "_" + std::to_string(std::get<1>(info.param)) + "gpu";
+}
 
 /** Parameterized over (workload, gpu count). */
 class WorkloadProperty
@@ -119,15 +135,116 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values("X-ray CT", "Jacobi",
                                          "Pagerank", "SSSP", "ALS"),
                        ::testing::Values(1, 2, 4)),
-    [](const auto &info) {
-        std::string name = std::get<0>(info.param);
-        for (auto &c : name) {
-            if (c == ' ' || c == '-')
-                c = '_';
+    appGpuName);
+
+/**
+ * Jacobi and X-ray CT build their numeric state on first functional
+ * use; parameterized over (workload, gpu count).
+ */
+class DeferredNumericState : public WorkloadProperty
+{
+  protected:
+    PlatformSpec
+    platform() const
+    {
+        return voltaPlatform().withGpuCount(gpus);
+    }
+
+    bool
+    built(const Workload &w) const
+    {
+        if (const auto *jacobi = dynamic_cast<const JacobiWorkload *>(&w))
+            return jacobi->numericStateBuilt();
+        return dynamic_cast<const MbirWorkload &>(w).numericStateBuilt();
+    }
+
+    /** A small profiler sweep plus one timing-only run. */
+    void
+    profileAndTime(Workload &w) const
+    {
+        Profiler::Options options;
+        options.chunkSizes = {16 * KiB, 64 * KiB};
+        options.threadCounts = {256};
+        Profiler(platform(), options).profile(w);
+
+        MultiGpuSystem system(platform());
+        system.setFunctional(false);
+        ProactRuntime runtime(system, ProactRuntime::Options{});
+        runtime.run(w);
+    }
+
+    void
+    runFunctional(Workload &w) const
+    {
+        MultiGpuSystem system(platform());
+        IdealRuntime runtime(system);
+        runtime.run(w);
+    }
+
+    /** Every number a functional run leaves behind, as bits. */
+    std::vector<std::uint64_t>
+    outcome(const Workload &w) const
+    {
+        if (const auto *jacobi = dynamic_cast<const JacobiWorkload *>(&w)) {
+            return {std::bit_cast<std::uint64_t>(jacobi->relativeResidual()),
+                    jacobi->verify()};
         }
-        return name + "_" + std::to_string(std::get<1>(info.param))
-            + "gpu";
-    });
+        const auto &ct = dynamic_cast<const MbirWorkload &>(w);
+        return {std::bit_cast<std::uint64_t>(ct.relativeResidual()),
+                std::bit_cast<std::uint64_t>(ct.reconstructionError()),
+                ct.verify()};
+    }
+
+    /** What a fresh instance's functional run leaves behind. */
+    std::vector<std::uint64_t>
+    freshOutcome() const
+    {
+        auto fresh = makeSmallWorkload(std::get<0>(GetParam()));
+        fresh->setup(gpus);
+        runFunctional(*fresh);
+        return outcome(*fresh);
+    }
+};
+
+TEST_P(DeferredNumericState, TimingOnlyRunsLeaveItUnbuilt)
+{
+    EXPECT_FALSE(built(*workload));
+    profileAndTime(*workload);
+    EXPECT_FALSE(built(*workload));
+    runFunctional(*workload);
+    EXPECT_TRUE(built(*workload));
+}
+
+TEST_P(DeferredNumericState, ProfilingFirstLeavesFunctionalResultsBitwiseEqual)
+{
+    profileAndTime(*workload);
+    runFunctional(*workload);
+    const std::vector<std::uint64_t> got = outcome(*workload);
+    EXPECT_EQ(got, freshOutcome());
+    EXPECT_EQ(got.back(), 1u) << "the functional run verifies";
+}
+
+TEST_P(DeferredNumericState, SetupAfterAFunctionalRunStartsFresh)
+{
+    runFunctional(*workload);
+    workload->setup(gpus);
+    EXPECT_FALSE(built(*workload));
+    runFunctional(*workload);
+    EXPECT_EQ(outcome(*workload), freshOutcome());
+}
+
+TEST_P(DeferredNumericState, VerifyFailsBeforeAnyFunctionalRun)
+{
+    EXPECT_FALSE(workload->verify());
+    profileAndTime(*workload);
+    EXPECT_FALSE(workload->verify());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    DenseApps, DeferredNumericState,
+    ::testing::Combine(::testing::Values("X-ray CT", "Jacobi"),
+                       ::testing::Values(1, 2, 4)),
+    appGpuName);
 
 TEST(Workloads, JacobiConverges)
 {
