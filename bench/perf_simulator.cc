@@ -5,14 +5,14 @@
  * The profiler sweeps hundreds of transfer configurations per
  * application and the fleet elector re-runs narrowed sweeps on every
  * cache miss, so simulation throughput is a product feature. These
- * benches time its building blocks: event dispatch and cancellation
- * on the slab/4-ary-heap EventQueue, FIFO channel booking, R-MAT
- * graph generation, one timing-only PROACT run (the profiler's unit
- * of work), one run through a baseboard loss under the adaptive
- * fault stack (the unit of work perfbench's faults workload repeats),
- * and one cold fleet serve (election sweeps, tenant set-up and
- * tenant runs, as perfbench's fleet workload serves them).
- * The committed perfbench baseline (sim.ns_per_event, simulate_s) is
+ * benches time its building blocks: event dispatch, cancellation and
+ * steady-depth dispatch on the slab/4-ary-heap EventQueue, FIFO
+ * channel booking, R-MAT graph generation, one timing-only PROACT run
+ * (the profiler's unit of work), one run through a baseboard loss
+ * under the adaptive fault stack (the unit of work perfbench's faults
+ * workload repeats), and one cold fleet serve (election sweeps,
+ * tenant set-up and tenant runs, as perfbench's fleet workload serves
+ * them). The committed perfbench baseline (sim.ns_per_event, simulate_s) is
  * the regression record for the event core.
  *
  * Usage: perf_simulator [google-benchmark flags]
@@ -25,6 +25,7 @@
 #include "proact/runtime.hh"
 #include "sim/channel.hh"
 #include "sim/event_queue.hh"
+#include "sim/random.hh"
 #include "system/platform.hh"
 #include "workloads/graph.hh"
 #include "workloads/registry.hh"
@@ -71,6 +72,41 @@ BM_EventQueueCancel(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_EventQueueCancel)->Arg(1 << 16);
+
+/**
+ * Hold model: the queue keeps state.range(0) events pending, and each
+ * dispatch schedules one successor a seeded pseudo-random distance
+ * ahead, so every timed pop runs at a steady depth. (The dispatch
+ * bench above drains a pre-filled queue, whose depth falls to zero.)
+ */
+void
+BM_EventQueueHold(benchmark::State &state)
+{
+    struct Hold
+    {
+        EventQueue eq;
+        Rng rng{1};
+        long fired = 0;
+
+        void
+        fire()
+        {
+            ++fired;
+            eq.scheduleIn(1 + rng.below(1 << 20), [this] { fire(); });
+        }
+    } hold;
+    for (int i = 0; i < state.range(0); ++i) {
+        hold.eq.schedule(hold.rng.below(1 << 20),
+                         [&hold] { hold.fire(); });
+    }
+    for (auto _ : state)
+        hold.eq.runNext();
+    benchmark::DoNotOptimize(hold.fired);
+    state.SetItemsProcessed(state.iterations());
+}
+// The mean pending counts per pop of perfbench sweep (483) and
+// scaling (4,475).
+BENCHMARK(BM_EventQueueHold)->Arg(512)->Arg(4096);
 
 void
 BM_ChannelBooking(benchmark::State &state)

@@ -8,13 +8,6 @@
 
 namespace proact {
 
-void
-RetryingSender::bumpStat(const std::string &name)
-{
-    if (_stats)
-        _stats->inc(name);
-}
-
 std::string
 RetryingSender::label(const Interconnect::Request &req) const
 {
@@ -38,7 +31,7 @@ RetryingSender::replan(const Interconnect::Request &req,
     if (legs.size() == 1 && legs[0].direct())
         return false; // Nothing better than the path we are on.
 
-    bumpStat("transfers.replanned");
+    _replanned.inc();
     if (_trace) {
         _trace->record(_eq.curTick(), _eq.curTick(), "replan",
                        label(req) + " rerouted after attempt"
@@ -69,7 +62,7 @@ RetryingSender::attempt(const Interconnect::Request &req,
     // after a device loss instead of grinding through the backoff
     // ladder toward a fallback that would also be refused.
     if (_fabric.deviceDown(req.src) || _fabric.deviceDown(req.dst)) {
-        bumpStat("transfers.orphaned");
+        _orphaned.inc();
         return _eq.curTick();
     }
 
@@ -136,7 +129,7 @@ RetryingSender::onTimeout(const AttemptPtr &a)
     // The endpoint may have died while this attempt was on the
     // wire; orphan instead of escalating (see attempt()).
     if (_fabric.deviceDown(req.src) || _fabric.deviceDown(req.dst)) {
-        bumpStat("transfers.orphaned");
+        _orphaned.inc();
         return;
     }
     if (a->number >= _policy.maxAttempts) {
@@ -152,7 +145,7 @@ RetryingSender::onTimeout(const AttemptPtr &a)
         && replan(req, a->number)) {
         return;
     }
-    bumpStat("transfers.retried");
+    _retried.inc();
     Interconnect::Request again = req;
     again.notBefore = _eq.curTick() + _policy.backoff(a->number);
     attempt(again, a->number + 1, a->replanned);
@@ -162,8 +155,8 @@ void
 RetryingSender::fallback(const Interconnect::Request &req,
                          Tick first_submit)
 {
-    bumpStat("transfers.abandoned");
-    bumpStat("fallback.activations");
+    _abandoned.inc();
+    _fallbacks.inc();
 
     // Degraded mode: hand the payload to the hardware-reliable bulk
     // path (engine granularity, no thread cap) — the same guarantee

@@ -102,8 +102,12 @@ class RetryingSender
     RetryingSender(EventQueue &eq, Interconnect &fabric,
                    RetryPolicy policy, StatSet *stats = nullptr,
                    Trace *trace = nullptr)
-        : _eq(eq), _fabric(fabric), _policy(policy), _stats(stats),
-          _trace(trace)
+        : _eq(eq), _fabric(fabric), _policy(policy), _trace(trace),
+          _retried(stats, "transfers.retried"),
+          _replanned(stats, "transfers.replanned"),
+          _abandoned(stats, "transfers.abandoned"),
+          _orphaned(stats, "transfers.orphaned"),
+          _fallbacks(stats, "fallback.activations")
     {
     }
 
@@ -136,9 +140,16 @@ class RetryingSender
     EventQueue &_eq;
     Interconnect &_fabric;
     RetryPolicy _policy;
-    StatSet *_stats;
     Trace *_trace;
     Rerouter *_rerouter = nullptr;
+
+    /** @{ The stats listed in the class comment. */
+    StatSet::Counter _retried;
+    StatSet::Counter _replanned;
+    StatSet::Counter _abandoned;
+    StatSet::Counter _orphaned;
+    StatSet::Counter _fallbacks;
+    /** @} */
 
     /** Outstanding-attempt count. */
     std::uint64_t _inFlight = 0;
@@ -179,7 +190,6 @@ class RetryingSender
     bool replan(const Interconnect::Request &req, int attempt_no);
 
     void fallback(const Interconnect::Request &req, Tick first_submit);
-    void bumpStat(const std::string &name);
     std::string label(const Interconnect::Request &req) const;
 };
 

@@ -118,9 +118,9 @@ Gpu::startCta(int cta)
 
     const Tick compute_done = _eq.curTick() + ctaComputeTicks(work);
 
-    stats.inc("ctas");
-    stats.inc("flops", work.flops);
-    stats.inc("local_bytes", static_cast<double>(work.localBytes));
+    _ctas.inc();
+    _flops.inc(work.flops);
+    _localBytes.inc(static_cast<double>(work.localBytes));
 
     // The CTA retires once both its compute stream and its memory
     // traffic (drained by the shared HBM channel) have finished;
@@ -146,7 +146,7 @@ Gpu::ctaComputeDone(int cta)
         // First thread of the CTA decrements the readiness counter;
         // the CTA retires once the atomic round-trip completes, so
         // atomic-unit saturation slows tracking-heavy kernels.
-        stats.inc("tracking_atomics");
+        _trackingAtomics.inc();
         _atomicUnit->submit(1, 1, [this, cta] { ctaFinished(cta); });
     } else {
         ctaFinished(cta);

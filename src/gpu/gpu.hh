@@ -43,6 +43,10 @@ class Gpu
   public:
     Gpu(EventQueue &eq, const GpuSpec &spec, int id);
 
+    // Counters below point into stats' map nodes.
+    Gpu(const Gpu &) = delete;
+    Gpu &operator=(const Gpu &) = delete;
+
     int id() const { return _id; }
     const GpuSpec &spec() const { return _spec; }
     EventQueue &eventQueue() { return _eq; }
@@ -111,6 +115,13 @@ class Gpu
     std::unique_ptr<ActiveKernel> _running;
     Tick _kernelStart = 0;
     Trace *_trace = nullptr;
+
+    /** @{ Per-CTA statistics. */
+    StatSet::Counter _ctas{&stats, "ctas"};
+    StatSet::Counter _flops{&stats, "flops"};
+    StatSet::Counter _localBytes{&stats, "local_bytes"};
+    StatSet::Counter _trackingAtomics{&stats, "tracking_atomics"};
+    /** @} */
 
     void startNextKernel();
     void beginKernel();

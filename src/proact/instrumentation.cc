@@ -37,8 +37,10 @@ instrumentDecoupled(const KernelDesc &kernel,
     launch.onComplete = std::move(on_complete);
 
     launch.onCtaComplete = [regions = std::move(regions), &agent,
-                            &gpu, stats, hardware,
-                            atomic_fanout](int cta) {
+                            &gpu, hardware, atomic_fanout,
+                            decrement_stat = StatSet::Counter(
+                                stats, "counter_decrements")](
+                               int cta) mutable {
         std::vector<int> ready;
         std::uint64_t decrements = 0;
         for (const auto &region : regions) {
@@ -51,11 +53,8 @@ instrumentDecoupled(const KernelDesc &kernel,
                                  region.tracker->chunkSize(chunk));
             }
         }
-        if (stats) {
-            stats->inc("counter_decrements",
-                       static_cast<double>(decrements)
+        decrement_stat.inc(static_cast<double>(decrements)
                            * static_cast<double>(atomic_fanout));
-        }
         if (!hardware) {
             // The first decrement's latency is already modeled by
             // the instrumented CTA retirement; the remaining real
@@ -113,8 +112,11 @@ instrumentInline(const GpuPhaseWork &work, MultiGpuSystem &system,
     launch.onComplete = std::move(on_complete);
 
     launch.onCtaComplete = [&system, gpu_id, store_bytes,
-                            elide_transfers, on_delivered, stats,
-                            outputs, sender](int cta) {
+                            elide_transfers, on_delivered, outputs,
+                            sender,
+                            store_stat = StatSet::Counter(
+                                stats, "inline_store_bytes")](
+                               int cta) mutable {
         auto &eq = system.eventQueue();
         std::uint64_t total_bytes = 0;
 
@@ -149,11 +151,8 @@ instrumentInline(const GpuPhaseWork &work, MultiGpuSystem &system,
                     system.fabric().transfer(req);
             }
         }
-        if (stats) {
-            stats->inc("inline_store_bytes",
-                       static_cast<double>(total_bytes)
-                           * (system.numGpus() - 1));
-        }
+        store_stat.inc(static_cast<double>(total_bytes)
+                       * (system.numGpus() - 1));
     };
     return launch;
 }

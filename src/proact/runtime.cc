@@ -173,7 +173,9 @@ ProactRuntime::runPhase(const Phase &phase,
     Tick kernels_done = 0;
     Tick last_delivery = 0;
     std::uint64_t delivered_bytes = 0;
-    const double orphaned_before = _stats.get("transfers.orphaned");
+    // Read before every event the watchdog drain dispatches.
+    const StatSet::Counter orphaned_stat(&_stats, "transfers.orphaned");
+    const double orphaned_before = orphaned_stat.value();
     const std::uint64_t refused_before =
         _system.fabric().refusedDeliveries();
 
@@ -287,7 +289,7 @@ ProactRuntime::runPhase(const Phase &phase,
         // drains at their proper ticks.
         auto accounted = [&] {
             const auto orphaned = static_cast<std::uint64_t>(
-                _stats.get("transfers.orphaned") - orphaned_before);
+                orphaned_stat.value() - orphaned_before);
             const std::uint64_t refused =
                 _system.fabric().refusedDeliveries() - refused_before;
             return kernels_remaining == 0
@@ -312,7 +314,7 @@ ProactRuntime::runPhase(const Phase &phase,
     // invariants hold as ever.
     if (!_system.anyDeviceLost()) {
         const auto orphaned = static_cast<std::uint64_t>(
-            _stats.get("transfers.orphaned") - orphaned_before);
+            orphaned_stat.value() - orphaned_before);
         if (seen_deliveries + orphaned != expected_deliveries)
             panicError("ProactRuntime: expected ",
                        expected_deliveries, " deliveries, saw ",

@@ -8,13 +8,6 @@
 
 namespace proact {
 
-void
-TransferAgent::bumpStat(const std::string &name, double delta)
-{
-    if (_ctx.stats)
-        _ctx.stats->inc(name, delta);
-}
-
 Tick
 TransferAgent::pushToPeers(std::uint64_t bytes, Tick not_before,
                            std::uint32_t threads)
@@ -69,9 +62,8 @@ TransferAgent::pushToPeers(std::uint64_t bytes, Tick not_before,
         }
     }
 
-    bumpStat("chunks_pushed");
-    bumpStat("bytes_pushed",
-             static_cast<double>(bytes) * (system.numGpus() - 1));
+    _chunksPushed.inc();
+    _bytesPushed.inc(static_cast<double>(bytes) * (system.numGpus() - 1));
     return last;
 }
 
@@ -108,7 +100,7 @@ PollingAgent::chunkReady(int /*chunk*/, std::uint64_t bytes)
     // The producer sets the chunk's bitmap bit; the polling kernel
     // discovers it on its next bitmap scan.
     _pendingBytes.push_back(bytes);
-    bumpStat("bitmap_sets");
+    _bitmapSets.inc();
     schedulePoll();
 }
 
@@ -131,7 +123,7 @@ void
 PollingAgent::poll()
 {
     _pollScheduled = false;
-    bumpStat("polls");
+    _polls.inc();
     while (!_pendingBytes.empty()) {
         const std::uint64_t bytes = _pendingBytes.front();
         _pendingBytes.pop_front();
@@ -181,7 +173,7 @@ CdpAgent::dispatch(std::uint64_t bytes, bool windowed)
     auto &gpu = system.gpu(_ctx.gpuId);
     const GpuSpec &spec = gpu.spec();
 
-    bumpStat("cdp_launches");
+    _cdpLaunches.inc();
 
     // Dynamic launches serialize through the device runtime's launch
     // engine (one every cdpLaunchLatency), and the child kernel
@@ -209,7 +201,7 @@ CdpAgent::dispatch(std::uint64_t bytes, bool windowed)
 void
 HardwareAgent::chunkReady(int /*chunk*/, std::uint64_t bytes)
 {
-    bumpStat("hw_triggers");
+    _hwTriggers.inc();
     // Dedicated engine: descriptor prepared in advance, trigger fires
     // without SM or driver involvement.
     pushToPeers(bytes, queue().curTick() + triggerLatency, 0);

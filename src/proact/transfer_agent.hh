@@ -105,13 +105,15 @@ class TransferAgent
     Tick pushToPeers(std::uint64_t bytes, Tick not_before,
                      std::uint32_t threads);
 
-    void bumpStat(const std::string &name, double delta = 1.0);
-
     /** The system's event queue. */
     EventQueue &queue() const { return _ctx.system->eventQueue(); }
 
     Context _ctx;
     RetryingSender _sender;
+
+  private:
+    StatSet::Counter _chunksPushed{_ctx.stats, "chunks_pushed"};
+    StatSet::Counter _bytesPushed{_ctx.stats, "bytes_pushed"};
 };
 
 /** Persistent polling kernel (warp-specialized transfer loop). */
@@ -157,6 +159,9 @@ class PollingAgent : public TransferAgent
     std::deque<std::uint64_t> _pendingBytes;
     bool _pollScheduled = false;
 
+    StatSet::Counter _bitmapSets{_ctx.stats, "bitmap_sets"};
+    StatSet::Counter _polls{_ctx.stats, "polls"};
+
     void schedulePoll();
     void poll();
 };
@@ -191,6 +196,7 @@ class CdpAgent : public TransferAgent
     std::deque<std::uint64_t> _pendingBytes;
     int _active = 0;
     Tick _launchEngineFree = 0;
+    StatSet::Counter _cdpLaunches{_ctx.stats, "cdp_launches"};
 
     void tryLaunch();
     void dispatch(std::uint64_t bytes, bool windowed);
@@ -213,6 +219,9 @@ class HardwareAgent : public TransferAgent
 
     /** Trigger-to-transfer latency of the hardware engine. */
     static constexpr Tick triggerLatency = 100 * ticksPerNanosecond;
+
+  private:
+    StatSet::Counter _hwTriggers{_ctx.stats, "hw_triggers"};
 };
 
 /** Factory for the decoupled mechanisms (Inline has no agent). */

@@ -1,6 +1,5 @@
 #include "sim/event_queue.hh"
 
-#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
@@ -45,42 +44,61 @@ EventQueue::freeSlot(std::uint32_t slot)
 void
 EventQueue::heapPush(HeapNode node)
 {
+    std::size_t hole = _heap.size();
     _heap.push_back(node);
-    std::size_t i = _heap.size() - 1;
-    while (i > 0) {
-        const std::size_t parent = (i - 1) / HeapArity;
-        if (!before(_heap[i], _heap[parent]))
+    HeapNode *const heap = _heap.data();
+    while (hole > 0) {
+        const std::size_t parent = (hole - 1) / HeapArity;
+        if (!before(node, heap[parent]))
             break;
-        std::swap(_heap[i], _heap[parent]);
-        i = parent;
+        heap[hole] = heap[parent];
+        hole = parent;
     }
+    heap[hole] = node;
+}
+
+void
+EventQueue::siftDown(std::size_t hole, HeapNode node)
+{
+    HeapNode *const heap = _heap.data();
+    const std::size_t n = _heap.size();
+    for (;;) {
+        const std::size_t first = hole * HeapArity + 1;
+        std::size_t best;
+        if (first + HeapArity <= n) {
+            // Two pairwise minima, then the lesser of them: the
+            // comparison results become index arithmetic and a
+            // conditional move, so no branch depends on which child
+            // wins.
+            const std::size_t lo =
+                first + before(heap[first + 1], heap[first]);
+            const std::size_t hi =
+                first + 2 + before(heap[first + 3], heap[first + 2]);
+            best = before(heap[hi], heap[lo]) ? hi : lo;
+        } else if (first < n) {
+            best = first; // The last parent may have 1-3 children.
+            for (std::size_t c = first + 1; c < n; ++c) {
+                if (before(heap[c], heap[best]))
+                    best = c;
+            }
+        } else {
+            break;
+        }
+        if (!before(heap[best], node))
+            break;
+        heap[hole] = heap[best];
+        hole = best;
+    }
+    heap[hole] = node;
 }
 
 void
 EventQueue::heapPop()
 {
-    _heap.front() = _heap.back();
+    const HeapNode last = _heap.back();
     _heap.pop_back();
-    if (_heap.empty())
-        return;
-
-    const std::size_t n = _heap.size();
-    std::size_t i = 0;
-    for (;;) {
-        const std::size_t first = i * HeapArity + 1;
-        if (first >= n)
-            break;
-        std::size_t best = first;
-        const std::size_t last = std::min(first + HeapArity, n);
-        for (std::size_t c = first + 1; c < last; ++c) {
-            if (before(_heap[c], _heap[best]))
-                best = c;
-        }
-        if (!before(_heap[best], _heap[i]))
-            break;
-        std::swap(_heap[i], _heap[best]);
-        i = best;
-    }
+    if (!_heap.empty())
+        siftDown(0, last);
 }
 
 void
@@ -88,25 +106,8 @@ EventQueue::heapify()
 {
     if (_heap.size() <= 1)
         return;
-    const std::size_t n = _heap.size();
-    for (std::size_t i = (n - 2) / HeapArity + 1; i-- > 0;) {
-        std::size_t j = i;
-        for (;;) {
-            const std::size_t first = j * HeapArity + 1;
-            if (first >= n)
-                break;
-            std::size_t best = first;
-            const std::size_t last = std::min(first + HeapArity, n);
-            for (std::size_t c = first + 1; c < last; ++c) {
-                if (before(_heap[c], _heap[best]))
-                    best = c;
-            }
-            if (!before(_heap[best], _heap[j]))
-                break;
-            std::swap(_heap[j], _heap[best]);
-            j = best;
-        }
-    }
+    for (std::size_t i = (_heap.size() - 2) / HeapArity + 1; i-- > 0;)
+        siftDown(i, _heap[i]);
 }
 
 void
@@ -130,6 +131,10 @@ EventQueue::schedule(Tick when, Callback cb, int priority)
 {
     if (when < _curTick)
         throw std::logic_error("EventQueue: scheduling into the past");
+    if (priority < minPriority || priority > maxPriority)
+        throw std::logic_error("EventQueue: priority outside [-128, 127]");
+    // 2^56 events at one per nanosecond would take over two years.
+    assert(_nextSeq < (std::uint64_t(1) << SeqBits));
 
     const std::uint32_t slot = allocSlot();
     Slot &s = _slots[slot];
@@ -137,8 +142,8 @@ EventQueue::schedule(Tick when, Callback cb, int priority)
     s.pending = true;
 
     const EventId id = makeId(slot, s.gen);
-    heapPush(HeapNode{when, _nextSeq++, id,
-                      static_cast<std::int32_t>(priority)});
+    const auto biased = static_cast<std::uint64_t>(priority - minPriority);
+    heapPush(HeapNode{when, (biased << SeqBits) | _nextSeq++, id});
     ++_liveEvents;
     assertBookkeeping();
     return id;

@@ -15,9 +15,12 @@
  *  - Entries live in a slab: a flat slot vector recycled through a
  *    freelist, no per-event heap allocation and no shared_ptr control
  *    blocks.
- *  - The ready structure is a 4-ary heap of 32-byte plain-old-data
- *    nodes keyed (tick, priority, seq) — shallower than a binary heap
- *    and cache-friendly (a parent's four children share a line).
+ *  - The ready structure is a 4-ary heap of 24-byte plain-old-data
+ *    nodes keyed (tick, priority, seq): the tick, then one order word
+ *    packing the biased priority above the sequence number, so a key
+ *    comparison is a single 128-bit compare. The heap is shallower
+ *    than a binary one, picks the least of four children without
+ *    branching, and sifts by moving a hole instead of swapping.
  *  - EventIds carry a generation counter, so deschedule() is an O(1)
  *    slot probe with no hash map; stale ids (fired, cancelled, or
  *    recycled slots) are rejected by the generation check.
@@ -35,6 +38,7 @@
 #include "sim/types.hh"
 
 #include <cassert>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -62,6 +66,11 @@ class EventQueue
   public:
     using Callback = SmallFn<void()>;
 
+    /** @{ Range of schedule()'s priority (it is packed into 8 bits). */
+    static constexpr int minPriority = -128;
+    static constexpr int maxPriority = 127;
+    /** @} */
+
     EventQueue() = default;
     EventQueue(const EventQueue &) = delete;
     EventQueue &operator=(const EventQueue &) = delete;
@@ -74,8 +83,11 @@ class EventQueue
      *
      * @param when Absolute tick; must be >= curTick().
      * @param cb Callback invoked when the event fires.
-     * @param priority Lower values run first among same-tick events.
+     * @param priority Lower values run first among same-tick events;
+     *        must lie in [minPriority, maxPriority].
      * @return Handle usable with deschedule().
+     * @throws std::logic_error if @p when is in the past or
+     *         @p priority is out of range.
      */
     EventId schedule(Tick when, Callback cb, int priority = 0);
 
@@ -140,13 +152,19 @@ class EventQueue
         bool pending = false;
     };
 
-    /** Heap node: ordering key + validating id, no indirection. */
+    /** Sequence numbers fill the order word below the priority. */
+    static constexpr unsigned SeqBits = 56;
+
+    /**
+     * Heap node: ordering key + validating id, no indirection. The
+     * order word is (priority - minPriority) << SeqBits | seq; the
+     * bias makes unsigned order agree with signed priority order.
+     */
     struct HeapNode
     {
         Tick when;
-        std::uint64_t seq;
+        std::uint64_t order;
         EventId id;
-        std::int32_t priority;
     };
 
     static EventId
@@ -174,15 +192,13 @@ class EventQueue
             && _slots[slot].gen == genOf(id);
     }
 
-    /** Strict (tick, priority, seq) ordering. */
+    /** Strict (tick, priority, seq) ordering: one 128-bit compare. */
     static bool
     before(const HeapNode &a, const HeapNode &b)
     {
-        if (a.when != b.when)
-            return a.when < b.when;
-        if (a.priority != b.priority)
-            return a.priority < b.priority;
-        return a.seq < b.seq;
+        using Key = __uint128_t;
+        return ((Key(a.when) << 64) | a.order)
+            < ((Key(b.when) << 64) | b.order);
     }
 
     std::uint32_t allocSlot();
@@ -191,6 +207,9 @@ class EventQueue
     void heapPush(HeapNode node);
     void heapPop();
     void heapify();
+
+    /** Move the hole at @p hole down until @p node fits, fill it. */
+    void siftDown(std::size_t hole, HeapNode node);
 
     /** Drop stale nodes off the heap top; heap top is live after. */
     void skimTombstones();

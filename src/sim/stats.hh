@@ -15,6 +15,7 @@
 #include <map>
 #include <ostream>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace proact {
@@ -23,10 +24,63 @@ namespace proact {
  * Ordered map of named double-valued statistics.
  *
  * Reads of absent names return 0 so callers need not pre-register.
+ * Entries are never erased, so a pointer to one stays valid for the
+ * set's lifetime; Counter relies on that.
  */
 class StatSet
 {
   public:
+    /**
+     * Handle to one named statistic, for paths that bump it once per
+     * simulated event. The first inc() creates the entry, exactly as
+     * StatSet::inc(name) would; later ones add through a pointer to
+     * the map node, with no key lookup. A counter on a null set does
+     * nothing, so an optional sink needs no check at each call. The
+     * set must outlive the counter, and must not be assigned to or
+     * moved from while the counter is in use.
+     */
+    class Counter
+    {
+      public:
+        Counter(StatSet *set, std::string name)
+            : _set(set), _name(std::move(name))
+        {
+        }
+
+        /** Add @p delta (default 1) to the statistic. */
+        void
+        inc(double delta = 1.0)
+        {
+            if (_value == nullptr) {
+                if (_set == nullptr)
+                    return;
+                _value = &_set->_values[_name];
+            }
+            *_value += delta;
+        }
+
+        /** Current value, 0 while the entry does not exist; reading
+         * never creates it. */
+        double
+        value() const
+        {
+            if (_value == nullptr) {
+                if (_set == nullptr)
+                    return 0.0;
+                auto it = _set->_values.find(_name);
+                if (it == _set->_values.end())
+                    return 0.0;
+                _value = &it->second;
+            }
+            return *_value;
+        }
+
+      private:
+        StatSet *_set;
+        std::string _name;
+        mutable double *_value = nullptr;
+    };
+
     /** Add @p delta (default 1) to the named statistic. */
     void
     inc(const std::string &name, double delta = 1.0)
@@ -64,8 +118,6 @@ class StatSet
     }
 
     const std::map<std::string, double> &all() const { return _values; }
-
-    void clear() { _values.clear(); }
 
     /** Merge another set by summation (for aggregating per-GPU sets). */
     void

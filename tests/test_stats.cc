@@ -51,13 +51,48 @@ TEST(StatSet, MergeSums)
     EXPECT_DOUBLE_EQ(a.get("z"), 4.0);
 }
 
-TEST(StatSet, ClearEmpties)
+TEST(StatSet, CounterThatNeverFiresLeavesNoEntry)
 {
     StatSet s;
     s.inc("a");
-    s.clear();
-    EXPECT_FALSE(s.has("a"));
-    EXPECT_TRUE(s.all().empty());
+    std::ostringstream before;
+    s.dump(before);
+
+    const StatSet::Counter idle(&s, "idle");
+    EXPECT_DOUBLE_EQ(idle.value(), 0.0); // Reading creates nothing.
+    EXPECT_FALSE(s.has("idle"));
+    EXPECT_EQ(s.all().size(), 1u);
+    std::ostringstream after;
+    s.dump(after);
+    EXPECT_EQ(after.str(), before.str());
+}
+
+TEST(StatSet, CounterAndNamedIncAddIntoOneValueInCallOrder)
+{
+    // 1e16 + 1 rounds back to 1e16, so only the call order
+    // 1e16, +1, -1e16, +1 gives exactly 1.
+    StatSet s;
+    StatSet::Counter c(&s, "x");
+    c.inc(1e16);
+    EXPECT_TRUE(s.has("x"));
+    s.inc("x", 1.0);
+    c.inc(-1e16);
+    s.inc("x", 1.0);
+    EXPECT_DOUBLE_EQ(s.get("x"), 1.0);
+    EXPECT_DOUBLE_EQ(c.value(), 1.0);
+
+    // A counter made after the entry exists adds into the same value.
+    StatSet::Counter late(&s, "x");
+    late.inc();
+    EXPECT_DOUBLE_EQ(c.value(), 2.0);
+    EXPECT_EQ(s.all().size(), 1u);
+}
+
+TEST(StatSet, CounterOnNullSetDoesNothing)
+{
+    StatSet::Counter c(nullptr, "x");
+    c.inc(5.0);
+    EXPECT_DOUBLE_EQ(c.value(), 0.0);
 }
 
 TEST(StatSet, DumpIsSortedByName)
