@@ -99,8 +99,8 @@ main(int argc, char **argv)
     // Tuned vs. naive configurations.
     auto ticks_for = [&](const TransferConfig &config) {
         return session
-            .run(*workload, Paradigm::ProactDecoupled, config,
-                 /*functional=*/false)
+            .run(*workload, Paradigm::ProactDecoupled,
+                 {.config = config, .functional = false})
             .ticks;
     };
     TransferConfig naive_small = prof.bestDecoupled().config;

@@ -46,8 +46,8 @@ main()
 
     const ParadigmRun run =
         session.run(workload, Paradigm::ProactDecoupled,
-                    prof.bestDecoupled().config,
-                    /*functional=*/true);
+                    {.config = prof.bestDecoupled().config,
+                     .functional = true});
     std::cout << "simulated time: " << std::fixed
               << std::setprecision(3)
               << secondsFromTicks(run.ticks) * 1e3
@@ -77,7 +77,7 @@ main()
     PagerankWorkload inline_wl(params);
     inline_wl.setup(session.platform().numGpus);
     const ParadigmRun inline_run = session.run(
-        inline_wl, Paradigm::ProactInline, {}, /*functional=*/true);
+        inline_wl, Paradigm::ProactInline, {.functional = true});
 
     std::cout << "\nwire store transactions (irregular updates):\n"
               << "  PROACT-inline:    " << inline_run.storeTransactions

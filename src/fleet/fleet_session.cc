@@ -5,7 +5,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <deque>
 #include <iomanip>
 #include <map>
@@ -15,25 +14,6 @@
 #include <utility>
 
 namespace proact::fleet {
-
-RecoveryPolicy
-envRecoveryPolicy()
-{
-    RecoveryPolicy policy;
-    const char *env = std::getenv("PROACT_RECOVERY");
-    policy.enabled =
-        env != nullptr && *env != '\0' && std::string(env) != "0";
-    policy.checkpoint = envCheckpointPolicy();
-    // Recovery without checkpoints restarts from iteration 0 every
-    // time — a repeatedly faulted job would never converge.
-    policy.checkpoint.enabled |= policy.enabled;
-    policy.deviceHealth = envDeviceHealthPolicy();
-    policy.minGpus = static_cast<int>(
-        envInt("PROACT_RECOVERY_MIN_GPUS", policy.minGpus, 2, 64));
-    policy.maxAttempts = static_cast<int>(envInt(
-        "PROACT_RECOVERY_MAX_ATTEMPTS", policy.maxAttempts, 1, 16));
-    return policy;
-}
 
 Tick
 FleetReport::percentile(std::vector<Tick> values, double p)
@@ -315,6 +295,23 @@ FleetSession::serve(const std::vector<JobSpec> &jobs)
     std::deque<JobSpec> respawned;
     std::vector<RecoveryEvent> recoveries;
 
+    // Re-queues a job shrunk to what a surviving plane can ever
+    // grant, never below the recovery floor.
+    const auto respawn = [&](JobSpec job) -> const JobSpec * {
+        const int capacity = allocator.maxAllocatableGpus();
+        if (job.gpus > capacity) {
+            if (capacity < _options.recovery.minGpus) {
+                fatalError("FleetSession: only ", capacity,
+                           " allocatable GPUs left, below the "
+                           "recovery floor of ",
+                           _options.recovery.minGpus);
+            }
+            job.gpus = capacity;
+        }
+        respawned.push_back(std::move(job));
+        return &respawned.back();
+    };
+
     // Plane contention: an admission that leaves two or more tenants
     // on a plane sets its flag, and only the plane emptying clears
     // it. A plane back down to one tenant still reads contended, so
@@ -384,21 +381,7 @@ FleetSession::serve(const std::vector<JobSpec> &jobs)
                 state.openRecovery = recoveries.size();
                 recoveries.push_back(ev);
 
-                // Re-enter the queue, shrunk to what the surviving
-                // planes can ever grant.
-                JobSpec restart = done.job;
-                const int capacity = allocator.maxAllocatableGpus();
-                if (restart.gpus > capacity) {
-                    if (capacity < _options.recovery.minGpus) {
-                        fatalError("FleetSession: only ", capacity,
-                                   " allocatable GPUs left, below "
-                                   "the recovery floor of ",
-                                   _options.recovery.minGpus);
-                    }
-                    restart.gpus = capacity;
-                }
-                respawned.push_back(std::move(restart));
-                pending.push_back(&respawned.back());
+                pending.push_back(respawn(done.job));
             }
         } else {
             pending.push_back(
@@ -415,20 +398,9 @@ FleetSession::serve(const std::vector<JobSpec> &jobs)
             if (!placement && _options.recovery.enabled
                 && spec->gpus > allocator.maxAllocatableGpus()) {
                 // Quarantine shrank the machine under a waiting
-                // job's feet: clamp the request to what a surviving
-                // plane can ever grant (same floor as a respawn) and
-                // retry at once — this pass may be the last event.
-                const int capacity = allocator.maxAllocatableGpus();
-                if (capacity < _options.recovery.minGpus) {
-                    fatalError("FleetSession: only ", capacity,
-                               " allocatable GPUs left, below the "
-                               "recovery floor of ",
-                               _options.recovery.minGpus);
-                }
-                JobSpec shrunk = *spec;
-                shrunk.gpus = capacity;
-                respawned.push_back(std::move(shrunk));
-                *it = spec = &respawned.back();
+                // job's feet: clamp the request and retry at once —
+                // this pass may be the last event.
+                *it = spec = respawn(*spec);
                 placement = admission.tryAdmit(
                     *spec, allocator, plane_contended, running == 0);
             }

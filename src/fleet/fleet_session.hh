@@ -36,6 +36,7 @@
 #include "fleet/job.hh"
 #include "fleet/placement.hh"
 #include "harness/session.hh"
+#include "health/device_health.hh"
 #include "interconnect/interconnect.hh"
 #include "proact/config.hh"
 #include "workloads/graph.hh"
@@ -74,19 +75,6 @@ struct RecoveryPolicy
     /** Restart budget per job; exceeding it is a fleet error. */
     int maxAttempts = 4;
 };
-
-/**
- * Recovery knobs from the environment:
- *  - PROACT_RECOVERY=1             enable checkpointed recovery
- *  - PROACT_RECOVERY_MIN_GPUS      shrink floor (default 2,
- *                                  clamp [2, 64])
- *  - PROACT_RECOVERY_MAX_ATTEMPTS  restart budget (default 4,
- *                                  clamp [1, 16])
- * plus the PROACT_CHECKPOINT_* / PROACT_DEVICE_HEALTH_* families for
- * the nested policies (checkpointing is forced on when recovery is
- * on — restarting from iteration 0 forever would never converge).
- */
-RecoveryPolicy envRecoveryPolicy();
 
 /** Everything the fleet learned about one served tenant. */
 struct TenantRecord
@@ -249,11 +237,11 @@ class FleetSession
         /**
          * Charge each cache-miss election sweep's simulated cost to
          * the elected tenant's timeline (the fleet face of
-         * PROACT_REPROFILE_CHARGE — cache hits stay free, which is
-         * the point of the persistent elector cache). Defaults from
-         * the environment so benches pick it up without plumbing.
+         * AdaptiveReprofiler::Options::chargeTimeline — cache hits
+         * stay free, which is the point of the persistent elector
+         * cache).
          */
-        bool chargeElections = envReprofileChargeEnabled();
+        bool chargeElections = false;
 
         /**
          * Per-tenant delivery observer, registered on the tenant's

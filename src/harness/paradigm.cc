@@ -35,7 +35,6 @@ allParadigms()
 std::unique_ptr<Runtime>
 makeRuntime(Paradigm paradigm, MultiGpuSystem &system,
             const TransferConfig &config,
-            AdaptiveReprofiler *reprofiler,
             const CheckpointPolicy &checkpoint, int first_iteration)
 {
     switch (paradigm) {
@@ -51,8 +50,6 @@ makeRuntime(Paradigm paradigm, MultiGpuSystem &system,
         options.config.mechanism = TransferMechanism::Inline;
         options.checkpoint = checkpoint;
         options.firstIteration = first_iteration;
-        // The reprofiler sweeps decoupled configurations only; a
-        // hot-swap out of inline mid-run is not modeled.
         return std::make_unique<ProactRuntime>(system, options);
       }
       case Paradigm::ProactDecoupled: {
@@ -60,7 +57,6 @@ makeRuntime(Paradigm paradigm, MultiGpuSystem &system,
         options.config = config;
         if (!options.config.decoupled())
             options.config.mechanism = TransferMechanism::Polling;
-        options.reprofiler = reprofiler;
         options.checkpoint = checkpoint;
         options.firstIteration = first_iteration;
         return std::make_unique<ProactRuntime>(system, options);

@@ -34,17 +34,12 @@ std::string paradigmName(Paradigm paradigm);
 /** All paradigms in the paper's Figure 7 presentation order. */
 std::vector<Paradigm> allParadigms();
 
-class AdaptiveReprofiler;
-
 /**
  * Build a runtime executing @p paradigm on @p system.
  *
  * @param config Transfer configuration for ProactDecoupled (ignored
  *        by the other paradigms; a non-decoupled mechanism falls
  *        back to polling).
- * @param reprofiler Optional fault-adaptive reprofiler, consulted at
- *        iteration boundaries by the PROACT runtimes (ignored by the
- *        baselines). Not owned; may be nullptr.
  * @param checkpoint Iteration-boundary checkpoint policy for the
  *        PROACT runtimes (the baselines have no consistent boundary
  *        to checkpoint at and ignore it).
@@ -54,7 +49,6 @@ class AdaptiveReprofiler;
 std::unique_ptr<Runtime>
 makeRuntime(Paradigm paradigm, MultiGpuSystem &system,
             const TransferConfig &config = {},
-            AdaptiveReprofiler *reprofiler = nullptr,
             const CheckpointPolicy &checkpoint = {},
             int first_iteration = 0);
 

@@ -1,7 +1,6 @@
 #include "harness/session.hh"
 
 #include "baselines/runner.hh"
-#include "proact/reprofiler.hh"
 #include "proact/runtime.hh"
 #include "sim/logging.hh"
 
@@ -27,7 +26,6 @@ ParadigmRun::faultSummary() const
     field("wire_transitions", wireTransitions);
     field("congested", congestionEvents);
     field("reroutes", reroutes);
-    field("sweeps", reprofileSweeps);
     field("swaps", configSwaps);
     field("refused", refusedDeliveries);
     field("quiesced", quiescedFlights);
@@ -56,52 +54,19 @@ Session::profile(Workload &workload,
 
 ParadigmRun
 Session::run(Workload &workload, Paradigm paradigm,
-             const TransferConfig &config, bool functional,
-             const WorkloadFactory &reprofile_factory)
-{
-    // PROACT_FAULTS=1 turns any session run into a fault-injection
-    // run: the env-described plan is armed on the fresh system and
-    // the PROACT paths get the matching retry policy (a lossy fabric
-    // without acknowledged delivery would lose deliveries). The
-    // fault-adaptive layers stack on top, each behind its own knob.
-    RunOptions options;
-    options.config = config;
-    options.functional = functional;
-    options.reprofileFactory = reprofile_factory;
-    if (envFaultsEnabled()) {
-        options.armFaults = true;
-        options.faults = envFaultPlan();
-        options.retry = envRetryPolicy();
-        options.health = envHealthEnabled();
-        options.healthPolicy = envHealthPolicy();
-        options.reroute = envRerouteEnabled();
-        options.reprofile = envReprofileEnabled();
-        options.reprofileCharge = envReprofileChargeEnabled();
-        options.deviceHealth = envDeviceHealthEnabled();
-        options.deviceHealthPolicy = envDeviceHealthPolicy();
-    }
-    // Checkpointing is independent of fault injection: a fault-free
-    // run can still measure the checkpoint overhead.
-    options.checkpoint = envCheckpointPolicy();
-    return run(workload, paradigm, options);
-}
-
-ParadigmRun
-Session::run(Workload &workload, Paradigm paradigm,
              const RunOptions &options)
 {
     MultiGpuSystem system(_platform);
     system.setFunctional(options.functional);
 
     TransferConfig effective = options.config;
-    std::unique_ptr<AdaptiveReprofiler> reprofiler;
     const bool armed = options.armFaults || !options.faults.empty();
     if (armed) {
         system.installFaults(options.faults);
         effective.retry = options.retry;
     }
-    if (options.health || options.reroute || options.reprofile) {
-        system.enableHealth(options.healthPolicy);
+    if (options.health || options.reroute) {
+        system.enableHealth();
         // Boundary-aware bookings: in-flight transfers follow
         // degradation windows instead of keeping their stale
         // delivery tick.
@@ -111,16 +76,6 @@ Session::run(Workload &workload, Paradigm paradigm,
         system.enableDeviceHealth(options.deviceHealthPolicy);
     if (options.reroute)
         system.enableReroute();
-    if (options.reprofile && options.reprofileFactory &&
-        paradigm == Paradigm::ProactDecoupled) {
-        TransferConfig initial = effective;
-        if (!initial.decoupled())
-            initial.mechanism = TransferMechanism::Polling;
-        AdaptiveReprofiler::Options ropts;
-        ropts.chargeTimeline = options.reprofileCharge;
-        reprofiler = std::make_unique<AdaptiveReprofiler>(
-            system, options.reprofileFactory, initial, ropts);
-    }
 
     // Per-tenant tracing rides the observer list next to the health
     // monitor's slot — exactly what the single-slot setter forbade.
@@ -128,7 +83,7 @@ Session::run(Workload &workload, Paradigm paradigm,
         system.fabric().addDeliveryObserver(options.deliveryObserver);
 
     auto runtime = makeRuntime(paradigm, system, effective,
-                               reprofiler.get(), options.checkpoint,
+                               options.checkpoint,
                                options.firstIteration);
 
     ParadigmRun result;
@@ -158,8 +113,6 @@ Session::run(Workload &workload, Paradigm paradigm,
         result.checkpointTicks = pr->checkpointTicks();
         result.orphanedTransfers =
             u64(pr->stats().get("transfers.orphaned"));
-        result.reprofileChargedTicks = static_cast<Tick>(
-            pr->stats().get("reprofile.charged_ticks"));
     }
     result.refusedDeliveries = system.fabric().refusedDeliveries();
     result.quiescedFlights = system.fabric().quiescedFlights();
@@ -174,10 +127,6 @@ Session::run(Workload &workload, Paradigm paradigm,
     if (const Rerouter *rerouter = system.rerouter()) {
         result.reroutes = u64(rerouter->stats().get("reroute.detours")
                               + rerouter->stats().get("reroute.splits"));
-    }
-    if (reprofiler) {
-        result.reprofileSweeps =
-            u64(reprofiler->stats().get("reprofile.sweeps"));
     }
 
     // An aborted run legitimately leaves the math unfinished, and a
@@ -230,9 +179,9 @@ Session::compareParadigms(const WorkloadFactory &factory,
     std::vector<ParadigmRun> results;
     for (const Paradigm paradigm : allParadigms()) {
         auto workload = factory(_platform.numGpus);
-        ParadigmRun run_result =
-            run(*workload, paradigm, decoupled_cfg, functional,
-                factory);
+        ParadigmRun run_result = run(
+            *workload, paradigm,
+            {.config = decoupled_cfg, .functional = functional});
         run_result.speedup = static_cast<double>(single)
             / static_cast<double>(run_result.ticks);
         results.push_back(run_result);

@@ -41,8 +41,8 @@ struct ParadigmRun
     /**
      * @{ @name Fault-adaptive runtime counters
      * All zero on a fault-free run; harvested from the injector, the
-     * retry layer, the health monitor, the rerouter and the adaptive
-     * reprofiler when those are armed (PROACT_FAULTS and friends).
+     * retry layer, the health monitor and the rerouter when
+     * RunOptions arms them.
      */
     std::uint64_t faultsDropped = 0;    ///< Deliveries the plan lost.
     std::uint64_t retries = 0;          ///< Re-pushes after ack loss.
@@ -51,7 +51,6 @@ struct ParadigmRun
     std::uint64_t wireTransitions = 0;  ///< ... involving DEGRADED/DOWN.
     std::uint64_t congestionEvents = 0; ///< Links classified CONGESTED.
     std::uint64_t reroutes = 0;         ///< Detours + splits applied.
-    std::uint64_t reprofileSweeps = 0;  ///< Narrowed sweeps run.
     std::uint64_t configSwaps = 0;      ///< Hot-swapped configs.
     /** @} */
 
@@ -69,7 +68,6 @@ struct ParadigmRun
     std::uint64_t refusedDeliveries = 0; ///< Dead-endpoint refusals.
     std::uint64_t quiescedFlights = 0; ///< In-flight DMA aborted.
     std::uint64_t orphanedTransfers = 0; ///< Given-up dead transfers.
-    Tick reprofileChargedTicks = 0;    ///< Sweep cost on timeline.
     /** @} */
 
     /**
@@ -88,15 +86,16 @@ class Session
 {
   public:
     /**
-     * Programmatic control over one paradigm execution. The
-     * env-driven run() overload builds one of these from the
-     * PROACT_* environment; multi-tenant drivers (src/fleet) build
-     * them directly so every tenant can carry its own fault plan and
-     * tracing without touching global state.
+     * Everything one paradigm execution depends on; run() reads no
+     * environment. Multi-tenant drivers (src/fleet) build one per
+     * tenant, so every tenant carries its own fault plan and tracing.
+     * Every member has a default initializer, so a designated
+     * initializer may name any subset ({.config = c}) without
+     * tripping -Wmissing-field-initializers.
      */
     struct RunOptions
     {
-        TransferConfig config;
+        TransferConfig config{};
 
         /** Run the real math (verifiable) or timing-only (fast). */
         bool functional = true;
@@ -105,32 +104,17 @@ class Session
          * Fault schedule armed on the fresh system. Empty = perfect
          * fabric unless @c armFaults forces an (inert) injector.
          */
-        FaultPlan faults;
+        FaultPlan faults{};
         bool armFaults = false;
 
         /** Retry policy forced onto the config when faults are armed. */
-        RetryPolicy retry;
+        RetryPolicy retry{};
 
-        /** Link health monitoring on the fresh system. */
+        /** Link health monitoring (default HealthPolicy). */
         bool health = false;
-        HealthPolicy healthPolicy;
 
         /** Detours/splits around unhealthy links (implies health). */
         bool reroute = false;
-
-        /**
-         * Adaptive re-profiling at iteration boundaries (implies
-         * health; needs reprofileFactory and ProactDecoupled).
-         */
-        bool reprofile = false;
-        WorkloadFactory reprofileFactory;
-
-        /**
-         * Charge each narrowed re-profiling sweep's simulated cost to
-         * the run's timeline (AdaptiveReprofiler's chargeTimeline —
-         * PROACT_REPROFILE_CHARGE in the env overload).
-         */
-        bool reprofileCharge = false;
 
         /**
          * Device heartbeat watchdog on the fresh system: declares
@@ -139,10 +123,10 @@ class Session
          * without it a device loss panics on missing deliveries.
          */
         bool deviceHealth = false;
-        DeviceHealthPolicy deviceHealthPolicy;
+        DeviceHealthPolicy deviceHealthPolicy{};
 
         /** Iteration-boundary checkpoints (PROACT paradigms only). */
-        CheckpointPolicy checkpoint;
+        CheckpointPolicy checkpoint{};
 
         /**
          * Resume a recovery restart at this iteration (normally the
@@ -155,7 +139,7 @@ class Session
          * fabric for the duration of the run — per-tenant tracing
          * riding alongside the health monitor's own observer.
          */
-        Interconnect::DeliveryObserver deliveryObserver;
+        Interconnect::DeliveryObserver deliveryObserver{};
     };
 
     explicit Session(PlatformSpec platform);
@@ -170,28 +154,8 @@ class Session
                           const Profiler::Options &options = {});
 
     /**
-     * Execute @p workload under @p paradigm on a fresh system.
-     *
-     * With PROACT_FAULTS on, the env fault plan is armed and the
-     * enabled fault-adaptive layers (health / reroute / reprofile,
-     * see config.hh) are wired into the fresh system; the run result
-     * carries the fault counters.
-     *
-     * @param functional Run the real math (verifiable) or
-     *        timing-only (fast).
-     * @param reprofile_factory Builds the short profiling workload
-     *        the adaptive reprofiler re-sweeps on link-state changes;
-     *        without one, re-profiling stays off for this run.
-     */
-    ParadigmRun run(Workload &workload, Paradigm paradigm,
-                    const TransferConfig &config = {},
-                    bool functional = true,
-                    const WorkloadFactory &reprofile_factory = {});
-
-    /**
-     * Execute @p workload under @p paradigm with every knob given
-     * programmatically — no environment reads. The fleet serving
-     * layer runs each tenant through this overload.
+     * Execute @p workload under @p paradigm on a fresh system armed
+     * as @p options says; the result carries the fault counters.
      */
     ParadigmRun run(Workload &workload, Paradigm paradigm,
                     const RunOptions &options);

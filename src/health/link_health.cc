@@ -125,12 +125,6 @@ LinkHealthMonitor::ewmaQueueRatio(int src, int dst) const
     return link(src, dst).ewmaQueueRatio;
 }
 
-Tick
-LinkHealthMonitor::ewmaLatency(int src, int dst) const
-{
-    return static_cast<Tick>(link(src, dst).ewmaLatency);
-}
-
 void
 LinkHealthMonitor::addListener(Listener listener)
 {
@@ -192,12 +186,9 @@ LinkHealthMonitor::observe(int src, int dst, std::uint64_t wire_bytes,
 
     const double a = _policy.ewmaAlpha;
     if (l.deliveries == 1) {
-        l.ewmaLatency = static_cast<double>(actual);
         l.ewmaFraction = fraction;
         l.ewmaQueueRatio = queue_ratio;
     } else {
-        l.ewmaLatency =
-            (1.0 - a) * l.ewmaLatency + a * static_cast<double>(actual);
         l.ewmaFraction = (1.0 - a) * l.ewmaFraction + a * fraction;
         l.ewmaQueueRatio =
             (1.0 - a) * l.ewmaQueueRatio + a * queue_ratio;

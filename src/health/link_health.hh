@@ -183,9 +183,6 @@ class LinkHealthMonitor : public LinkStateProvider
      */
     void markDeviceLost(int gpu);
 
-    /** EWMA wire service latency of a link (0 before any delivery). */
-    Tick ewmaLatency(int src, int dst) const;
-
     /** EWMA of queueing delay over expected service time (0 = quiet). */
     double ewmaQueueRatio(int src, int dst) const;
 
@@ -216,7 +213,6 @@ class LinkHealthMonitor : public LinkStateProvider
     struct Link
     {
         LinkState state = LinkState::Healthy;
-        double ewmaLatency = 0.0;
 
         /**
          * EWMA of the achieved fraction of nominal bandwidth, from

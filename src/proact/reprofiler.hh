@@ -71,9 +71,8 @@ class AdaptiveReprofiler
          * its candidate measurements) to the live run's timeline:
          * after a refresh the runtime stalls for that cost at the
          * region boundary, exposing the adaptation-latency
-         * trade-off instead of re-profiling for free. Off by default
-         * (PROACT_REPROFILE_CHARGE enables it via env wiring); off
-         * preserves historical timings.
+         * trade-off instead of re-profiling for free. Off by
+         * default; off preserves historical timings.
          */
         bool chargeTimeline = false;
     };

@@ -4,7 +4,10 @@
  * parsing used by the benchmark harnesses.
  */
 
+#include "harness/session.hh"
 #include "proact/config.hh"
+#include "system/platform.hh"
+#include "tests/toy_workload.hh"
 #include "workloads/registry.hh"
 
 #include "sim/logging.hh"
@@ -12,7 +15,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <memory>
+#include <string>
 #include <utility>
+#include <vector>
 
 using namespace proact;
 
@@ -120,95 +126,50 @@ TEST(ConfigEnv, MechanismNamesRoundTrip)
     EXPECT_EQ(mechanismCode(TransferMechanism::Hardware), "HW");
 }
 
-TEST(ConfigEnv, FaultsDefaultOff)
+TEST(ConfigEnv, SessionRunsIgnoreFaultVariables)
 {
-    ScopedEnv off("PROACT_FAULTS", nullptr);
-    EXPECT_FALSE(envFaultsEnabled());
-    EXPECT_TRUE(envFaultPlan().empty());
-    EXPECT_FALSE(envRetryPolicy().enabled);
-
-    ScopedEnv zero("PROACT_FAULTS", "0");
-    EXPECT_FALSE(envFaultsEnabled());
-}
-
-TEST(ConfigEnv, FaultKnobsBuildAPlan)
-{
-    ScopedEnv on("PROACT_FAULTS", "1");
-    ScopedEnv seed("PROACT_FAULT_SEED", "123");
-    ScopedEnv drop("PROACT_FAULT_DROP_RATE", "0.25");
-    ScopedEnv degrade("PROACT_FAULT_DEGRADE", "0.5");
-
-    EXPECT_TRUE(envFaultsEnabled());
-    const FaultPlan plan = envFaultPlan();
-    EXPECT_EQ(plan.seed, 123u);
-    ASSERT_EQ(plan.episodes.size(), 2u);
-    EXPECT_EQ(plan.episodes[0].kind, FaultKind::DeliveryDrop);
-    EXPECT_DOUBLE_EQ(plan.episodes[0].severity, 0.25);
-    EXPECT_EQ(plan.episodes[1].kind, FaultKind::LinkDegrade);
-    EXPECT_DOUBLE_EQ(plan.episodes[1].severity, 0.5);
-    EXPECT_NO_THROW(plan.validate(4));
-    EXPECT_TRUE(envRetryPolicy().enabled);
-}
-
-TEST(ConfigEnv, FaultKnobsClampAndDefault)
-{
-    ScopedEnv on("PROACT_FAULTS", "1");
+    // Faults, checkpoints and the device watchdog are RunOptions
+    // fields. The examples reach Session::run through
+    // compareParadigms, so these variables must change no row.
+    const WorkloadFactory factory = [](int gpus) {
+        auto workload = std::make_unique<test::ToyWorkload>();
+        workload->setup(gpus);
+        return workload;
+    };
+    Profiler::Options sweep;
+    sweep.chunkSizes = {64 * KiB};
+    sweep.threadCounts = {256};
+    auto compare = [&] {
+        Session session(voltaPlatform());
+        return session.compareParadigms(factory, /*functional=*/false,
+                                        sweep);
+    };
+    std::vector<ParadigmRun> clean;
     {
-        // Defaults: 1 % drops, no degradation.
+        ScopedEnv faults("PROACT_FAULTS", nullptr);
         ScopedEnv drop("PROACT_FAULT_DROP_RATE", nullptr);
-        ScopedEnv degrade("PROACT_FAULT_DEGRADE", nullptr);
-        const FaultPlan plan = envFaultPlan();
-        ASSERT_EQ(plan.episodes.size(), 1u);
-        EXPECT_DOUBLE_EQ(plan.episodes[0].severity, 0.01);
+        ScopedEnv checkpoint("PROACT_CHECKPOINT", nullptr);
+        ScopedEnv watchdog("PROACT_DEVICE_HEALTH", nullptr);
+        clean = compare();
     }
-    {
-        // Out-of-range values clamp into the valid episode ranges.
-        ScopedEnv drop("PROACT_FAULT_DROP_RATE", "7.0");
-        ScopedEnv degrade("PROACT_FAULT_DEGRADE", "1.0");
-        const FaultPlan plan = envFaultPlan();
-        ASSERT_EQ(plan.episodes.size(), 2u);
-        EXPECT_DOUBLE_EQ(plan.episodes[0].severity, 1.0);
-        EXPECT_DOUBLE_EQ(plan.episodes[1].severity, 0.95);
-        EXPECT_NO_THROW(plan.validate(4));
-    }
-    {
-        // NaN is unparsable: the default drop rate, not no drops.
-        ScopedEnv drop("PROACT_FAULT_DROP_RATE", "nan");
-        ScopedEnv degrade("PROACT_FAULT_DEGRADE", "nan");
-        const FaultPlan plan = envFaultPlan();
-        ASSERT_EQ(plan.episodes.size(), 1u);
-        EXPECT_DOUBLE_EQ(plan.episodes[0].severity, 0.01);
-    }
-    {
-        ScopedEnv attempts("PROACT_RETRY_MAX_ATTEMPTS", "99");
-        EXPECT_EQ(envRetryPolicy().maxAttempts, 16); // Clamped.
-    }
-    {
-        ScopedEnv attempts("PROACT_RETRY_MAX_ATTEMPTS", "3");
-        EXPECT_EQ(envRetryPolicy().maxAttempts, 3);
-    }
-    {
-        // Too large for any integer type: clamped, not wrapped.
-        ScopedEnv attempts("PROACT_RETRY_MAX_ATTEMPTS",
-                           "99999999999999999999");
-        EXPECT_EQ(envRetryPolicy().maxAttempts, 16);
-    }
-    {
-        // A value that does not parse keeps the default.
-        ScopedEnv reroute("PROACT_REROUTE", nullptr);
-        ScopedEnv attempts("PROACT_RETRY_MAX_ATTEMPTS", "abc");
-        ScopedEnv after("PROACT_RETRY_REROUTE_AFTER", "abc");
-        ScopedEnv seed("PROACT_FAULT_SEED", "abc");
-        const RetryPolicy policy = envRetryPolicy();
-        EXPECT_EQ(policy.maxAttempts, RetryPolicy{}.maxAttempts);
-        EXPECT_EQ(policy.rerouteAfterAttempts, 2);
-        EXPECT_EQ(envFaultPlan().seed, FaultPlan{}.seed);
+    ScopedEnv faults("PROACT_FAULTS", "1");
+    ScopedEnv drop("PROACT_FAULT_DROP_RATE", "0.5");
+    ScopedEnv checkpoint("PROACT_CHECKPOINT", "1");
+    ScopedEnv watchdog("PROACT_DEVICE_HEALTH", "1");
+    const std::vector<ParadigmRun> set = compare();
+
+    ASSERT_EQ(set.size(), clean.size());
+    for (std::size_t i = 0; i < set.size(); ++i) {
+        const std::string name = paradigmName(set[i].paradigm);
+        EXPECT_EQ(set[i].ticks, clean[i].ticks) << name;
+        EXPECT_EQ(set[i].faultSummary(), "") << name;
+        EXPECT_EQ(clean[i].faultSummary(), "") << name;
     }
 }
 
 TEST(ConfigEnv, NanNodesFallBackToOneNode)
 {
-    // The count is cast to int, and a NaN cast is undefined.
+    // Not an integer: the default count.
     ScopedEnv nodes("PROACT_NODES", "nan");
     EXPECT_EQ(envNodes(), 1);
 }

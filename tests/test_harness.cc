@@ -62,8 +62,7 @@ TEST(Session, RunExecutesAndCollectsFabricStats)
     ToyWorkload workload;
     workload.setup(4);
     const ParadigmRun run =
-        session.run(workload, Paradigm::CudaMemcpy, {},
-                    /*functional=*/true);
+        session.run(workload, Paradigm::CudaMemcpy, {.functional = true});
     EXPECT_GT(run.ticks, 0u);
     EXPECT_GT(run.payloadBytes, 0u);
     EXPECT_GE(run.wireBytes, run.payloadBytes);
@@ -76,11 +75,11 @@ TEST(Session, FunctionalRunVerifiesOrThrows)
     ToyWorkload workload;
     workload.setup(4);
     // Paradigm runs verify internally; a timing-only run must not.
-    EXPECT_NO_THROW(session.run(workload, Paradigm::InfiniteBw, {},
-                                /*functional=*/false));
+    EXPECT_NO_THROW(session.run(workload, Paradigm::InfiniteBw,
+                                {.functional = false}));
     EXPECT_FALSE(workload.verify()); // No math happened.
-    EXPECT_NO_THROW(session.run(workload, Paradigm::InfiniteBw, {},
-                                /*functional=*/true));
+    EXPECT_NO_THROW(session.run(workload, Paradigm::InfiniteBw,
+                                {.functional = true}));
     EXPECT_TRUE(workload.verify());
 }
 

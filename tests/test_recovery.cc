@@ -488,21 +488,13 @@ TEST(RecoveryFleet, ElectedAtTickMovesWhenChargingIsOn)
               paid.admitted + paid.electionSweepTicks);
 }
 
-TEST(RecoveryFleet, ElectionChargeDefaultsFromEnvironment)
+TEST(RecoveryFleet, ElectionChargeIgnoresEnvironment)
 {
-    // The fleet face of PROACT_REPROFILE_CHARGE: the option's default
-    // follows the environment so benches arm it without plumbing.
+    // Charging is a FleetSession::Options field, off unless set.
     setenv("PROACT_REPROFILE_CHARGE", "1", 1);
-    const FleetSession::Options armed;
-    EXPECT_TRUE(armed.chargeElections);
-
-    setenv("PROACT_REPROFILE_CHARGE", "0", 1);
-    const FleetSession::Options disarmed;
-    EXPECT_FALSE(disarmed.chargeElections);
-
+    const FleetSession::Options options;
     unsetenv("PROACT_REPROFILE_CHARGE");
-    const FleetSession::Options unset;
-    EXPECT_FALSE(unset.chargeElections);
+    EXPECT_FALSE(options.chargeElections);
 }
 
 namespace {
@@ -640,52 +632,4 @@ TEST(RecoveryFleet, RecoveryServesAreBitIdentical)
         EXPECT_EQ(a.recoveries[i].readmitTick,
                   b.recoveries[i].readmitTick);
     }
-}
-
-TEST(RecoveryEnv, PoliciesClampAndDefaultOff)
-{
-    // Defaults: everything off, nothing charged.
-    EXPECT_FALSE(envCheckpointEnabled());
-    EXPECT_FALSE(envDeviceHealthEnabled());
-    EXPECT_FALSE(envReprofileChargeEnabled());
-    EXPECT_FALSE(envRecoveryPolicy().enabled);
-
-    setenv("PROACT_CHECKPOINT", "1", 1);
-    setenv("PROACT_CHECKPOINT_INTERVAL", "0", 1); // Clamped up to 1.
-    setenv("PROACT_CHECKPOINT_COST_US", "10", 1);
-    const CheckpointPolicy cp = envCheckpointPolicy();
-    EXPECT_TRUE(cp.enabled);
-    EXPECT_EQ(cp.interval, 1);
-    EXPECT_EQ(cp.cost, Tick{10 * us});
-
-    setenv("PROACT_DEVICE_HEALTH_SUSPECT_MISSES", "9", 1);
-    setenv("PROACT_DEVICE_HEALTH_LOST_MISSES", "4", 1);
-    const DeviceHealthPolicy dh = envDeviceHealthPolicy();
-    EXPECT_EQ(dh.lostAfterMisses, 4);
-    EXPECT_LE(dh.suspectAfterMisses, dh.lostAfterMisses);
-
-    setenv("PROACT_RECOVERY", "1", 1);
-    setenv("PROACT_RECOVERY_MIN_GPUS", "1", 1); // Clamped up to 2.
-    setenv("PROACT_RECOVERY_MAX_ATTEMPTS", "99", 1);
-    const RecoveryPolicy rp = envRecoveryPolicy();
-    EXPECT_TRUE(rp.enabled);
-    EXPECT_TRUE(rp.checkpoint.enabled); // Forced on with recovery.
-    EXPECT_EQ(rp.minGpus, 2);
-    EXPECT_EQ(rp.maxAttempts, 16);
-
-    // A value that does not parse keeps the default.
-    setenv("PROACT_RECOVERY_MIN_GPUS", "abc", 1);
-    setenv("PROACT_RECOVERY_MAX_ATTEMPTS", "abc", 1);
-    const RecoveryPolicy garbled = envRecoveryPolicy();
-    EXPECT_EQ(garbled.minGpus, RecoveryPolicy{}.minGpus);
-    EXPECT_EQ(garbled.maxAttempts, RecoveryPolicy{}.maxAttempts);
-
-    unsetenv("PROACT_CHECKPOINT");
-    unsetenv("PROACT_CHECKPOINT_INTERVAL");
-    unsetenv("PROACT_CHECKPOINT_COST_US");
-    unsetenv("PROACT_DEVICE_HEALTH_SUSPECT_MISSES");
-    unsetenv("PROACT_DEVICE_HEALTH_LOST_MISSES");
-    unsetenv("PROACT_RECOVERY");
-    unsetenv("PROACT_RECOVERY_MIN_GPUS");
-    unsetenv("PROACT_RECOVERY_MAX_ATTEMPTS");
 }
