@@ -145,6 +145,26 @@ BENCHMARK(BM_RmatGeneration)
     ->Unit(benchmark::kMillisecond);
 
 void
+BM_RmatInOffsets(benchmark::State &state)
+{
+    // The degree pass a timing-only set-up runs instead of the build.
+    RmatParams params;
+    params.numVertices = state.range(0);
+    params.numEdges = state.range(1);
+    for (auto _ : state) {
+        const auto offsets = generateRmatInOffsets(params);
+        benchmark::DoNotOptimize(offsets.back());
+    }
+    state.SetItemsProcessed(state.iterations() * state.range(1));
+}
+// The BM_RmatGeneration sizes.
+BENCHMARK(BM_RmatInOffsets)
+    ->ArgNames({"vertices", "edges"})
+    ->Args({1 << 14, 1 << 17})
+    ->Args({1 << 15, 1 << 20})
+    ->Unit(benchmark::kMillisecond);
+
+void
 BM_TimingOnlyRun(benchmark::State &state)
 {
     // Full 4-GPU PROACT-decoupled Pagerank iteration sweep in

@@ -72,7 +72,7 @@ class StrategyElector
     };
 
     /**
-     * With @p graphs, the profiling instances take their input graphs
+     * With @p graphs, the profiling instances take their R-MAT inputs
      * from that cache, which must outlive the elector.
      */
     StrategyElector(PlatformSpec platform, Options options,

@@ -277,8 +277,9 @@ class FleetSession
     const Options &options() const { return _options; }
 
     /**
-     * Input graphs of the elector's profiling instances and of every
-     * tenant, each built once per session (DESIGN.md §10).
+     * R-MAT inputs of the elector's profiling instances and of every
+     * tenant, each drawn once per session (DESIGN.md §10). Timing-only
+     * serves draw only the in-edge offsets.
      */
     const GraphCache &graphs() const { return _graphs; }
 

@@ -6,8 +6,45 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 
 namespace proact {
+
+namespace {
+
+/**
+ * Make the input draws of @p params in their fixed order: the
+ * numUsers x rank, then numItems x rank ground-truth factors, then
+ * per rating its user, its item and its noise. Stores the factors in
+ * @p truth when given, users' rows first, and calls
+ * @p rating(user, item, noise) for each rating in draw order.
+ */
+template <typename OnRating>
+void
+drawRatings(const AlsWorkload::Params &params, std::vector<float> *truth,
+            OnRating &&rating)
+{
+    Rng rng(params.seed);
+    const std::int64_t factors =
+        (params.numUsers + params.numItems) * params.rank;
+    if (truth != nullptr)
+        truth->resize(factors);
+    for (std::int64_t n = 0; n < factors; ++n) {
+        const auto v = static_cast<float>(rng.uniform());
+        if (truth != nullptr)
+            (*truth)[n] = v;
+    }
+
+    for (std::int64_t r = 0; r < params.numRatings; ++r) {
+        const auto u = static_cast<std::int64_t>(
+            rng.below(static_cast<std::uint64_t>(params.numUsers)));
+        const auto i = static_cast<std::int64_t>(
+            rng.below(static_cast<std::uint64_t>(params.numItems)));
+        rating(u, i, rng.uniform());
+    }
+}
+
+} // namespace
 
 void
 AlsWorkload::setup(int num_gpus)
@@ -16,122 +53,84 @@ AlsWorkload::setup(int num_gpus)
         fatalError("AlsWorkload: need at least one GPU");
     _numGpus = num_gpus;
 
+    // Ratings per user and per item, one slot ahead so the prefix
+    // sums turn the counts into offsets in place.
+    _userOffsets.assign(_params.numUsers + 1, 0);
+    _itemOffsets.assign(_params.numItems + 1, 0);
+    drawRatings(_params, nullptr,
+                [this](std::int64_t u, std::int64_t i, double) {
+                    ++_userOffsets[u + 1];
+                    ++_itemOffsets[i + 1];
+                });
+    std::partial_sum(_userOffsets.begin(), _userOffsets.end(),
+                     _userOffsets.begin());
+    std::partial_sum(_itemOffsets.begin(), _itemOffsets.end(),
+                     _itemOffsets.begin());
+
+    // Balance partitions and CTAs by rating counts per side.
+    _userBounds = partitionByEdges(_userOffsets, num_gpus);
+    _itemBounds = partitionByEdges(_itemOffsets, num_gpus);
+    _userCtaBounds =
+        balanceCtas(_userOffsets, _userBounds, _params.rowsPerCta);
+    _itemCtaBounds =
+        balanceCtas(_itemOffsets, _itemBounds, _params.rowsPerCta);
+
+    // A fresh run starts from the seed's initial factors.
+    _numeric.reset();
+}
+
+AlsWorkload::Numeric &
+AlsWorkload::numeric() const
+{
+    if (_numeric)
+        return *_numeric;
+
     const std::int64_t users = _params.numUsers;
     const std::int64_t items = _params.numItems;
     const std::int64_t nnz = _params.numRatings;
     const int k = _params.rank;
 
-    Rng rng(_params.seed);
+    // Synthetic low-rank ground truth + noise, scattered into the
+    // user-major CSR and the item-major CSC in draw order.
+    Numeric num;
+    num.userItems.resize(nnz);
+    num.userRatings.resize(nnz);
+    num.itemUsers.resize(nnz);
+    num.itemRatings.resize(nnz);
+    std::vector<std::int64_t> user_slot(_userOffsets.begin(),
+                                        _userOffsets.end() - 1);
+    std::vector<std::int64_t> item_slot(_itemOffsets.begin(),
+                                        _itemOffsets.end() - 1);
+    std::vector<float> truth;
+    drawRatings(_params, &truth,
+                [&](std::int64_t u, std::int64_t i, double noise) {
+                    const float *true_u = &truth[u * k];
+                    const float *true_i = &truth[(users + i) * k];
+                    double dot = 0.0;
+                    for (int d = 0; d < k; ++d)
+                        dot += true_u[d] * true_i[d];
+                    const auto value = static_cast<float>(
+                        dot / k + 0.05 * (noise - 0.5));
 
-    // Synthetic low-rank ground truth + noise.
-    std::vector<float> true_u(users * k), true_i(items * k);
-    for (auto &v : true_u)
-        v = static_cast<float>(rng.uniform());
-    for (auto &v : true_i)
-        v = static_cast<float>(rng.uniform());
-
-    std::vector<std::int64_t> rating_users(nnz), rating_items(nnz);
-    std::vector<float> rating_values(nnz);
-    for (std::int64_t r = 0; r < nnz; ++r) {
-        const auto u = static_cast<std::int64_t>(
-            rng.below(static_cast<std::uint64_t>(users)));
-        const auto i = static_cast<std::int64_t>(
-            rng.below(static_cast<std::uint64_t>(items)));
-        double dot = 0.0;
-        for (int d = 0; d < k; ++d)
-            dot += true_u[u * k + d] * true_i[i * k + d];
-        rating_users[r] = u;
-        rating_items[r] = i;
-        rating_values[r] = static_cast<float>(
-            dot / k + 0.05 * (rng.uniform() - 0.5));
-    }
-
-    // Build user-major CSR.
-    _userOffsets.assign(users + 1, 0);
-    for (std::int64_t r = 0; r < nnz; ++r)
-        ++_userOffsets[rating_users[r] + 1];
-    for (std::int64_t u = 0; u < users; ++u)
-        _userOffsets[u + 1] += _userOffsets[u];
-    _userItems.resize(nnz);
-    _userRatings.resize(nnz);
-    {
-        std::vector<std::int64_t> cursor(_userOffsets.begin(),
-                                         _userOffsets.end() - 1);
-        for (std::int64_t r = 0; r < nnz; ++r) {
-            const std::int64_t slot = cursor[rating_users[r]]++;
-            _userItems[slot] =
-                static_cast<std::int32_t>(rating_items[r]);
-            _userRatings[slot] = rating_values[r];
-        }
-    }
-
-    // Build item-major CSC.
-    _itemOffsets.assign(items + 1, 0);
-    for (std::int64_t r = 0; r < nnz; ++r)
-        ++_itemOffsets[rating_items[r] + 1];
-    for (std::int64_t i = 0; i < items; ++i)
-        _itemOffsets[i + 1] += _itemOffsets[i];
-    _itemUsers.resize(nnz);
-    _itemRatings.resize(nnz);
-    {
-        std::vector<std::int64_t> cursor(_itemOffsets.begin(),
-                                         _itemOffsets.end() - 1);
-        for (std::int64_t r = 0; r < nnz; ++r) {
-            const std::int64_t slot = cursor[rating_items[r]]++;
-            _itemUsers[slot] =
-                static_cast<std::int32_t>(rating_users[r]);
-            _itemRatings[slot] = rating_values[r];
-        }
-    }
+                    const std::int64_t by_user = user_slot[u]++;
+                    num.userItems[by_user] = static_cast<std::int32_t>(i);
+                    num.userRatings[by_user] = value;
+                    const std::int64_t by_item = item_slot[i]++;
+                    num.itemUsers[by_item] = static_cast<std::int32_t>(u);
+                    num.itemRatings[by_item] = value;
+                });
 
     // Small deterministic initial factors.
-    _userFactors.resize(users * k);
-    _itemFactors.resize(items * k);
+    num.userFactors.resize(users * k);
+    num.itemFactors.resize(items * k);
     Rng init_rng(_params.seed + 1);
-    for (auto &v : _userFactors)
+    for (auto &v : num.userFactors)
         v = static_cast<float>(0.1 * init_rng.uniform());
-    for (auto &v : _itemFactors)
+    for (auto &v : num.itemFactors)
         v = static_cast<float>(0.1 * init_rng.uniform());
 
-    // Balance partitions by rating counts per side.
-    auto balance = [num_gpus](const std::vector<std::int64_t> &off,
-                              std::int64_t rows) {
-        std::vector<std::int64_t> bounds(num_gpus + 1, 0);
-        const std::int64_t total = off[rows];
-        std::int64_t v = 0;
-        for (int p = 1; p < num_gpus; ++p) {
-            const std::int64_t target = total * p / num_gpus;
-            while (v < rows && off[v] < target)
-                ++v;
-            bounds[p] = std::max(bounds[p - 1], v);
-        }
-        bounds[num_gpus] = rows;
-        return bounds;
-    };
-    _userBounds = balance(_userOffsets, users);
-    _itemBounds = balance(_itemOffsets, items);
-
-    auto cta_split = [this, num_gpus](
-                         const std::vector<std::int64_t> &off,
-                         const std::vector<std::int64_t> &bounds) {
-        std::vector<std::vector<std::int64_t>> out(num_gpus);
-        for (int g = 0; g < num_gpus; ++g) {
-            const std::int64_t rows = bounds[g + 1] - bounds[g];
-            const std::int64_t target_ctas = std::max<std::int64_t>(
-                1, rows / _params.rowsPerCta);
-            const std::int64_t weight =
-                off[bounds[g + 1]] - off[bounds[g]];
-            out[g] = balanceByWeight(
-                off, bounds[g], bounds[g + 1],
-                std::max<std::int64_t>(1, weight / target_ctas),
-                4 * _params.rowsPerCta);
-        }
-        return out;
-    };
-    _userCtaBounds = cta_split(_userOffsets, _userBounds);
-    _itemCtaBounds = cta_split(_itemOffsets, _itemBounds);
-
-    _initialRmse = rmse();
+    num.initialRmse = rmseOf(num);
+    return _numeric.emplace(std::move(num));
 }
 
 std::pair<std::int64_t, std::int64_t>
@@ -153,17 +152,18 @@ AlsWorkload::ratingsInRows(bool user_side, std::int64_t lo,
 void
 AlsWorkload::updateUserCta(int gpu, int cta)
 {
+    Numeric &num = numeric();
     const auto [lo, hi] = ctaRows(true, gpu, cta);
     const int k = _params.rank;
     const auto lr = static_cast<float>(_params.learningRate);
     const auto reg = static_cast<float>(_params.regularization);
 
     for (std::int64_t u = lo; u < hi; ++u) {
-        float *xu = &_userFactors[u * k];
+        float *xu = &num.userFactors[u * k];
         for (std::int64_t r = _userOffsets[u]; r < _userOffsets[u + 1];
              ++r) {
-            const float *yi = &_itemFactors[_userItems[r] * k];
-            float err = _userRatings[r];
+            const float *yi = &num.itemFactors[num.userItems[r] * k];
+            float err = num.userRatings[r];
             for (int d = 0; d < k; ++d)
                 err -= xu[d] * yi[d];
             for (int d = 0; d < k; ++d)
@@ -175,17 +175,18 @@ AlsWorkload::updateUserCta(int gpu, int cta)
 void
 AlsWorkload::updateItemCta(int gpu, int cta)
 {
+    Numeric &num = numeric();
     const auto [lo, hi] = ctaRows(false, gpu, cta);
     const int k = _params.rank;
     const auto lr = static_cast<float>(_params.learningRate);
     const auto reg = static_cast<float>(_params.regularization);
 
     for (std::int64_t i = lo; i < hi; ++i) {
-        float *yi = &_itemFactors[i * k];
+        float *yi = &num.itemFactors[i * k];
         for (std::int64_t r = _itemOffsets[i]; r < _itemOffsets[i + 1];
              ++r) {
-            const float *xu = &_userFactors[_itemUsers[r] * k];
-            float err = _itemRatings[r];
+            const float *xu = &num.userFactors[num.itemUsers[r] * k];
+            float err = num.itemRatings[r];
             for (int d = 0; d < k; ++d)
                 err -= xu[d] * yi[d];
             for (int d = 0; d < k; ++d)
@@ -263,18 +264,24 @@ AlsWorkload::buildPhase(int iter)
 double
 AlsWorkload::rmse() const
 {
+    return rmseOf(numeric());
+}
+
+double
+AlsWorkload::rmseOf(const Numeric &num) const
+{
     const int k = _params.rank;
     double se = 0.0;
     const std::int64_t nnz = _params.numRatings;
     for (std::int64_t u = 0; u < _params.numUsers; ++u) {
         for (std::int64_t r = _userOffsets[u]; r < _userOffsets[u + 1];
              ++r) {
-            const float *xu = &_userFactors[u * k];
-            const float *yi = &_itemFactors[_userItems[r] * k];
+            const float *xu = &num.userFactors[u * k];
+            const float *yi = &num.itemFactors[num.userItems[r] * k];
             double pred = 0.0;
             for (int d = 0; d < k; ++d)
                 pred += xu[d] * yi[d];
-            const double e = _userRatings[r] - pred;
+            const double e = num.userRatings[r] - pred;
             se += e * e;
         }
     }
@@ -285,7 +292,8 @@ bool
 AlsWorkload::verify() const
 {
     const double final_rmse = rmse();
-    return std::isfinite(final_rmse) && final_rmse < _initialRmse;
+    return std::isfinite(final_rmse)
+        && final_rmse < numeric().initialRmse;
 }
 
 } // namespace proact

@@ -20,6 +20,7 @@
 #include "workloads/workload.hh"
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 namespace proact {
@@ -59,22 +60,58 @@ class AlsWorkload : public Workload
 
     bool verify() const override;
 
-    /** Root-mean-square error over the known ratings. */
+    /**
+     * Root-mean-square error over the known ratings; builds the
+     * numeric state.
+     */
     double rmse() const;
 
+    /** Ratings per user as CSR row offsets, valid after setup(). */
+    const std::vector<std::int64_t> &
+    userOffsets() const
+    {
+        return _userOffsets;
+    }
+
+    /** Ratings per item as CSC column offsets, valid after setup(). */
+    const std::vector<std::int64_t> &
+    itemOffsets() const
+    {
+        return _itemOffsets;
+    }
+
+    /**
+     * Whether the ratings, the factors and the initial RMSE exist.
+     * setup() makes every input draw but keeps only the ratings per
+     * user and per item the footprints read; the rest is drawn again
+     * and built on first functional use (a functional CTA, rmse() or
+     * verify()), so timing-only runs never allocate it.
+     */
+    bool numericStateBuilt() const { return _numeric.has_value(); }
+
   private:
+    /** The ratings and the factors. */
+    struct Numeric
+    {
+        /** Rating items and values per user, in CSR order. */
+        std::vector<std::int32_t> userItems;
+        std::vector<float> userRatings;
+        /** Rating users and values per item, in CSC order. */
+        std::vector<std::int32_t> itemUsers;
+        std::vector<float> itemRatings;
+
+        std::vector<float> userFactors; ///< numUsers x rank.
+        std::vector<float> itemFactors; ///< numItems x rank.
+        double initialRmse = 0.0;
+    };
+
     Params _params;
 
-    /** Ratings in user-major CSR and item-major CSC. */
     std::vector<std::int64_t> _userOffsets;
-    std::vector<std::int32_t> _userItems;
-    std::vector<float> _userRatings;
     std::vector<std::int64_t> _itemOffsets;
-    std::vector<std::int32_t> _itemUsers;
-    std::vector<float> _itemRatings;
 
-    std::vector<float> _userFactors; ///< numUsers x rank.
-    std::vector<float> _itemFactors; ///< numItems x rank.
+    /** Built by numeric(), which const accessors call too. */
+    mutable std::optional<Numeric> _numeric;
 
     std::vector<std::int64_t> _userBounds;
     std::vector<std::int64_t> _itemBounds;
@@ -83,8 +120,9 @@ class AlsWorkload : public Workload
     std::vector<std::vector<std::int64_t>> _userCtaBounds;
     std::vector<std::vector<std::int64_t>> _itemCtaBounds;
 
-    double _initialRmse = 0.0;
-
+    /** The numeric state, built on the first call after setup(). */
+    Numeric &numeric() const;
+    double rmseOf(const Numeric &num) const;
     void updateUserCta(int gpu, int cta);
     void updateItemCta(int gpu, int cta);
     CtaWork ctaFootprint(bool user_side, int gpu, int cta) const;

@@ -51,13 +51,6 @@ struct Graph
     {
         return inOffsets[v + 1] - inOffsets[v];
     }
-
-    /** Incoming edges of the vertex range [lo, hi). */
-    std::int64_t
-    edgesInRange(std::int64_t lo, std::int64_t hi) const
-    {
-        return inOffsets[hi] - inOffsets[lo];
-    }
 };
 
 /** R-MAT generator parameters. */
@@ -102,30 +95,61 @@ struct RmatParams
 Graph generateRmat(const RmatParams &params);
 
 /**
- * R-MAT graphs shared by every workload built against one cache,
- * keyed by their parameters. Each distinct input is generated once
- * and stays alive as long as the cache does. A FleetSession owns one
- * for its elector and its tenants; a cache is never process-wide
+ * generateRmat(@p params).inOffsets without the graph. It makes the
+ * same draws in the same order (each edge's quadrant draws, then the
+ * vertex permutation) but only counts edges per destination, so it
+ * allocates the offsets and the permutation and no edge list,
+ * neighbours, weights or out-degrees. Throws the FatalErrors
+ * generateRmat throws.
+ */
+std::vector<std::int64_t> generateRmatInOffsets(const RmatParams &params);
+
+/**
+ * R-MAT inputs shared by every workload built against one cache,
+ * keyed by their parameters: the in-edge offsets a timing-only
+ * set-up reads, and the full graph a functional run reads. Each is
+ * generated on its first request and held until the cache is
+ * destroyed; once a graph is held, the offsets of its parameters are
+ * the graph's own, so they are never drawn twice. A FleetSession owns
+ * one for its elector and its tenants; a cache is never process-wide
  * (DESIGN.md §11). Not thread-safe: one thread uses a cache at a
  * time.
+ *
+ * Every request checks the parameters before the lookup and throws
+ * FatalError, caching nothing, on a set generateRmat rejects.
  */
 class GraphCache
 {
   public:
-    /**
-     * The graph generateRmat(@p params) builds, generated on the
-     * first request for these parameters and shared afterwards.
-     * Throws FatalError, and caches nothing, on parameters
-     * generateRmat rejects; they are checked before the lookup.
-     */
-    std::shared_ptr<const Graph> get(const RmatParams &params);
+    /** generateRmatInOffsets(@p params), shared. */
+    std::shared_ptr<const std::vector<std::int64_t>>
+    inOffsets(const RmatParams &params);
 
-    /** Distinct graphs held. */
-    std::size_t size() const { return _graphs.size(); }
+    /** generateRmat(@p params), shared. */
+    std::shared_ptr<const Graph> graph(const RmatParams &params);
+
+    /** Distinct inputs drawn, as offsets or as a graph. */
+    std::size_t size() const { return _inputs.size(); }
+
+    /** Distinct inputs held as a full graph. */
+    std::size_t fullGraphs() const;
 
   private:
-    std::map<RmatParams, std::shared_ptr<const Graph>> _graphs;
+    struct Input
+    {
+        std::shared_ptr<const std::vector<std::int64_t>> inOffsets;
+        std::shared_ptr<const Graph> graph;
+    };
+
+    std::map<RmatParams, Input> _inputs;
 };
+
+/**
+ * generateRmatInOffsets(@p params) from @p cache when there is one,
+ * else fresh offsets the caller alone holds.
+ */
+std::shared_ptr<const std::vector<std::int64_t>>
+rmatInOffsets(const RmatParams &params, GraphCache *cache);
 
 /**
  * generateRmat(@p params) from @p cache when there is one, else a
@@ -142,12 +166,13 @@ std::shared_ptr<const Graph> rmatGraph(const RmatParams &params,
 Graph generateRing(std::int64_t num_vertices, int degree);
 
 /**
- * Partition [0, numVertices) into contiguous ranges with roughly
- * equal incoming-edge counts (load balance across GPUs).
- * @return num_parts+1 boundaries, first 0 and last numVertices.
+ * Partition the rows of a CSR offsets array (in-edges, ratings, ...)
+ * into @p num_parts contiguous ranges of roughly equal weight (load
+ * balance across GPUs).
+ * @return num_parts+1 boundaries, first 0 and last the row count.
  */
 std::vector<std::int64_t>
-partitionByEdges(const Graph &graph, int num_parts);
+partitionByEdges(const std::vector<std::int64_t> &offsets, int num_parts);
 
 /**
  * Split rows [lo, hi) into CTA ranges balanced by the weight implied
@@ -163,6 +188,17 @@ std::vector<std::int64_t>
 balanceByWeight(const std::vector<std::int64_t> &offsets,
                 std::int64_t lo, std::int64_t hi,
                 std::int64_t target_weight, std::int64_t max_rows);
+
+/**
+ * balanceByWeight over each part [bounds[p], bounds[p+1]) of a
+ * partitionByEdges() partition: a CTA takes about @p rows_per_cta
+ * rows' share of its part's weight, and at most 4 * @p rows_per_cta
+ * rows.
+ * @return CTA boundaries per part.
+ */
+std::vector<std::vector<std::int64_t>>
+balanceCtas(const std::vector<std::int64_t> &offsets,
+            const std::vector<std::int64_t> &bounds, int rows_per_cta);
 
 } // namespace proact
 

@@ -14,26 +14,32 @@ PagerankWorkload::setup(int num_gpus)
         fatalError("PagerankWorkload: need at least one GPU");
     _numGpus = num_gpus;
 
-    _graph = rmatGraph(_params.graph, _graphs);
-    const std::int64_t n = _graph->numVertices;
-    _rankOld.assign(n, 1.0 / static_cast<double>(n));
-    _rankNew.assign(n, 0.0);
-    _bounds = partitionByEdges(*_graph, num_gpus);
-
+    _inOffsets = rmatInOffsets(_params.graph, _graphs);
+    _bounds = partitionByEdges(*_inOffsets, num_gpus);
     // Edge-balanced CTA assignment (hubs would otherwise serialize
     // whole kernels behind one monster CTA).
-    _ctaBounds.resize(num_gpus);
-    for (int g = 0; g < num_gpus; ++g) {
-        const std::int64_t verts = _bounds[g + 1] - _bounds[g];
-        const std::int64_t target_ctas = std::max<std::int64_t>(
-            1, verts / _params.vertsPerCta);
-        const std::int64_t edges =
-            _graph->edgesInRange(_bounds[g], _bounds[g + 1]);
-        _ctaBounds[g] = balanceByWeight(
-            _graph->inOffsets, _bounds[g], _bounds[g + 1],
-            std::max<std::int64_t>(1, edges / target_ctas),
-            4 * _params.vertsPerCta);
-    }
+    _ctaBounds = balanceCtas(*_inOffsets, _bounds, _params.vertsPerCta);
+
+    // A fresh run starts from the uniform distribution.
+    _numeric.reset();
+}
+
+PagerankWorkload::Numeric &
+PagerankWorkload::numeric() const
+{
+    if (_numeric)
+        return *_numeric;
+
+    Numeric num;
+    num.graph = rmatGraph(_params.graph, _graphs);
+    const std::int64_t n = num.graph->numVertices;
+    num.rankOld.assign(n, 1.0 / static_cast<double>(n));
+    // Iteration 0 writes all of rankNew before any iteration reads
+    // it. Starting equal to rankOld, it makes the parity swaps of a
+    // timing-only run no-ops even when graph() or ranks() built the
+    // state first.
+    num.rankNew = num.rankOld;
+    return _numeric.emplace(std::move(num));
 }
 
 std::pair<std::int64_t, std::int64_t>
@@ -45,19 +51,21 @@ PagerankWorkload::ctaVerts(int gpu, int cta) const
 void
 PagerankWorkload::computeCta(int gpu, int cta)
 {
+    Numeric &num = numeric();
+    const Graph &graph = *num.graph;
     const auto [lo, hi] = ctaVerts(gpu, cta);
     const double base = (1.0 - _params.damping)
-        / static_cast<double>(_graph->numVertices);
+        / static_cast<double>(graph.numVertices);
     for (std::int64_t v = lo; v < hi; ++v) {
         double acc = 0.0;
-        for (std::int64_t e = _graph->inOffsets[v];
-             e < _graph->inOffsets[v + 1]; ++e) {
-            const std::int32_t u = _graph->inNeighbors[e];
-            const std::int32_t deg = _graph->outDegree[u];
+        for (std::int64_t e = graph.inOffsets[v];
+             e < graph.inOffsets[v + 1]; ++e) {
+            const std::int32_t u = graph.inNeighbors[e];
+            const std::int32_t deg = graph.outDegree[u];
             if (deg > 0)
-                acc += _rankOld[u] / static_cast<double>(deg);
+                acc += num.rankOld[u] / static_cast<double>(deg);
         }
-        _rankNew[v] = base + _params.damping * acc;
+        num.rankNew[v] = base + _params.damping * acc;
     }
 }
 
@@ -67,7 +75,7 @@ PagerankWorkload::ctaFootprint(int gpu, int cta) const
     const auto [lo, hi] = ctaVerts(gpu, cta);
     const auto verts = static_cast<double>(hi - lo);
     const auto edges =
-        static_cast<double>(_graph->edgesInRange(lo, hi));
+        static_cast<double>((*_inOffsets)[hi] - (*_inOffsets)[lo]);
 
     CtaWork work;
     work.flops = 2.0 * edges + 2.0 * verts;
@@ -84,8 +92,11 @@ PagerankWorkload::buildPhase(int iter)
     Phase p;
     p.perGpu.resize(_numGpus);
 
-    if (iter > 0)
-        std::swap(_rankOld, _rankNew);
+    // Double buffering by iteration parity: iteration i reads the
+    // ranks iteration i-1 wrote. Before the numeric state exists
+    // there is nothing to swap.
+    if (iter > 0 && _numeric)
+        std::swap(_numeric->rankOld, _numeric->rankNew);
 
     for (int g = 0; g < _numGpus; ++g) {
         const std::int64_t verts = _bounds[g + 1] - _bounds[g];
@@ -121,15 +132,16 @@ PagerankWorkload::verify() const
     // Dangling vertices leak mass, so the sum lies in
     // ((1 - d), 1]; it must be finite, positive everywhere, and the
     // distribution must no longer be uniform after iterating.
+    const std::vector<double> &ranks = numeric().rankNew;
     double sum = 0.0, max_rank = 0.0;
-    for (const double r : _rankNew) {
+    for (const double r : ranks) {
         if (!std::isfinite(r) || r < 0.0)
             return false;
         sum += r;
         max_rank = std::max(max_rank, r);
     }
     const double uniform =
-        1.0 / static_cast<double>(_rankNew.size());
+        1.0 / static_cast<double>(ranks.size());
     return sum > 1.0 - _params.damping && sum <= 1.0 + 1e-9
         && max_rank > 2.0 * uniform;
 }

@@ -21,6 +21,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <vector>
 
 namespace proact {
@@ -40,8 +41,9 @@ class PagerankWorkload : public Workload
     PagerankWorkload() : PagerankWorkload(Params{}) {}
 
     /**
-     * With @p graphs, setup() takes the graph from that cache, which
-     * must outlive the workload; without, it generates its own.
+     * With @p graphs, the workload takes its in-edge offsets and its
+     * graph from that cache, which must outlive the workload; without,
+     * it generates its own.
      */
     explicit PagerankWorkload(Params params, GraphCache *graphs = nullptr)
         : _params(params), _graphs(graphs)
@@ -62,21 +64,49 @@ class PagerankWorkload : public Workload
 
     bool verify() const override;
 
-    const std::vector<double> &ranks() const { return _rankNew; }
-    /** The input graph; valid after setup(). */
-    const Graph &graph() const { return *_graph; }
+    /** The rank vector; builds the numeric state. */
+    const std::vector<double> &ranks() const { return numeric().rankNew; }
+
+    /**
+     * The input graph; builds the numeric state. Its inOffsets equal
+     * the offsets setup() partitioned.
+     */
+    const Graph &graph() const { return *numeric().graph; }
+
+    /**
+     * Whether the graph and the rank vectors exist. setup() draws
+     * only the in-edge offsets the footprints read; the graph and
+     * the ranks are built on first functional use (a functional CTA,
+     * graph(), ranks() or verify()), so timing-only runs never
+     * generate the graph.
+     */
+    bool numericStateBuilt() const { return _numeric.has_value(); }
 
   private:
+    /** The graph and the iterates. */
+    struct Numeric
+    {
+        std::shared_ptr<const Graph> graph;
+        std::vector<double> rankOld;
+        std::vector<double> rankNew;
+    };
+
     Params _params;
     GraphCache *_graphs;
-    std::shared_ptr<const Graph> _graph;
-    std::vector<double> _rankOld;
-    std::vector<double> _rankNew;
+
+    /** The graph's in-edge offsets: all the footprints read. */
+    std::shared_ptr<const std::vector<std::int64_t>> _inOffsets;
+
+    /** Built by numeric(), which const accessors call too. */
+    mutable std::optional<Numeric> _numeric;
+
     std::vector<std::int64_t> _bounds;
 
     /** Edge-balanced CTA boundaries per GPU (within its range). */
     std::vector<std::vector<std::int64_t>> _ctaBounds;
 
+    /** The numeric state, built on the first call after setup(). */
+    Numeric &numeric() const;
     void computeCta(int gpu, int cta);
     CtaWork ctaFootprint(int gpu, int cta) const;
     std::pair<std::int64_t, std::int64_t> ctaVerts(int gpu,

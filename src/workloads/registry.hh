@@ -26,8 +26,8 @@ std::vector<std::string> standardWorkloadNames();
 /**
  * Create a workload by name ("X-ray CT", "Jacobi", "Pagerank",
  * "SSSP", "ALS") at standard size scaled down by 2^scale_shift.
- * Pagerank and SSSP take their graph from @p graphs when given
- * (it must outlive the workload).
+ * Pagerank and SSSP take their R-MAT inputs from @p graphs when
+ * given (it must outlive the workload).
  * @throws FatalError for unknown names.
  */
 std::unique_ptr<Workload> makeWorkload(const std::string &name,

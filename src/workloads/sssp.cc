@@ -19,28 +19,29 @@ SsspWorkload::setup(int num_gpus)
         fatalError("SsspWorkload: need at least one GPU");
     _numGpus = num_gpus;
 
-    _graph = rmatGraph(_params.graph, _graphs);
-    if (_params.source < 0 || _params.source >= _graph->numVertices)
+    _inOffsets = rmatInOffsets(_params.graph, _graphs);
+    if (_params.source < 0 || _params.source >= _params.graph.numVertices)
         fatalError("SsspWorkload: source vertex out of range");
 
-    _distOld.assign(_graph->numVertices, inf);
-    _distNew.assign(_graph->numVertices, inf);
-    _distOld[_params.source] = 0.0;
-    _distNew[_params.source] = 0.0;
-    _bounds = partitionByEdges(*_graph, num_gpus);
+    _bounds = partitionByEdges(*_inOffsets, num_gpus);
+    _ctaBounds = balanceCtas(*_inOffsets, _bounds, _params.vertsPerCta);
 
-    _ctaBounds.resize(num_gpus);
-    for (int g = 0; g < num_gpus; ++g) {
-        const std::int64_t verts = _bounds[g + 1] - _bounds[g];
-        const std::int64_t target_ctas = std::max<std::int64_t>(
-            1, verts / _params.vertsPerCta);
-        const std::int64_t edges =
-            _graph->edgesInRange(_bounds[g], _bounds[g + 1]);
-        _ctaBounds[g] = balanceByWeight(
-            _graph->inOffsets, _bounds[g], _bounds[g + 1],
-            std::max<std::int64_t>(1, edges / target_ctas),
-            4 * _params.vertsPerCta);
-    }
+    // A fresh run starts with only the source reached.
+    _numeric.reset();
+}
+
+SsspWorkload::Numeric &
+SsspWorkload::numeric() const
+{
+    if (_numeric)
+        return *_numeric;
+
+    Numeric num;
+    num.graph = rmatGraph(_params.graph, _graphs);
+    num.distOld.assign(num.graph->numVertices, inf);
+    num.distOld[_params.source] = 0.0;
+    num.distNew = num.distOld;
+    return _numeric.emplace(std::move(num));
 }
 
 std::pair<std::int64_t, std::int64_t>
@@ -52,17 +53,18 @@ SsspWorkload::ctaVerts(int gpu, int cta) const
 void
 SsspWorkload::computeCta(int gpu, int cta)
 {
+    Numeric &num = numeric();
+    const Graph &graph = *num.graph;
     const auto [lo, hi] = ctaVerts(gpu, cta);
     for (std::int64_t v = lo; v < hi; ++v) {
-        double best = _distOld[v];
-        for (std::int64_t e = _graph->inOffsets[v];
-             e < _graph->inOffsets[v + 1]; ++e) {
-            const std::int32_t u = _graph->inNeighbors[e];
-            const double cand =
-                _distOld[u] + _graph->inWeights[e];
+        double best = num.distOld[v];
+        for (std::int64_t e = graph.inOffsets[v];
+             e < graph.inOffsets[v + 1]; ++e) {
+            const std::int32_t u = graph.inNeighbors[e];
+            const double cand = num.distOld[u] + graph.inWeights[e];
             best = std::min(best, cand);
         }
-        _distNew[v] = best;
+        num.distNew[v] = best;
     }
 }
 
@@ -72,7 +74,7 @@ SsspWorkload::ctaFootprint(int gpu, int cta) const
     const auto [lo, hi] = ctaVerts(gpu, cta);
     const auto verts = static_cast<double>(hi - lo);
     const auto edges =
-        static_cast<double>(_graph->edgesInRange(lo, hi));
+        static_cast<double>((*_inOffsets)[hi] - (*_inOffsets)[lo]);
 
     CtaWork work;
     work.flops = 2.0 * edges;
@@ -89,8 +91,9 @@ SsspWorkload::buildPhase(int iter)
     Phase p;
     p.perGpu.resize(_numGpus);
 
-    if (iter > 0)
-        std::swap(_distOld, _distNew);
+    // Double buffering by iteration parity, as in PageRank.
+    if (iter > 0 && _numeric)
+        std::swap(_numeric->distOld, _numeric->distNew);
 
     for (int g = 0; g < _numGpus; ++g) {
         const std::int64_t verts = _bounds[g + 1] - _bounds[g];
@@ -123,16 +126,17 @@ SsspWorkload::buildPhase(int iter)
 std::vector<double>
 SsspWorkload::referenceDistances(int hops) const
 {
-    std::vector<double> dist(_graph->numVertices, inf);
-    std::vector<double> next(_graph->numVertices, inf);
+    const Graph &graph = *numeric().graph;
+    std::vector<double> dist(graph.numVertices, inf);
+    std::vector<double> next(graph.numVertices, inf);
     dist[_params.source] = 0.0;
     for (int round = 0; round < hops; ++round) {
-        for (std::int64_t v = 0; v < _graph->numVertices; ++v) {
+        for (std::int64_t v = 0; v < graph.numVertices; ++v) {
             double best = dist[v];
-            for (std::int64_t e = _graph->inOffsets[v];
-                 e < _graph->inOffsets[v + 1]; ++e) {
-                best = std::min(best, dist[_graph->inNeighbors[e]]
-                                          + _graph->inWeights[e]);
+            for (std::int64_t e = graph.inOffsets[v];
+                 e < graph.inOffsets[v + 1]; ++e) {
+                best = std::min(best, dist[graph.inNeighbors[e]]
+                                          + graph.inWeights[e]);
             }
             next[v] = best;
         }
@@ -148,13 +152,14 @@ SsspWorkload::verify() const
     // relaxation rounds; the serial reference must agree bitwise.
     const std::vector<double> ref =
         referenceDistances(_params.iterations);
-    if (ref.size() != _distNew.size())
+    const std::vector<double> &dist = distances();
+    if (ref.size() != dist.size())
         return false;
     for (std::size_t v = 0; v < ref.size(); ++v) {
-        if (ref[v] != _distNew[v])
+        if (ref[v] != dist[v])
             return false;
     }
-    return _distNew[_params.source] == 0.0;
+    return dist[_params.source] == 0.0;
 }
 
 } // namespace proact

@@ -20,6 +20,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <vector>
 
 namespace proact {
@@ -39,8 +40,9 @@ class SsspWorkload : public Workload
     SsspWorkload() : SsspWorkload(Params{}) {}
 
     /**
-     * With @p graphs, setup() takes the graph from that cache, which
-     * must outlive the workload; without, it generates its own.
+     * With @p graphs, the workload takes its in-edge offsets and its
+     * graph from that cache, which must outlive the workload; without,
+     * it generates its own.
      */
     explicit SsspWorkload(Params params, GraphCache *graphs = nullptr)
         : _params(params), _graphs(graphs)
@@ -60,22 +62,49 @@ class SsspWorkload : public Workload
 
     bool verify() const override;
 
-    const std::vector<double> &distances() const { return _distNew; }
+    /** The distance vector; builds the numeric state. */
+    const std::vector<double> &distances() const { return numeric().distNew; }
 
-    /** Serial Bellman-Ford limited to @p hops relaxation rounds. */
+    /**
+     * Serial Bellman-Ford limited to @p hops relaxation rounds;
+     * builds the numeric state.
+     */
     std::vector<double> referenceDistances(int hops) const;
 
+    /**
+     * Whether the graph and the distance vectors exist. setup() draws
+     * only the in-edge offsets the footprints read; the graph and
+     * the distances are built on first functional use (a functional
+     * CTA, distances(), referenceDistances() or verify()), so
+     * timing-only runs never generate the graph.
+     */
+    bool numericStateBuilt() const { return _numeric.has_value(); }
+
   private:
+    /** The graph and the iterates. */
+    struct Numeric
+    {
+        std::shared_ptr<const Graph> graph;
+        std::vector<double> distOld;
+        std::vector<double> distNew;
+    };
+
     Params _params;
     GraphCache *_graphs;
-    std::shared_ptr<const Graph> _graph;
-    std::vector<double> _distOld;
-    std::vector<double> _distNew;
+
+    /** The graph's in-edge offsets: all the footprints read. */
+    std::shared_ptr<const std::vector<std::int64_t>> _inOffsets;
+
+    /** Built by numeric(), which const accessors call too. */
+    mutable std::optional<Numeric> _numeric;
+
     std::vector<std::int64_t> _bounds;
 
     /** Edge-balanced CTA boundaries per GPU (within its range). */
     std::vector<std::vector<std::int64_t>> _ctaBounds;
 
+    /** The numeric state, built on the first call after setup(). */
+    Numeric &numeric() const;
     void computeCta(int gpu, int cta);
     CtaWork ctaFootprint(int gpu, int cta) const;
     std::pair<std::int64_t, std::int64_t> ctaVerts(int gpu,

@@ -142,9 +142,14 @@ class Workload
 
     /**
      * Prepare a run on @p num_gpus GPUs. Everything the footprints
-     * read is ready afterwards; state only the math reads may be
-     * built on first functional use instead, so that timing-only
-     * runs never pay for it.
+     * read is ready afterwards: the partition and whatever it was
+     * balanced by (Pagerank's and SSSP's in-edge offsets, ALS's
+     * ratings per user and per item). Every app builds the state
+     * only the math reads (matrices, images, graphs, ratings,
+     * iterates) on first functional use instead, so timing-only runs
+     * never pay for it, and drops it here, so each set-up starts a
+     * fresh run. A functional run after any number of timing-only
+     * runs computes the same bits as one right after setup().
      */
     virtual void setup(int num_gpus) = 0;
 

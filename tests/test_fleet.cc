@@ -262,22 +262,26 @@ TEST(FleetSessionTest, ElectorAndTenantsShareOneGraphPerApp)
     EXPECT_EQ(shares, (std::set<int>{1, 2}));
     EXPECT_GT(report.electionSweeps, 0u);
 
-    // One graph per application, shared by every election sweep and
-    // every tenant of it.
+    // One input per application, shared by every election sweep and
+    // every tenant of it. The serve is timing-only, so it draws the
+    // offsets and never builds a full graph.
     EXPECT_EQ(session.graphs().size(), 2u);
+    EXPECT_EQ(session.graphs().fullGraphs(), 0u);
 
     FleetSession fresh(dgx2Platform());
     EXPECT_EQ(fresh.serve(jobs).toJson("dgx2", 0),
               report.toJson("dgx2", 0));
     EXPECT_EQ(fresh.graphs().size(), 2u);
+    EXPECT_EQ(fresh.graphs().fullGraphs(), 0u);
 
     // The elector's profiling instances draw from the same cache: at
-    // a scale shift of their own they add one graph per application.
+    // a scale shift of their own they add one input per application.
     FleetSession::Options split;
     split.elector.scaleShift = split.scaleShift + 1;
     FleetSession split_session(dgx2Platform(), split);
     split_session.serve(jobs);
     EXPECT_EQ(split_session.graphs().size(), 4u);
+    EXPECT_EQ(split_session.graphs().fullGraphs(), 0u);
 }
 
 TEST(FleetSessionTest, DisjointPlacementIsolatesTenantFaults)

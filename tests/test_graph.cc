@@ -10,9 +10,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <limits>
 #include <numeric>
+#include <string>
 #include <utility>
 
 using namespace proact;
@@ -196,7 +198,7 @@ TEST(Graph, ShufflingBalancesContiguousRanges)
         std::int64_t max_edges = 0;
         for (int p = 0; p < 4; ++p) {
             max_edges = std::max(
-                max_edges, g.edgesInRange(p * q, (p + 1) * q));
+                max_edges, g.inOffsets[(p + 1) * q] - g.inOffsets[p * q]);
         }
         return static_cast<double>(max_edges)
             / (static_cast<double>(g.numEdges()) / 4.0);
@@ -249,19 +251,27 @@ TEST(Graph, RmatMatchesReferenceAtBenchmarkPagerankSize)
     expectSameGraph(generateRmat(params), referenceRmat(params));
 }
 
-TEST(Graph, RmatRejectsInvalidParams)
+namespace {
+
+/** One parameter set per way generateRmat rejects its input. */
+std::vector<RmatParams>
+invalidRmatParams()
 {
-    RmatParams params;
-    params.numVertices = 1000; // Not a power of two.
-    EXPECT_THROW(generateRmat(params), FatalError);
-    params.numVertices = 1024;
-    params.numEdges = 0;
-    EXPECT_THROW(generateRmat(params), FatalError);
-    params.numEdges = 100;
-    params.a = 0.5;
-    params.b = 0.3;
-    params.c = 0.3;
-    EXPECT_THROW(generateRmat(params), FatalError);
+    std::vector<RmatParams> sets;
+    auto add = [&sets](auto change) {
+        RmatParams params;
+        params.numVertices = 1024;
+        params.numEdges = 100;
+        change(params);
+        sets.push_back(params);
+    };
+    add([](RmatParams &p) { p.numVertices = 1000; }); // Not 2^k.
+    add([](RmatParams &p) { p.numEdges = 0; });
+    add([](RmatParams &p) {
+        p.a = 0.5;
+        p.b = 0.3;
+        p.c = 0.3;
+    });
 
     // Each probability must be finite and non-negative, even when
     // the sum stays below 1.
@@ -276,28 +286,117 @@ TEST(Graph, RmatRejectsInvalidParams)
                                    {0.57, 0.19, -inf},
                                    {inf, -inf, 0.19}};
     for (const auto &[a, b, c] : bad_probs) {
-        params.a = a;
-        params.b = b;
-        params.c = c;
-        EXPECT_THROW(generateRmat(params), FatalError)
-            << a << " " << b << " " << c;
+        add([a, b, c](RmatParams &p) {
+            p.a = a;
+            p.b = b;
+            p.c = c;
+        });
     }
-    params.a = 0.57;
-    params.b = 0.19;
-    params.c = 0.19;
-    EXPECT_NO_THROW(generateRmat(params));
 
-    for (const std::int32_t w : {0, -1, -1000}) {
-        params.maxWeight = w;
-        EXPECT_THROW(generateRmat(params), FatalError) << w;
-    }
-    params.maxWeight = 16;
+    for (const std::int32_t w : {0, -1, -1000})
+        add([w](RmatParams &p) { p.maxWeight = w; });
 
     // Vertex ids must fit in int32; rejected before anything is
     // allocated for the (here absurdly large) graph.
-    params.numVertices = std::int64_t(1) << 32;
-    params.numEdges = std::int64_t(1) << 40;
-    EXPECT_THROW(generateRmat(params), FatalError);
+    add([](RmatParams &p) {
+        p.numVertices = std::int64_t(1) << 32;
+        p.numEdges = std::int64_t(1) << 40;
+    });
+    return sets;
+}
+
+/** The FatalError message @p body throws, or "" when it throws none. */
+template <typename Body>
+std::string
+fatalMessage(Body &&body)
+{
+    try {
+        body();
+    } catch (const FatalError &e) {
+        return e.what();
+    }
+    return "";
+}
+
+} // namespace
+
+TEST(Graph, RmatRejectsInvalidParams)
+{
+    for (const RmatParams &params : invalidRmatParams()) {
+        EXPECT_THROW(generateRmat(params), FatalError)
+            << params.numVertices << " " << params.numEdges << " "
+            << params.a << " " << params.b << " " << params.c << " "
+            << params.maxWeight;
+    }
+    RmatParams valid;
+    valid.numVertices = 1024;
+    valid.numEdges = 100;
+    EXPECT_NO_THROW(generateRmat(valid));
+}
+
+TEST(Graph, InOffsetsPassMatchesTheGraph)
+{
+    // 96 seeded cases: every vertex count from 2^1 to 2^16 six
+    // times, with and without the shuffle, random probabilities
+    // where each of a, b and c is zero a quarter of the time, and
+    // one edge in every eighth case.
+    Rng rng(deriveSeed(2026, 0));
+    for (int n = 0; n < 96; ++n) {
+        RmatParams params;
+        params.numVertices = std::int64_t(1) << (1 + n % 16);
+        params.numEdges = n % 8 == 3
+            ? 1
+            : 1 + static_cast<std::int64_t>(rng.below(static_cast<
+                  std::uint64_t>(std::min<std::int64_t>(
+                  4 * params.numVertices, 1 << 18))));
+        double x[4];
+        for (int q = 0; q < 3; ++q)
+            x[q] = rng.below(4) == 0 ? 0.0 : rng.uniform();
+        x[3] = 0.01 + rng.uniform();
+        const double sum = x[0] + x[1] + x[2] + x[3];
+        params.a = x[0] / sum;
+        params.b = x[1] / sum;
+        params.c = x[2] / sum;
+        params.shuffleVertices = n % 2 == 0;
+        params.maxWeight = 1 + static_cast<std::int32_t>(rng.below(20));
+        params.seed = deriveSeed(2026, static_cast<std::uint64_t>(n) + 1);
+        SCOPED_TRACE(::testing::Message()
+                     << "case " << n << ": " << params.numVertices
+                     << " vertices, " << params.numEdges << " edges, a="
+                     << params.a << " b=" << params.b << " c="
+                     << params.c);
+        const std::vector<std::int64_t> offsets =
+            generateRmatInOffsets(params);
+        EXPECT_EQ(offsets, generateRmat(params).inOffsets);
+        EXPECT_EQ(offsets.back(), params.numEdges);
+    }
+
+    // The smallest graph there is: two vertices, one edge.
+    RmatParams tiny;
+    tiny.numVertices = 2;
+    tiny.numEdges = 1;
+    EXPECT_EQ(generateRmatInOffsets(tiny), generateRmat(tiny).inOffsets);
+}
+
+TEST(Graph, InOffsetsPassMatchesAtBenchmarkPagerankSize)
+{
+    RmatParams params = PagerankWorkload::Params{}.graph;
+    params.numVertices >>= 4;
+    params.numEdges >>= 4;
+    params.seed = deriveSeed(1, 2);
+    EXPECT_EQ(generateRmatInOffsets(params),
+              generateRmat(params).inOffsets);
+}
+
+TEST(Graph, InOffsetsPassRejectsWhatGenerateRmatRejects)
+{
+    for (const RmatParams &params : invalidRmatParams()) {
+        const std::string want =
+            fatalMessage([&] { generateRmat(params); });
+        ASSERT_FALSE(want.empty());
+        EXPECT_EQ(fatalMessage([&] { generateRmatInOffsets(params); }),
+                  want);
+    }
 }
 
 namespace {
@@ -314,16 +413,54 @@ smallRmat()
 
 } // namespace
 
-TEST(GraphCache, EqualParamsShareOneGraph)
+TEST(GraphCache, EqualParamsShareOneInput)
 {
     GraphCache cache;
-    const auto first = cache.get(smallRmat());
-    const auto second = cache.get(smallRmat());
+    const auto offsets = cache.inOffsets(smallRmat());
+    EXPECT_EQ(cache.inOffsets(smallRmat()), offsets);
+    const auto first = cache.graph(smallRmat());
+    const auto second = cache.graph(smallRmat());
     EXPECT_EQ(first.get(), second.get());
     EXPECT_EQ(cache.size(), 1u);
+    EXPECT_EQ(cache.fullGraphs(), 1u);
 }
 
-TEST(GraphCache, EverySingleFieldChangeIsADistinctGraph)
+TEST(GraphCache, OffsetsFirstThenTheGraphBuildsItOnce)
+{
+    GraphCache cache;
+    const auto offsets = cache.inOffsets(smallRmat());
+    EXPECT_EQ(cache.size(), 1u);
+    EXPECT_EQ(cache.fullGraphs(), 0u);
+
+    const auto graph = cache.graph(smallRmat());
+    EXPECT_EQ(cache.fullGraphs(), 1u);
+    EXPECT_EQ(cache.graph(smallRmat()), graph);
+    EXPECT_EQ(cache.fullGraphs(), 1u);
+    EXPECT_EQ(cache.size(), 1u);
+    EXPECT_EQ(*offsets, graph->inOffsets);
+
+    // From now on the offsets are the graph's own.
+    EXPECT_EQ(cache.inOffsets(smallRmat()).get(), &graph->inOffsets);
+}
+
+TEST(GraphCache, GraphFirstThenTheOffsetsDrawsNothing)
+{
+    GraphCache cache;
+    auto graph = cache.graph(smallRmat());
+    const Graph *built = graph.get();
+    const auto offsets = cache.inOffsets(smallRmat());
+    // The offsets alias the graph: no second pass drew them.
+    EXPECT_EQ(offsets.get(), &built->inOffsets);
+    EXPECT_EQ(cache.size(), 1u);
+    EXPECT_EQ(cache.fullGraphs(), 1u);
+
+    // They share the graph's ownership.
+    graph.reset();
+    cache = GraphCache();
+    EXPECT_EQ(*offsets, generateRmat(smallRmat()).inOffsets);
+}
+
+TEST(GraphCache, EverySingleFieldChangeIsADistinctInput)
 {
     // One variant per RmatParams field, each valid on its own.
     const std::vector<std::pair<const char *,
@@ -339,28 +476,39 @@ TEST(GraphCache, EverySingleFieldChangeIsADistinctGraph)
          [](RmatParams &p) { p.shuffleVertices = !p.shuffleVertices; }},
     };
 
+    // Every input stays held, so no address is reused.
     GraphCache cache;
-    std::vector<const Graph *> seen = {cache.get(smallRmat()).get()};
+    std::vector<std::shared_ptr<const std::vector<std::int64_t>>> offsets =
+        {cache.inOffsets(smallRmat())};
+    std::vector<std::shared_ptr<const Graph>> graphs = {
+        cache.graph(smallRmat())};
     for (const auto &[field, change] : variants) {
         RmatParams params = smallRmat();
         change(params);
-        const Graph *graph = cache.get(params).get();
-        for (const Graph *other : seen)
+        const auto offset = cache.inOffsets(params);
+        const auto graph = cache.graph(params);
+        for (const auto &other : offsets)
+            EXPECT_NE(offset, other) << field;
+        for (const auto &other : graphs)
             EXPECT_NE(graph, other) << field;
-        seen.push_back(graph);
+        offsets.push_back(offset);
+        graphs.push_back(graph);
     }
     EXPECT_EQ(cache.size(), variants.size() + 1);
+    EXPECT_EQ(cache.fullGraphs(), variants.size() + 1);
 }
 
-TEST(GraphCache, CachedGraphEqualsAFreshBuild)
+TEST(GraphCache, CachedInputsEqualFreshBuilds)
 {
     GraphCache cache;
     for (const bool shuffle : {true, false}) {
         RmatParams params = smallRmat();
         params.shuffleVertices = shuffle;
-        expectSameGraph(*cache.get(params), generateRmat(params));
+        EXPECT_EQ(*cache.inOffsets(params),
+                  generateRmat(params).inOffsets);
+        expectSameGraph(*cache.graph(params), generateRmat(params));
         // A hit returns the same contents.
-        expectSameGraph(*cache.get(params), generateRmat(params));
+        expectSameGraph(*cache.graph(params), generateRmat(params));
     }
     EXPECT_EQ(cache.size(), 2u);
 }
@@ -376,20 +524,24 @@ TEST(GraphCache, RejectsInvalidParamsAndCachesNothing)
 
     GraphCache cache;
     for (const RmatParams &params : {nan_a, no_weight, odd_vertices}) {
-        EXPECT_THROW(cache.get(params), FatalError);
+        EXPECT_THROW(cache.graph(params), FatalError);
         // A second request is checked again, not served from a slot
         // the first left behind.
-        EXPECT_THROW(cache.get(params), FatalError);
+        EXPECT_THROW(cache.graph(params), FatalError);
+        EXPECT_THROW(cache.inOffsets(params), FatalError);
         EXPECT_EQ(cache.size(), 0u);
     }
     EXPECT_THROW(rmatGraph(nan_a, &cache), FatalError);
+    EXPECT_THROW(rmatInOffsets(nan_a, &cache), FatalError);
     EXPECT_EQ(cache.size(), 0u);
 
     // A NaN compares unordered with every key, so a lookup before
-    // the check would match the graph already cached.
-    cache.get(smallRmat());
-    EXPECT_THROW(cache.get(nan_a), FatalError);
+    // the check would match the input already cached.
+    cache.inOffsets(smallRmat());
+    EXPECT_THROW(cache.inOffsets(nan_a), FatalError);
+    EXPECT_THROW(cache.graph(nan_a), FatalError);
     EXPECT_EQ(cache.size(), 1u);
+    EXPECT_EQ(cache.fullGraphs(), 0u);
 }
 
 TEST(GraphCache, WorkloadsBuiltAgainstOneCacheShareTheirGraph)
@@ -401,8 +553,11 @@ TEST(GraphCache, WorkloadsBuiltAgainstOneCacheShareTheirGraph)
     PagerankWorkload second(params, &cache);
     first.setup(2);
     second.setup(4);
-    EXPECT_EQ(&first.graph(), &second.graph());
+    // Set-up draws the offsets only.
     EXPECT_EQ(cache.size(), 1u);
+    EXPECT_EQ(cache.fullGraphs(), 0u);
+    EXPECT_EQ(&first.graph(), &second.graph());
+    EXPECT_EQ(cache.fullGraphs(), 1u);
 
     // Without a cache each workload builds its own, equal, graph.
     PagerankWorkload own(params);
@@ -417,7 +572,7 @@ TEST(Graph, PartitionByEdgesBalances)
     params.numVertices = 1 << 13;
     params.numEdges = 1 << 16;
     const Graph g = generateRmat(params);
-    const auto bounds = partitionByEdges(g, 4);
+    const auto bounds = partitionByEdges(g.inOffsets, 4);
 
     ASSERT_EQ(bounds.size(), 5u);
     EXPECT_EQ(bounds.front(), 0);
@@ -425,7 +580,7 @@ TEST(Graph, PartitionByEdgesBalances)
     for (int p = 0; p < 4; ++p) {
         ASSERT_LE(bounds[p], bounds[p + 1]);
         const double share = static_cast<double>(
-            g.edgesInRange(bounds[p], bounds[p + 1]));
+            g.inOffsets[bounds[p + 1]] - g.inOffsets[bounds[p]]);
         EXPECT_NEAR(share / static_cast<double>(g.numEdges()), 0.25,
                     0.08);
     }
@@ -434,9 +589,10 @@ TEST(Graph, PartitionByEdgesBalances)
 TEST(Graph, PartitionSinglePart)
 {
     const Graph g = generateRing(100, 2);
-    const auto bounds = partitionByEdges(g, 1);
+    const auto bounds = partitionByEdges(g.inOffsets, 1);
     EXPECT_EQ(bounds, (std::vector<std::int64_t>{0, 100}));
-    EXPECT_THROW(partitionByEdges(g, 0), FatalError);
+    EXPECT_THROW(partitionByEdges(g.inOffsets, 0), FatalError);
+    EXPECT_THROW(partitionByEdges({}, 2), FatalError);
 }
 
 TEST(Graph, BalanceByWeightRespectsTargets)

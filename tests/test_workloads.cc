@@ -12,9 +12,11 @@
 #include "workloads/registry.hh"
 
 #include "sim/logging.hh"
+#include "sim/random.hh"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 
@@ -137,9 +139,20 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(1, 2, 4)),
     appGpuName);
 
+/** Every bit of @p values, in order. */
+std::vector<std::uint64_t>
+bitsOf(const std::vector<double> &values)
+{
+    std::vector<std::uint64_t> bits;
+    bits.reserve(values.size());
+    for (const double v : values)
+        bits.push_back(std::bit_cast<std::uint64_t>(v));
+    return bits;
+}
+
 /**
- * Jacobi and X-ray CT build their numeric state on first functional
- * use; parameterized over (workload, gpu count).
+ * Every app builds its numeric state on first functional use;
+ * parameterized over (workload, gpu count).
  */
 class DeferredNumericState : public WorkloadProperty
 {
@@ -155,22 +168,39 @@ class DeferredNumericState : public WorkloadProperty
     {
         if (const auto *jacobi = dynamic_cast<const JacobiWorkload *>(&w))
             return jacobi->numericStateBuilt();
-        return dynamic_cast<const MbirWorkload &>(w).numericStateBuilt();
+        if (const auto *ct = dynamic_cast<const MbirWorkload *>(&w))
+            return ct->numericStateBuilt();
+        if (const auto *pr = dynamic_cast<const PagerankWorkload *>(&w))
+            return pr->numericStateBuilt();
+        if (const auto *sssp = dynamic_cast<const SsspWorkload *>(&w))
+            return sssp->numericStateBuilt();
+        return dynamic_cast<const AlsWorkload &>(w).numericStateBuilt();
     }
 
-    /** A small profiler sweep plus one timing-only run. */
+    /**
+     * A small profiler sweep, then two timing-only runs. The sweep
+     * measures five candidates (two mechanisms at two chunk sizes,
+     * plus inline) over two iterations each, and each run covers all
+     * four: 5 + 2 x 3 = 11 iteration boundaries. The count is odd,
+     * so a workload that swaps its double buffers at every boundary,
+     * written or not, leaves them exchanged.
+     */
     void
     profileAndTime(Workload &w) const
     {
         Profiler::Options options;
         options.chunkSizes = {16 * KiB, 64 * KiB};
         options.threadCounts = {256};
-        Profiler(platform(), options).profile(w);
+        const ProfileResult profile = Profiler(platform(), options).profile(w);
+        ASSERT_EQ(profile.entries.size(), 4u);
+        ASSERT_EQ(w.numIterations(), 4);
 
-        MultiGpuSystem system(platform());
-        system.setFunctional(false);
-        ProactRuntime runtime(system, ProactRuntime::Options{});
-        runtime.run(w);
+        for (int run = 0; run < 2; ++run) {
+            MultiGpuSystem system(platform());
+            system.setFunctional(false);
+            ProactRuntime runtime(system, ProactRuntime::Options{});
+            runtime.run(w);
+        }
     }
 
     void
@@ -185,14 +215,24 @@ class DeferredNumericState : public WorkloadProperty
     std::vector<std::uint64_t>
     outcome(const Workload &w) const
     {
+        std::vector<std::uint64_t> bits;
         if (const auto *jacobi = dynamic_cast<const JacobiWorkload *>(&w)) {
-            return {std::bit_cast<std::uint64_t>(jacobi->relativeResidual()),
-                    jacobi->verify()};
+            bits = {std::bit_cast<std::uint64_t>(jacobi->relativeResidual())};
+        } else if (const auto *ct = dynamic_cast<const MbirWorkload *>(&w)) {
+            bits = {std::bit_cast<std::uint64_t>(ct->relativeResidual()),
+                    std::bit_cast<std::uint64_t>(ct->reconstructionError())};
+        } else if (const auto *pr =
+                       dynamic_cast<const PagerankWorkload *>(&w)) {
+            bits = bitsOf(pr->ranks());
+        } else if (const auto *sssp =
+                       dynamic_cast<const SsspWorkload *>(&w)) {
+            bits = bitsOf(sssp->distances());
+        } else {
+            const auto &als = dynamic_cast<const AlsWorkload &>(w);
+            bits = {std::bit_cast<std::uint64_t>(als.rmse())};
         }
-        const auto &ct = dynamic_cast<const MbirWorkload &>(w);
-        return {std::bit_cast<std::uint64_t>(ct.relativeResidual()),
-                std::bit_cast<std::uint64_t>(ct.reconstructionError()),
-                ct.verify()};
+        bits.push_back(w.verify());
+        return bits;
     }
 
     /** What a fresh instance's functional run leaves behind. */
@@ -224,6 +264,18 @@ TEST_P(DeferredNumericState, ProfilingFirstLeavesFunctionalResultsBitwiseEqual)
     EXPECT_EQ(got.back(), 1u) << "the functional run verifies";
 }
 
+TEST_P(DeferredNumericState, StateReadBeforeProfilingLeavesResultsBitwiseEqual)
+{
+    // Reading the results builds the state before any run, so the
+    // timing-only runs below swap buffers that exist but that no
+    // functional CTA wrote.
+    outcome(*workload);
+    EXPECT_TRUE(built(*workload));
+    profileAndTime(*workload);
+    runFunctional(*workload);
+    EXPECT_EQ(outcome(*workload), freshOutcome());
+}
+
 TEST_P(DeferredNumericState, SetupAfterAFunctionalRunStartsFresh)
 {
     runFunctional(*workload);
@@ -241,8 +293,9 @@ TEST_P(DeferredNumericState, VerifyFailsBeforeAnyFunctionalRun)
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    DenseApps, DeferredNumericState,
-    ::testing::Combine(::testing::Values("X-ray CT", "Jacobi"),
+    AllApps, DeferredNumericState,
+    ::testing::Combine(::testing::Values("X-ray CT", "Jacobi",
+                                         "Pagerank", "SSSP", "ALS"),
                        ::testing::Values(1, 2, 4)),
     appGpuName);
 
@@ -270,6 +323,11 @@ TEST(Workloads, SsspMatchesSerialReferenceBitwise)
     runtime.run(sssp);
 
     const auto ref = sssp.referenceDistances(4);
+    // The source reaches more than itself, so the comparison covers
+    // relaxed distances and not only infinities.
+    EXPECT_GT(std::count_if(ref.begin(), ref.end(),
+                            [](double d) { return std::isfinite(d); }),
+              1000);
     ASSERT_EQ(ref.size(), sssp.distances().size());
     for (std::size_t v = 0; v < ref.size(); ++v)
         ASSERT_EQ(ref[v], sssp.distances()[v]) << "vertex " << v;
@@ -316,6 +374,183 @@ TEST(Workloads, AlsReducesRmse)
     IdealRuntime runtime(system);
     runtime.run(als);
     EXPECT_LT(als.rmse(), before);
+}
+
+namespace {
+
+/**
+ * ALS as AlsWorkload::setup() built it when set-up was eager: every
+ * rating drawn into arrays, the user-major CSR and item-major CSC
+ * scattered from them, the initial factors drawn, and SGD iterations
+ * run one row at a time. Within an iteration each row update reads
+ * only the other side's factors, so row order does not change a bit.
+ */
+struct EagerAls
+{
+    AlsWorkload::Params params;
+    std::vector<std::int64_t> userOffsets, itemOffsets;
+    std::vector<std::int32_t> userItems, itemUsers;
+    std::vector<float> userRatings, itemRatings;
+    std::vector<float> userFactors, itemFactors;
+
+    explicit EagerAls(const AlsWorkload::Params &p) : params(p)
+    {
+        const std::int64_t users = p.numUsers;
+        const std::int64_t items = p.numItems;
+        const std::int64_t nnz = p.numRatings;
+        const int k = p.rank;
+
+        Rng rng(p.seed);
+        std::vector<float> true_u(users * k), true_i(items * k);
+        for (auto &v : true_u)
+            v = static_cast<float>(rng.uniform());
+        for (auto &v : true_i)
+            v = static_cast<float>(rng.uniform());
+
+        std::vector<std::int64_t> rating_users(nnz), rating_items(nnz);
+        std::vector<float> rating_values(nnz);
+        for (std::int64_t r = 0; r < nnz; ++r) {
+            const auto u = static_cast<std::int64_t>(
+                rng.below(static_cast<std::uint64_t>(users)));
+            const auto i = static_cast<std::int64_t>(
+                rng.below(static_cast<std::uint64_t>(items)));
+            double dot = 0.0;
+            for (int d = 0; d < k; ++d)
+                dot += true_u[u * k + d] * true_i[i * k + d];
+            rating_users[r] = u;
+            rating_items[r] = i;
+            rating_values[r] = static_cast<float>(
+                dot / k + 0.05 * (rng.uniform() - 0.5));
+        }
+
+        scatter(users, rating_users, rating_items, rating_values,
+                userOffsets, userItems, userRatings);
+        scatter(items, rating_items, rating_users, rating_values,
+                itemOffsets, itemUsers, itemRatings);
+
+        userFactors.resize(users * k);
+        itemFactors.resize(items * k);
+        Rng init_rng(p.seed + 1);
+        for (auto &v : userFactors)
+            v = static_cast<float>(0.1 * init_rng.uniform());
+        for (auto &v : itemFactors)
+            v = static_cast<float>(0.1 * init_rng.uniform());
+    }
+
+    /** Counting-sort the ratings by @p rows_of into CSR arrays. */
+    static void
+    scatter(std::int64_t rows, const std::vector<std::int64_t> &rows_of,
+            const std::vector<std::int64_t> &cols_of,
+            const std::vector<float> &values,
+            std::vector<std::int64_t> &offsets,
+            std::vector<std::int32_t> &cols, std::vector<float> &vals)
+    {
+        offsets.assign(rows + 1, 0);
+        for (const std::int64_t row : rows_of)
+            ++offsets[row + 1];
+        for (std::int64_t row = 0; row < rows; ++row)
+            offsets[row + 1] += offsets[row];
+        cols.resize(rows_of.size());
+        vals.resize(rows_of.size());
+        std::vector<std::int64_t> cursor(offsets.begin(),
+                                         offsets.end() - 1);
+        for (std::size_t r = 0; r < rows_of.size(); ++r) {
+            const std::int64_t slot = cursor[rows_of[r]]++;
+            cols[slot] = static_cast<std::int32_t>(cols_of[r]);
+            vals[slot] = values[r];
+        }
+    }
+
+    /** One SGD iteration: users on even @p iter, items on odd. */
+    void
+    iterate(int iter)
+    {
+        const bool user_side = iter % 2 == 0;
+        const int k = params.rank;
+        const auto lr = static_cast<float>(params.learningRate);
+        const auto reg = static_cast<float>(params.regularization);
+        const auto &offsets = user_side ? userOffsets : itemOffsets;
+        const auto &others = user_side ? userItems : itemUsers;
+        const auto &ratings = user_side ? userRatings : itemRatings;
+        auto &mine = user_side ? userFactors : itemFactors;
+        const auto &theirs = user_side ? itemFactors : userFactors;
+        for (std::size_t row = 0; row + 1 < offsets.size(); ++row) {
+            float *x = &mine[row * k];
+            for (std::int64_t r = offsets[row]; r < offsets[row + 1];
+                 ++r) {
+                const float *y = &theirs[others[r] * k];
+                float err = ratings[r];
+                for (int d = 0; d < k; ++d)
+                    err -= x[d] * y[d];
+                for (int d = 0; d < k; ++d)
+                    x[d] += lr * (err * y[d] - reg * x[d]);
+            }
+        }
+    }
+
+    double
+    rmse() const
+    {
+        const int k = params.rank;
+        double se = 0.0;
+        for (std::int64_t u = 0; u < params.numUsers; ++u) {
+            for (std::int64_t r = userOffsets[u]; r < userOffsets[u + 1];
+                 ++r) {
+                const float *xu = &userFactors[u * k];
+                const float *yi = &itemFactors[userItems[r] * k];
+                double pred = 0.0;
+                for (int d = 0; d < k; ++d)
+                    pred += xu[d] * yi[d];
+                const double e = userRatings[r] - pred;
+                se += e * e;
+            }
+        }
+        return std::sqrt(se / static_cast<double>(params.numRatings));
+    }
+};
+
+} // namespace
+
+TEST(Workloads, AlsMatchesTheEagerSetUpBitwise)
+{
+    // The test size, and a shape with more items than users and an
+    // odd rank, where swapping the two sides would show.
+    AlsWorkload::Params square;
+    square.numUsers = 1 << 10;
+    square.numItems = 1 << 10;
+    square.numRatings = 1 << 13;
+    square.iterations = 4;
+    AlsWorkload::Params oblong = square;
+    oblong.numUsers = 1 << 9;
+    oblong.numItems = 1 << 11;
+    oblong.rank = 5;
+    oblong.seed = 77;
+
+    for (const AlsWorkload::Params &params : {square, oblong}) {
+        for (const int gpus : {1, 4}) {
+            SCOPED_TRACE(::testing::Message()
+                         << params.numUsers << "x" << params.numItems
+                         << " rank " << params.rank << ", " << gpus
+                         << " GPUs");
+            EagerAls eager(params);
+            AlsWorkload als(params);
+            als.setup(gpus);
+            EXPECT_EQ(als.userOffsets(), eager.userOffsets);
+            EXPECT_EQ(als.itemOffsets(), eager.itemOffsets);
+            EXPECT_FALSE(als.numericStateBuilt());
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(als.rmse()),
+                      std::bit_cast<std::uint64_t>(eager.rmse()));
+
+            MultiGpuSystem system(voltaPlatform().withGpuCount(gpus));
+            IdealRuntime runtime(system);
+            runtime.run(als);
+            for (int iter = 0; iter < params.iterations; ++iter)
+                eager.iterate(iter);
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(als.rmse()),
+                      std::bit_cast<std::uint64_t>(eager.rmse()));
+            EXPECT_TRUE(als.verify());
+        }
+    }
 }
 
 TEST(Workloads, MbirReducesReconstructionError)
