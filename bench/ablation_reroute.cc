@@ -5,7 +5,7 @@
  *
  * A 4-GPU pairwise-link Volta runs a workload while the 0->1 link
  * goes DOWN a quarter of the way into the (healthy) makespan and
- * never recovers. Three stacked configurations face the same fault
+ * never recovers. Two stacked configurations face the same fault
  * plan:
  *
  *   retry-only   acknowledged chunks, exponential backoff, reliable
@@ -14,14 +14,14 @@
  *   + reroute    the health monitor trips the link DOWN after a short
  *                loss streak and new sends detour via a relay GPU on
  *                physically distinct pair links.
- *   + reprofile  a narrowed online sweep re-tunes chunk size/threads
- *                for the detoured fabric; the runtime hot-swaps the
- *                config at the next iteration boundary.
  *
- * The acceptance bar (ISSUE): rerouting + reprofiling completes
- * strictly faster than retry-only under the identical fault plan.
- * Emits a machine-readable summary (ablation_reroute.json or
- * $PROACT_BENCH_JSON) uploaded as a CI artifact.
+ * The bench exits nonzero unless the adaptive stack (+ reroute)
+ * completes strictly faster than retry-only under the identical
+ * fault plan. There is no re-profiled row: re-sweeping chunk size and
+ * threads on the observed fabric never beat + reroute alone
+ * (DESIGN.md §8). Emits a machine-readable summary
+ * (ablation_reroute.json or $PROACT_BENCH_JSON) uploaded as a CI
+ * artifact.
  */
 
 #include "bench/bench_common.hh"
@@ -29,7 +29,6 @@
 #include "faults/fault_plan.hh"
 #include "health/link_health.hh"
 #include "interconnect/rerouter.hh"
-#include "proact/reprofiler.hh"
 
 #include <cstdlib>
 #include <fstream>
@@ -69,12 +68,11 @@ struct Outcome
     double retried = 0;
     double fallbacks = 0;
     double detours = 0;
-    double sweeps = 0;
 };
 
 Outcome
 runOnce(const std::string &app, std::uint64_t scale, Tick down_at,
-        bool reroute, bool reprofile)
+        bool reroute)
 {
     auto workload = makeScaledWorkload(app, 4, scale);
     MultiGpuSystem system(pairwiseVolta());
@@ -86,24 +84,14 @@ runOnce(const std::string &app, std::uint64_t scale, Tick down_at,
         system.installFaults(std::move(plan));
     }
 
-    std::unique_ptr<AdaptiveReprofiler> reprofiler;
     if (reroute) {
         system.enableHealth();
         system.fabric().setRebooking(true);
         system.enableReroute();
     }
-    if (reprofile) {
-        auto factory = [&](int gpus) {
-            auto w = makeScaledWorkload(app, gpus, 1);
-            return w;
-        };
-        reprofiler = std::make_unique<AdaptiveReprofiler>(
-            system, factory, baseConfig());
-    }
 
     ProactRuntime::Options options;
     options.config = baseConfig();
-    options.reprofiler = reprofiler.get();
     ProactRuntime runtime(system, options);
 
     Outcome out;
@@ -114,8 +102,6 @@ runOnce(const std::string &app, std::uint64_t scale, Tick down_at,
         out.detours = rr->stats().get("reroute.detours")
             + rr->stats().get("reroute.splits");
     }
-    if (reprofiler)
-        out.sweeps = reprofiler->stats().get("reprofile.sweeps");
     return out;
 }
 
@@ -128,8 +114,7 @@ main()
     const std::string app = "Jacobi";
 
     // The link dies a quarter of the way into the healthy makespan.
-    const Tick healthy = runOnce(app, scale, maxTick, false, false)
-                             .ticks;
+    const Tick healthy = runOnce(app, scale, maxTick, false).ticks;
     const Tick down_at = healthy / 4;
 
     std::cout << "Ablation: fault-adaptive runtime layers ("
@@ -140,8 +125,7 @@ main()
     std::cout << std::left << std::setw(22) << "configuration"
               << std::right << std::setw(12) << "slowdown"
               << std::setw(10) << "retries" << std::setw(10)
-              << "fallbks" << std::setw(10) << "detours"
-              << std::setw(8) << "sweeps" << "\n";
+              << "fallbks" << std::setw(10) << "detours" << "\n";
 
     std::ostringstream json;
     json << "{\n  \"bench\": \"ablation_reroute\",\n  \"app\": \""
@@ -158,8 +142,7 @@ main()
                   << std::setw(10)
                   << static_cast<long>(out.retried) << std::setw(10)
                   << static_cast<long>(out.fallbacks) << std::setw(10)
-                  << static_cast<long>(out.detours) << std::setw(8)
-                  << static_cast<long>(out.sweeps) << "\n";
+                  << static_cast<long>(out.detours) << "\n";
         json << (first_row ? "" : ",") << "\n    {\"config\": \""
              << label << "\", \"ticks\": " << out.ticks
              << ", \"slowdown\": " << slowdown
@@ -167,19 +150,15 @@ main()
              << ", \"fallbacks\": "
              << static_cast<long>(out.fallbacks)
              << ", \"detours\": " << static_cast<long>(out.detours)
-             << ", \"sweeps\": " << static_cast<long>(out.sweeps)
              << "}";
         first_row = false;
     };
 
-    row("healthy fabric", Outcome{healthy, 0, 0, 0, 0});
-    const Outcome retry_only =
-        runOnce(app, scale, down_at, false, false);
+    row("healthy fabric", Outcome{healthy, 0, 0, 0});
+    const Outcome retry_only = runOnce(app, scale, down_at, false);
     row("retry-only", retry_only);
-    const Outcome rerouted = runOnce(app, scale, down_at, true, false);
-    row("+ reroute", rerouted);
-    const Outcome adaptive = runOnce(app, scale, down_at, true, true);
-    row("+ reroute+reprofile", adaptive);
+    const Outcome adaptive = runOnce(app, scale, down_at, true);
+    row("+ reroute", adaptive);
 
     const bool pass = adaptive.ticks < retry_only.ticks;
     json << "\n  ],\n  \"acceptance\": {\n"
@@ -192,7 +171,7 @@ main()
         env != nullptr && *env != '\0' ? env : "ablation_reroute.json";
     std::ofstream(path) << json.str();
 
-    std::cout << "\nacceptance: reroute+reprofile "
+    std::cout << "\nacceptance: reroute "
               << (pass ? "beats" : "DOES NOT BEAT")
               << " retry-only ("
               << static_cast<double>(retry_only.ticks)

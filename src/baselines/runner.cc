@@ -141,8 +141,10 @@ UnifiedMemoryRuntime::run(Workload &workload)
 
     const Tick start = _system.now();
 
-    // Region layout: concatenated per-GPU partitions, sized from the
-    // first iteration (our workloads keep partition sizes constant).
+    // Region layout: concatenated per-GPU partitions at the first
+    // iteration's offsets. Later phases may produce more (ALS's user
+    // and item phases differ in per-GPU size), so each phase grows
+    // the region to its own extent before it touches it.
     const Phase first = workload.phase(0);
     std::vector<std::uint64_t> offsets(n, 0);
     std::uint64_t region_bytes = 0;
@@ -154,6 +156,13 @@ UnifiedMemoryRuntime::run(Workload &workload)
 
     for (int iter = 0; iter < workload.numIterations(); ++iter) {
         const Phase phase = workload.phase(iter);
+        std::uint64_t extent = 0;
+        for (int g = 0; g < n; ++g) {
+            extent = std::max(extent,
+                              offsets[g]
+                                  + phase.perGpu[g].totalBytesProduced());
+        }
+        driver.pageTable().growTo(extent);
 
         // Pull the peer partitions produced last iteration while the
         // kernels run; the iteration ends when both the compute and

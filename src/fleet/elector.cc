@@ -50,10 +50,16 @@ StrategyElector::elect(const std::string &workload, int gpus,
     slice.fabric.perGpuBidirBandwidth /=
         static_cast<double>(share_count);
 
-    Profiler::Options opts = AdaptiveReprofiler::narrowedOptions(
-        _options.anchor, _options.narrow);
-    opts.includeInline = _options.considerInline;
-    opts.profileIterations = _options.profileIterations;
+    // The narrowed grid: CDP only, the five smallest entries of the
+    // paper's granularity and thread-count sweeps, and inline, which
+    // the sweep elects when it wins outright; one iteration each.
+    Profiler::Options opts;
+    opts.mechanisms = {TransferMechanism::Cdp};
+    opts.chunkSizes = {4 * KiB, 16 * KiB, 64 * KiB, 128 * KiB,
+                       256 * KiB};
+    opts.threadCounts = {32, 128, 256, 512, 1024};
+    opts.includeInline = true;
+    opts.profileIterations = 1;
 
     Profiler profiler(slice, opts);
     auto instance =
@@ -61,8 +67,7 @@ StrategyElector::elect(const std::string &workload, int gpus,
     instance->setup(gpus);
     const ProfileResult result = profiler.profile(*instance);
     _stats.inc("elect.candidates",
-               static_cast<double>(result.entries.size())
-                   + (opts.includeInline ? 1.0 : 0.0));
+               static_cast<double>(result.entries.size()) + 1.0);
 
     Election election;
     election.config = result.best;

@@ -5,18 +5,17 @@
  * Each admitted tenant needs a paradigm (PROACT inline vs decoupled)
  * and a TransferConfig tuned for the fabric slice it was placed on.
  * The elector keys results on (workload, gpus, shareCount): a cache
- * hit costs nothing; a miss runs a *narrowed* profiler sweep — the
- * same windowed search space the AdaptiveReprofiler uses online
- * (AdaptiveReprofiler::narrowedOptions) — on a bandwidth-scaled copy
- * of the platform, then memoizes the winner for every later tenant
- * of the same shape.
+ * hit costs nothing; a miss runs a *narrowed* profiler sweep (CDP at
+ * the five smallest granularities and thread counts of the paper's
+ * sweeps, plus inline) on a bandwidth-scaled copy of the platform,
+ * then memoizes the winner for every later tenant of the same shape.
  */
 
 #ifndef PROACT_FLEET_ELECTOR_HH
 #define PROACT_FLEET_ELECTOR_HH
 
 #include "harness/paradigm.hh"
-#include "proact/reprofiler.hh"
+#include "proact/config.hh"
 #include "sim/stats.hh"
 #include "system/platform.hh"
 #include "workloads/graph.hh"
@@ -50,18 +49,6 @@ class StrategyElector
   public:
     struct Options
     {
-        /** Narrowed-window shape shared with the reprofiler. */
-        AdaptiveReprofiler::Options narrow;
-
-        /** Centre of the narrowed window on a cache miss. */
-        TransferConfig anchor;
-
-        /** Let the sweep elect ProactInline when it wins outright. */
-        bool considerInline = true;
-
-        /** Iterations per candidate in the election sweep. */
-        int profileIterations = 1;
-
         /**
          * Scale shift of the short profiling instance (the election
          * optimizes communication ratios, which are scale-invariant

@@ -220,7 +220,6 @@ FleetSession::runTenant(const JobSpec &job,
         run_options.deliveryObserver = _options.observerFor(job);
     if (_options.recovery.enabled) {
         run_options.deviceHealth = true;
-        run_options.deviceHealthPolicy = _options.recovery.deviceHealth;
         run_options.checkpoint = _options.recovery.checkpoint;
         run_options.firstIteration = first_iteration;
     }

@@ -9,7 +9,7 @@
  *  - the placement allocator seats each admitted tenant on a plane
  *    subset of the machine (placement.hh);
  *  - the strategy elector picks paradigm + TransferConfig from its
- *    profiler cache, sweeping a narrowed window on a miss
+ *    profiler cache, sweeping a narrowed grid on a miss
  *    (elector.hh);
  *  - the tenant executes through the ordinary Session harness on a
  *    platform slice (its GPU count, its plane's bandwidth share),
@@ -36,7 +36,6 @@
 #include "fleet/job.hh"
 #include "fleet/placement.hh"
 #include "harness/session.hh"
-#include "health/device_health.hh"
 #include "interconnect/interconnect.hh"
 #include "proact/config.hh"
 #include "workloads/graph.hh"
@@ -65,9 +64,6 @@ struct RecoveryPolicy
     /** Checkpoints for every tenant run (restore costs one
      * checkpoint.cost at restart). */
     CheckpointPolicy checkpoint{true};
-
-    /** Watchdog thresholds for every tenant run. */
-    DeviceHealthPolicy deviceHealth;
 
     /** Never shrink a resumed job below this many GPUs. */
     int minGpus = 2;
@@ -236,10 +232,8 @@ class FleetSession
 
         /**
          * Charge each cache-miss election sweep's simulated cost to
-         * the elected tenant's timeline (the fleet face of
-         * AdaptiveReprofiler::Options::chargeTimeline — cache hits
-         * stay free, which is the point of the persistent elector
-         * cache).
+         * the elected tenant's timeline (cache hits stay free, which
+         * is the point of the persistent elector cache).
          */
         bool chargeElections = false;
 

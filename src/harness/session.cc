@@ -26,7 +26,6 @@ ParadigmRun::faultSummary() const
     field("wire_transitions", wireTransitions);
     field("congested", congestionEvents);
     field("reroutes", reroutes);
-    field("swaps", configSwaps);
     field("refused", refusedDeliveries);
     field("quiesced", quiescedFlights);
     field("orphaned", orphanedTransfers);
@@ -60,8 +59,7 @@ Session::run(Workload &workload, Paradigm paradigm,
     system.setFunctional(options.functional);
 
     TransferConfig effective = options.config;
-    const bool armed = options.armFaults || !options.faults.empty();
-    if (armed) {
+    if (!options.faults.empty()) {
         system.installFaults(options.faults);
         effective.retry = options.retry;
     }
@@ -73,7 +71,7 @@ Session::run(Workload &workload, Paradigm paradigm,
         system.fabric().setRebooking(true);
     }
     if (options.deviceHealth)
-        system.enableDeviceHealth(options.deviceHealthPolicy);
+        system.enableDeviceHealth();
     if (options.reroute)
         system.enableReroute();
 
@@ -104,7 +102,6 @@ Session::run(Workload &workload, Paradigm paradigm,
         result.retries = u64(pr->stats().get("transfers.retried"));
         result.fallbacks =
             u64(pr->stats().get("fallback.activations"));
-        result.configSwaps = u64(pr->stats().get("config_swaps"));
         result.aborted = pr->aborted();
         result.lostGpu = pr->lostGpu();
         result.completedIterations = pr->completedIterations();

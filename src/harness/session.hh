@@ -51,7 +51,6 @@ struct ParadigmRun
     std::uint64_t wireTransitions = 0;  ///< ... involving DEGRADED/DOWN.
     std::uint64_t congestionEvents = 0; ///< Links classified CONGESTED.
     std::uint64_t reroutes = 0;         ///< Detours + splits applied.
-    std::uint64_t configSwaps = 0;      ///< Hot-swapped configs.
     /** @} */
 
     /**
@@ -100,12 +99,9 @@ class Session
         /** Run the real math (verifiable) or timing-only (fast). */
         bool functional = true;
 
-        /**
-         * Fault schedule armed on the fresh system. Empty = perfect
-         * fabric unless @c armFaults forces an (inert) injector.
-         */
+        /** Fault schedule armed on the fresh system (empty = perfect
+         * fabric). */
         FaultPlan faults{};
-        bool armFaults = false;
 
         /** Retry policy forced onto the config when faults are armed. */
         RetryPolicy retry{};
@@ -123,7 +119,6 @@ class Session
          * without it a device loss panics on missing deliveries.
          */
         bool deviceHealth = false;
-        DeviceHealthPolicy deviceHealthPolicy{};
 
         /** Iteration-boundary checkpoints (PROACT paradigms only). */
         CheckpointPolicy checkpoint{};

@@ -1,7 +1,5 @@
 #include "health/device_health.hh"
 
-#include "sim/logging.hh"
-
 #include <sstream>
 
 namespace proact {
@@ -30,21 +28,10 @@ DeviceHealthMonitor::Transition::describe() const
 }
 
 DeviceHealthMonitor::DeviceHealthMonitor(EventQueue &eq,
-                                         Interconnect &fabric,
-                                         DeviceHealthPolicy policy)
-    : _eq(eq), _fabric(fabric), _policy(policy),
+                                         Interconnect &fabric)
+    : _eq(eq), _fabric(fabric),
       _devices(static_cast<std::size_t>(fabric.numGpus()))
 {
-    if (_policy.heartbeatInterval == 0)
-        fatalError("DeviceHealthMonitor: zero heartbeat interval");
-    if (_policy.suspectAfterMisses < 1 ||
-        _policy.lostAfterMisses < _policy.suspectAfterMisses ||
-        _policy.recoverAfterBeats < 1) {
-        fatalError("DeviceHealthMonitor: streak thresholds must be "
-                   "positive with suspectAfterMisses <= "
-                   "lostAfterMisses");
-    }
-
     // Any fabric activity re-arms the watchdog, so a run that drained
     // the queue between phases (stopping the beat) is sampled again
     // as soon as it starts moving bytes.
@@ -94,7 +81,7 @@ DeviceHealthMonitor::poke()
     if (_beatScheduled)
         return;
     _beatScheduled = true;
-    _eq.scheduleIn(_policy.heartbeatInterval, [this] { beat(); });
+    _eq.scheduleIn(heartbeatInterval, [this] { beat(); });
 }
 
 bool
@@ -135,9 +122,9 @@ DeviceHealthMonitor::sample(int gpu)
         _stats.inc("device_health.misses");
         ++d.missStreak;
         d.beatStreak = 0;
-        if (d.missStreak >= _policy.lostAfterMisses)
+        if (d.missStreak >= lostAfterMisses)
             setState(gpu, DeviceState::Lost);
-        else if (d.missStreak >= _policy.suspectAfterMisses &&
+        else if (d.missStreak >= suspectAfterMisses &&
                  d.state == DeviceState::Healthy) {
             setState(gpu, DeviceState::Suspect);
         }
@@ -147,7 +134,7 @@ DeviceHealthMonitor::sample(int gpu)
     ++d.beatStreak;
     d.missStreak = 0;
     if (d.state == DeviceState::Suspect &&
-        d.beatStreak >= _policy.recoverAfterBeats) {
+        d.beatStreak >= recoverAfterBeats) {
         setState(gpu, DeviceState::Healthy);
     }
 }

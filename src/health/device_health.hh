@@ -7,9 +7,9 @@
  * its DMA engine stops, and any job running on it must be recovered,
  * not retried. The DeviceHealthMonitor samples each GPU's liveness on
  * a periodic heartbeat and declares devices LOST with hysteresis — a
- * single missed beat only makes a device SUSPECT; it takes a
- * configurable miss streak to declare LOST, and a SUSPECT device that
- * starts answering again recovers after a clean-beat streak. LOST is
+ * single missed beat only makes a device SUSPECT; it takes a streak
+ * of misses to declare LOST, and a SUSPECT device that starts
+ * answering again recovers after a clean-beat streak. LOST is
  * terminal for the run: the declaration is the signal on which the
  * owning system quiesces in-flight traffic and the fleet layer
  * quarantines the device and re-admits the job from its checkpoint.
@@ -48,22 +48,6 @@ enum class DeviceState
 
 std::string deviceStateName(DeviceState state);
 
-/** Thresholds of the device watchdog. */
-struct DeviceHealthPolicy
-{
-    /** Liveness sampling period. */
-    Tick heartbeatInterval = 5 * ticksPerMicrosecond;
-
-    /** Missed beats before a device turns SUSPECT. */
-    int suspectAfterMisses = 1;
-
-    /** Missed beats before a SUSPECT device is declared LOST. */
-    int lostAfterMisses = 3;
-
-    /** Clean beats before a SUSPECT device recovers to HEALTHY. */
-    int recoverAfterBeats = 2;
-};
-
 /**
  * Watches every GPU of one fabric and classifies each
  * HEALTHY / SUSPECT / LOST.
@@ -91,14 +75,27 @@ class DeviceHealthMonitor
     using Listener = std::function<void(int gpu, DeviceState from,
                                         DeviceState to)>;
 
+    /** @{ @name Watchdog thresholds */
+    /** Liveness sampling period. */
+    static constexpr Tick heartbeatInterval = 5 * ticksPerMicrosecond;
+
+    /** Missed beats before a device turns SUSPECT. */
+    static constexpr int suspectAfterMisses = 1;
+
+    /** Missed beats before a SUSPECT device is declared LOST. */
+    static constexpr int lostAfterMisses = 3;
+
+    /** Clean beats before a SUSPECT device recovers to HEALTHY. */
+    static constexpr int recoverAfterBeats = 2;
+    /** @} */
+
     /**
      * Create the monitor and arm the first heartbeat. Liveness is
      * sampled from the fabric's device-down flags; a fabric delivery
      * observer lazily re-arms the watchdog whenever traffic flows.
      * The fabric must outlive the monitor.
      */
-    DeviceHealthMonitor(EventQueue &eq, Interconnect &fabric,
-                        DeviceHealthPolicy policy = {});
+    DeviceHealthMonitor(EventQueue &eq, Interconnect &fabric);
 
     ~DeviceHealthMonitor();
 
@@ -132,8 +129,6 @@ class DeviceHealthMonitor
      */
     void poke();
 
-    const DeviceHealthPolicy &policy() const { return _policy; }
-
     StatSet &stats() { return _stats; }
     const StatSet &stats() const { return _stats; }
 
@@ -149,7 +144,6 @@ class DeviceHealthMonitor
     EventQueue &_eq;
     Interconnect &_fabric;
     Interconnect::ObserverHandle _observerHandle = 0;
-    DeviceHealthPolicy _policy;
     StatSet _stats;
     std::vector<Device> _devices;
     std::vector<Listener> _listeners;

@@ -391,35 +391,4 @@ LinkHealthMonitor::sendProbe(int src, int dst)
     });
 }
 
-FaultPlan
-LinkHealthMonitor::toFaultPlan() const
-{
-    FaultPlan plan;
-    const int n = _fabric.numGpus();
-    for (int s = 0; s < n; ++s) {
-        for (int d = 0; d < n; ++d) {
-            if (s == d)
-                continue;
-            const Link &l = link(s, d);
-            switch (l.state) {
-              case LinkState::Down:
-                plan.downLink(0, maxTick, s, d);
-                break;
-              case LinkState::Degraded: {
-                const double removed = std::clamp(
-                    1.0 - l.ewmaFraction, 0.01, 0.99);
-                plan.degradeLink(0, maxTick, removed, s, d);
-                break;
-              }
-              case LinkState::Healthy:
-              case LinkState::Congested:
-                // Congestion is other flows' traffic, not a property
-                // of the wire: the profiler should see a clean link.
-                break;
-            }
-        }
-    }
-    return plan;
-}
-
 } // namespace proact

@@ -14,7 +14,7 @@
  * make routing flap. DEGRADED and DOWN come from the wire signal
  * alone; a port backlog caused by *other* flows surfaces as
  * CONGESTED, which routing treats as spread-don't-detour and which
- * never invalidates route plans or triggers re-profiling.
+ * never invalidates route plans.
  *
  * A link that has been declared DOWN stops carrying payload once the
  * Rerouter detours around it, so the monitor optionally sends small
@@ -28,7 +28,6 @@
 #ifndef PROACT_HEALTH_LINK_HEALTH_HH
 #define PROACT_HEALTH_LINK_HEALTH_HH
 
-#include "faults/fault_plan.hh"
 #include "interconnect/interconnect.hh"
 #include "interconnect/link_state.hh"
 #include "sim/event_queue.hh"
@@ -194,15 +193,6 @@ class LinkHealthMonitor : public LinkStateProvider
     {
         return _transitions;
     }
-
-    /**
-     * Synthesize a FaultPlan describing the fabric as currently
-     * observed: DOWN links become whole-run down episodes, DEGRADED
-     * links whole-run degradation episodes at the observed residual
-     * fraction. Feeding this plan to the profiler makes "the faulted
-     * platform" just another platform to optimize for.
-     */
-    FaultPlan toFaultPlan() const;
 
     const HealthPolicy &policy() const { return _policy; }
 

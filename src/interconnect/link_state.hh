@@ -68,7 +68,7 @@ isWireFaultState(LinkState state)
 /**
  * Whether a state transition involves the wire-slowdown signal on
  * either side. Healthy <-> Congested flips are congestion-only: plan
- * caches stay valid and the reprofiler stays quiet across them.
+ * caches stay valid across them.
  */
 inline bool
 isWireTransition(LinkState from, LinkState to)

@@ -18,6 +18,18 @@ PageTable::PageTable(int num_gpus, std::uint64_t region_bytes,
 }
 
 void
+PageTable::growTo(std::uint64_t region_bytes)
+{
+    const std::uint64_t pages =
+        (region_bytes + _pageBytes - 1) / _pageBytes;
+    if (pages <= _numPages)
+        return;
+    _numPages = pages;
+    for (auto &row : _resident)
+        row.resize(_numPages, false);
+}
+
+void
 PageTable::checkPage(std::uint64_t page) const
 {
     if (page >= _numPages)

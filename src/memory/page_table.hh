@@ -33,6 +33,12 @@ class PageTable
     std::uint32_t pageBytes() const { return _pageBytes; }
     int numGpus() const { return _numGpus; }
 
+    /**
+     * Extend the region to at least @p region_bytes; the new pages
+     * are resident nowhere. Never shrinks.
+     */
+    void growTo(std::uint64_t region_bytes);
+
     /** Page index covering byte @p offset. */
     std::uint64_t pageOf(std::uint64_t offset) const;
 

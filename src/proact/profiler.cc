@@ -44,19 +44,6 @@ Profiler::measure(Workload &workload, const TransferConfig &config)
     ProactRuntime::Options opts;
     opts.config = config;
     opts.maxIterations = _options.profileIterations;
-
-    // Fault-aware sweep: reproduce the (observed or scripted) fabric
-    // conditions on the candidate's fresh system.
-    if (!_options.faults.empty()) {
-        system.installFaults(_options.faults);
-        opts.config.retry = _options.retry;
-        opts.config.retry.enabled = true;
-    }
-    if (_options.reroute)
-        system.enableReroute();
-    else if (_options.health)
-        system.enableHealth();
-
     ProactRuntime runtime(system, opts);
     return runtime.run(workload);
 }

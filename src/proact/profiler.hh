@@ -53,9 +53,8 @@ struct ProfileResult
 
     /**
      * Total simulated ticks the sweep itself consumed (every
-     * candidate measurement, inline included). This is what an
-     * *online* sweep would cost if its transfers were charged to the
-     * live timeline — the adaptation-latency price of re-profiling.
+     * candidate measurement, inline included): what a fleet election
+     * charges a tenant's timeline when it bills its sweep.
      */
     Tick sweepTicks = 0;
 
@@ -95,26 +94,6 @@ class Profiler
          * unreasonable; cf. the paper's Sec. III-B storage remark).
          */
         int maxChunksPerGpu = 65536;
-
-        /** @{ @name Fault-aware sweeps
-         *
-         * A faulted platform is just another platform: installing a
-         * FaultPlan on every candidate's fresh system makes the sweep
-         * optimize for the fabric as it actually behaves (retry
-         * overhead shifts the optimum toward coarser chunks). The
-         * retry policy is forced onto each measured config whenever
-         * the plan is non-empty.
-         */
-        FaultPlan faults;
-        RetryPolicy retry;
-
-        /** Monitor link health during each measurement. */
-        bool health = false;
-
-        /** Reroute around unhealthy links during each measurement
-         * (implies health). */
-        bool reroute = false;
-        /** @} */
 
         /** @{ @name Parallel sweep
          *

@@ -1,7 +1,6 @@
 #include "proact/runtime.hh"
 
 #include "proact/instrumentation.hh"
-#include "proact/reprofiler.hh"
 #include "sim/logging.hh"
 
 #include <algorithm>
@@ -54,27 +53,6 @@ ProactRuntime::run(Workload &workload)
     const Tick start = _system.now();
     for (int iter = _options.firstIteration; iter < iterations;
          ++iter) {
-        // Region boundary: adopt a re-profiled config before the next
-        // iteration launches (mid-iteration state is never disturbed).
-        if (_options.reprofiler) {
-            if (_options.reprofiler->refresh()) {
-                _options.config = _options.reprofiler->current();
-                _stats.inc("config_swaps");
-            }
-            // When the reprofiler charges its narrowed sweep, the
-            // adaptation latency lands on this run's timeline — the
-            // run stalls at the boundary while the sweep's transfers
-            // would occupy the (idle) fabric. A sweep that ends up
-            // keeping the current config still cost its measurements,
-            // so the charge is consumed outside the refresh() branch.
-            const Tick charge =
-                _options.reprofiler->consumeChargeTicks();
-            if (charge > 0) {
-                _stats.inc("reprofile.charged_ticks",
-                           static_cast<double>(charge));
-                advanceTimeline(charge);
-            }
-        }
         const Phase phase = workload.phase(iter);
         if (_system.numGpus() == 1)
             runPhaseSingleGpu(phase);

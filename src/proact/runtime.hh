@@ -30,8 +30,6 @@
 
 namespace proact {
 
-class AdaptiveReprofiler;
-
 /** Executes workloads under PROACT (inline or decoupled). */
 class ProactRuntime : public Runtime
 {
@@ -48,18 +46,6 @@ class ProactRuntime : public Runtime
 
         /** Cap iterations (profiling runs use a short prefix). */
         int maxIterations = -1;
-
-        /**
-         * Fault-adaptive runtime: consulted at every iteration
-         * boundary; when a link-state change is pending, the
-         * reprofiler's narrowed sweep runs and the winning config is
-         * hot-swapped in for the following iterations (stat
-         * "config_swaps"). Not owned; may be nullptr. When the
-         * reprofiler charges its sweeps (chargeTimeline), the sweep
-         * cost advances this run's timeline too (stat
-         * "reprofile.charged_ticks").
-         */
-        AdaptiveReprofiler *reprofiler = nullptr;
 
         /** Iteration-boundary checkpoints (see CheckpointPolicy). */
         CheckpointPolicy checkpoint;

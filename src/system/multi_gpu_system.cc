@@ -69,11 +69,11 @@ MultiGpuSystem::wireDeviceWatchdog()
 }
 
 DeviceHealthMonitor &
-MultiGpuSystem::enableDeviceHealth(DeviceHealthPolicy policy)
+MultiGpuSystem::enableDeviceHealth()
 {
     if (!_deviceHealth) {
-        _deviceHealth = std::make_unique<DeviceHealthMonitor>(
-            _eq, *_fabric, policy);
+        _deviceHealth =
+            std::make_unique<DeviceHealthMonitor>(_eq, *_fabric);
         // A LOST declaration quiesces the fabric and shadows the loss
         // into the link monitor (forcing every touching link DOWN,
         // which push-invalidates the rerouter's plan cache). External

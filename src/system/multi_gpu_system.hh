@@ -133,10 +133,9 @@ class MultiGpuSystem
      * touching it DOWN — which push-invalidates the rerouter's plan
      * cache. External layers (the harness's abort path, the fleet's
      * recovery policy) observe the same declaration via
-     * deviceHealth()->addListener. Idempotent; the first policy wins.
+     * deviceHealth()->addListener. Idempotent.
      */
-    DeviceHealthMonitor &enableDeviceHealth(
-        DeviceHealthPolicy policy = {});
+    DeviceHealthMonitor &enableDeviceHealth();
 
     /** The device watchdog, or nullptr when disabled. */
     DeviceHealthMonitor *deviceHealth() { return _deviceHealth.get(); }
@@ -175,7 +174,7 @@ class MultiGpuSystem
     /**
      * Run every event at or before @p limit and leave the clock at
      * exactly @p limit — the timeline-advance primitive behind
-     * checkpoint and reprofile charges.
+     * checkpoint charges.
      */
     void runTimelineTo(Tick limit) { _eq.runUntil(limit); }
 

@@ -85,8 +85,8 @@ runDigest(const ParadigmRun &r)
        << " fallbacks=" << r.fallbacks
        << " transitions=" << r.linkTransitions << "/"
        << r.wireTransitions << " congested=" << r.congestionEvents
-       << " reroutes=" << r.reroutes << " swaps=" << r.configSwaps
-       << " aborted=" << r.aborted << " lost=" << r.lostGpu
+       << " reroutes=" << r.reroutes << " aborted=" << r.aborted
+       << " lost=" << r.lostGpu
        << " iters=" << r.completedIterations
        << " ckpt=" << r.checkpointIteration << "/" << r.checkpoints
        << "/" << r.checkpointTicks

@@ -7,6 +7,7 @@
 #include "tests/toy_workload.hh"
 
 #include "sim/logging.hh"
+#include "workloads/registry.hh"
 
 #include <gtest/gtest.h>
 
@@ -151,6 +152,20 @@ TEST(UnifiedMemoryRuntime, SingleGpuDoesNotMigrate)
     UnifiedMemoryRuntime runtime(system);
     EXPECT_GT(runtime.run(workload), 0u);
     EXPECT_DOUBLE_EQ(runtime.stats().get("um_accesses"), 0.0);
+}
+
+TEST(UnifiedMemoryRuntime, CoversPhasesLargerThanTheFirst)
+{
+    // ALS's user and item phases write different per-GPU sizes: here
+    // GPU 3's odd iterations write past the region iteration 0 sizes.
+    auto workload = makeWorkload("ALS", 3);
+    workload->setFootprintScale(16);
+    workload->setup(4);
+    MultiGpuSystem system(voltaPlatform());
+    system.setFunctional(false);
+    UnifiedMemoryRuntime runtime(system);
+    EXPECT_GT(runtime.run(*workload), 0u);
+    EXPECT_GT(runtime.stats().get("um_accesses"), 0.0);
 }
 
 TEST(Baselines, ParadigmsComputeIdenticalResults)

@@ -239,7 +239,7 @@ runMixedFaultCampaign(const PlatformSpec &platform, std::uint64_t seed)
     system.enableHealth();
     system.enableReroute();
     system.fabric().setRebooking(true);
-    system.enableDeviceHealth({});
+    system.enableDeviceHealth();
 
     LinkLifecycleOptions flaps;
     flaps.downProbability = 0.5;

@@ -102,7 +102,6 @@ addRecoveryRows(Rows &rows)
             .ticks;
 
     Session::RunOptions options = goldenOptions();
-    options.armFaults = true;
     RandomFaultOptions random;
     random.numEvents = 6;
     FaultPlan plan = randomFaultPlan(20210614, gpus, random);

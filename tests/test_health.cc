@@ -3,14 +3,12 @@
  * Tests for the fault-adaptive runtime: link-health classification
  * (hysteresis, bounded DOWN-detection latency, recovery), rerouting
  * around unhealthy links (with the relay-chain search pinned against
- * reference searches), adaptive re-profiling, and tick-for-tick
- * determinism of the whole stack under identical seeds.
+ * reference searches), and tick-for-tick determinism of the whole
+ * stack under identical seeds.
  */
 
 #include "health/link_health.hh"
 #include "interconnect/rerouter.hh"
-#include "proact/reprofiler.hh"
-#include "proact/runtime.hh"
 #include "proact/transfer_agent.hh"
 #include "sim/logging.hh"
 #include "sim/random.hh"
@@ -308,28 +306,6 @@ TEST(LinkHealthTest, ProbingGivesUpOnAPermanentlyDeadLink)
     EXPECT_GT(mon.stats().get("health.probes"), 0.0);
     EXPECT_LE(mon.stats().get("health.probes"),
               static_cast<double>(policy.maxProbeFailures));
-}
-
-TEST(LinkHealthTest, ToFaultPlanMirrorsObservedState)
-{
-    MultiGpuSystem system(voltaPlatform());
-    LinkHealthMonitor &mon = system.enableHealth();
-
-    for (int i = 0; i < mon.policy().downAfterLosses; ++i)
-        mon.recordLoss(0, 1);
-    for (int i = 0; i < 16; ++i)
-        mon.recordDelivery(2, 3, 64 * KiB, 0, ticksPerSecond);
-    ASSERT_EQ(mon.linkState(0, 1), LinkState::Down);
-    ASSERT_EQ(mon.linkState(2, 3), LinkState::Degraded);
-
-    const FaultPlan plan = mon.toFaultPlan();
-    ASSERT_EQ(plan.episodes.size(), 2u);
-    EXPECT_NO_THROW(plan.validate(system.numGpus()));
-    EXPECT_EQ(plan.episodes[0].kind, FaultKind::LinkDown);
-    EXPECT_EQ(plan.episodes[0].src, 0);
-    EXPECT_EQ(plan.episodes[0].dst, 1);
-    EXPECT_EQ(plan.episodes[1].kind, FaultKind::LinkDegrade);
-    EXPECT_GT(plan.episodes[1].severity, 0.0);
 }
 
 TEST(RerouterTest, PlansDetourAroundDownLink)
@@ -812,90 +788,4 @@ TEST(RerouterSearchTest, RelayChainsMatchTheReferenceSearches)
         EXPECT_GE(no_path[kind], kCases / 10) << kind;
     }
     EXPECT_GE(crossings, kCases / 20);
-}
-
-TEST(ReprofilerTest, RequiresHealthMonitor)
-{
-    MultiGpuSystem system(voltaPlatform());
-    auto factory = [](int gpus) {
-        auto w = makeSmallWorkload("SSSP");
-        w->setup(gpus);
-        return w;
-    };
-    EXPECT_THROW(AdaptiveReprofiler(system, factory, TransferConfig{}),
-                 FatalError);
-}
-
-TEST(ReprofilerTest, RefreshOnlyAfterLinkStateChange)
-{
-    MultiGpuSystem system(voltaPlatform());
-    LinkHealthMonitor &mon = system.enableHealth();
-    auto factory = [](int gpus) {
-        auto w = makeSmallWorkload("SSSP");
-        w->setup(gpus);
-        return w;
-    };
-    TransferConfig initial;
-    initial.mechanism = TransferMechanism::Polling;
-    initial.chunkBytes = 64 * KiB;
-    initial.transferThreads = 2048;
-    initial.retry = testRetry();
-    AdaptiveReprofiler reprofiler(system, factory, initial);
-
-    // Quiet fabric: refresh is a no-op and costs nothing.
-    EXPECT_FALSE(reprofiler.dirty());
-    EXPECT_FALSE(reprofiler.refresh());
-    EXPECT_DOUBLE_EQ(reprofiler.stats().get("reprofile.sweeps"), 0.0);
-
-    // A link dies: the next refresh runs a narrowed sweep.
-    for (int i = 0; i < mon.policy().downAfterLosses; ++i)
-        mon.recordLoss(0, 1);
-    EXPECT_TRUE(reprofiler.dirty());
-    reprofiler.refresh();
-    EXPECT_FALSE(reprofiler.dirty());
-    EXPECT_DOUBLE_EQ(reprofiler.stats().get("reprofile.sweeps"), 1.0);
-    EXPECT_GT(reprofiler.stats().get("reprofile.candidates"), 0.0);
-    // The adopted config keeps the runtime's retry policy.
-    EXPECT_TRUE(reprofiler.current().retry.enabled);
-}
-
-TEST(ReprofilerTest, RuntimeHotSwapsAtIterationBoundary)
-{
-    auto run_once = [] {
-        auto workload = makeSmallWorkload("Jacobi");
-        workload->setup(4);
-
-        MultiGpuSystem system(voltaPlatform());
-        system.enableHealth();
-        FaultPlan plan;
-        plan.downLink(0, maxTick, 0, 1);
-        system.installFaults(std::move(plan));
-
-        auto factory = [](int gpus) {
-            auto w = makeSmallWorkload("Jacobi");
-            w->setup(gpus);
-            return w;
-        };
-        TransferConfig initial;
-        initial.mechanism = TransferMechanism::Polling;
-        initial.chunkBytes = 64 * KiB;
-        initial.transferThreads = 2048;
-        initial.retry = testRetry();
-        AdaptiveReprofiler reprofiler(system, factory, initial);
-
-        ProactRuntime::Options options;
-        options.config = initial;
-        options.reprofiler = &reprofiler;
-        ProactRuntime runtime(system, options);
-        const Tick ticks = runtime.run(*workload);
-
-        EXPECT_GT(reprofiler.stats().get("reprofile.sweeps"), 0.0);
-        return std::pair<Tick, double>(
-            ticks, reprofiler.stats().get("reprofile.sweeps"));
-    };
-
-    // Deterministic under replay, including the nested online sweeps.
-    const auto a = run_once();
-    const auto b = run_once();
-    EXPECT_EQ(a, b);
 }

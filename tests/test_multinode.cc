@@ -339,7 +339,7 @@ TEST_P(MultiNodeFaultFuzz, InterNodeFlapsAndDeviceLossLeaveNoFlights)
         system.enableHealth();
         system.enableReroute();
         system.fabric().setRebooking(true);
-        system.enableDeviceHealth({});
+        system.enableDeviceHealth();
 
         // Two flapping inter-node links (one per direction of the
         // node boundary) and one unconditional device loss.

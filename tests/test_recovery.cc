@@ -3,7 +3,7 @@
  * Tests for device-loss tolerance: GpuDown fault episodes and seeded
  * device-MTBF campaigns, the fabric's dead-endpoint refuse/quiesce
  * paths, the device heartbeat watchdog's hysteresis, checkpointed
- * abort/resume through the harness, reprofile-sweep timeline
+ * abort/resume through the harness, election-sweep timeline
  * charging, and the fleet layer's quarantine -> shrink -> restart
  * recovery pipeline.
  */
@@ -15,8 +15,6 @@
 #include "harness/session.hh"
 #include "health/device_health.hh"
 #include "proact/config.hh"
-#include "proact/reprofiler.hh"
-#include "proact/runtime.hh"
 #include "sim/logging.hh"
 #include "system/multi_gpu_system.hh"
 #include "system/platform.hh"
@@ -269,13 +267,14 @@ TEST(RecoveryWatchdog, PermanentLossIsDeclaredWithHysteresis)
 TEST(RecoveryWatchdog, TransientOutageRecoversWithoutLost)
 {
     MultiGpuSystem system(voltaPlatform());
-    const DeviceHealthPolicy policy; // 5us beat, lost after 3 misses.
+    static_assert(DeviceHealthMonitor::heartbeatInterval == 5 * us);
+    static_assert(DeviceHealthMonitor::lostAfterMisses == 3);
 
     // Down for ~1.5 beats: enough to turn SUSPECT, never LOST.
     FaultPlan plan;
     plan.downGpu(12 * us, 19 * us, 1);
     system.installFaults(std::move(plan));
-    DeviceHealthMonitor &mon = system.enableDeviceHealth(policy);
+    DeviceHealthMonitor &mon = system.enableDeviceHealth();
 
     system.run();
 
@@ -380,62 +379,6 @@ TEST(RecoverySession, DeviceLossAbortsAndResumesFromCheckpoint)
     EXPECT_THROW(session.run(*make(), Paradigm::ProactDecoupled,
                              bogus),
                  FatalError);
-}
-
-TEST(RecoveryReprofile, SweepChargeLandsOnTheTimeline)
-{
-    auto run_once = [](bool charge) {
-        auto workload = makeSmallWorkload("Jacobi");
-        workload->setup(4);
-
-        MultiGpuSystem system(voltaPlatform());
-        system.enableHealth();
-        FaultPlan plan;
-        plan.downLink(0, maxTick, 0, 1);
-        system.installFaults(std::move(plan));
-
-        auto factory = [](int gpus) {
-            auto w = makeSmallWorkload("Jacobi");
-            w->setup(gpus);
-            return w;
-        };
-        TransferConfig initial = decoupledConfig();
-        initial.retry = testRetry();
-        AdaptiveReprofiler::Options ropts;
-        ropts.chargeTimeline = charge;
-        AdaptiveReprofiler reprofiler(system, factory, initial,
-                                      ropts);
-
-        ProactRuntime::Options options;
-        options.config = initial;
-        options.reprofiler = &reprofiler;
-        ProactRuntime runtime(system, options);
-        const Tick ticks = runtime.run(*workload);
-        return std::tuple<Tick, Tick, double>(
-            ticks,
-            static_cast<Tick>(
-                runtime.stats().get("reprofile.charged_ticks")),
-            reprofiler.stats().get("reprofile.sweep_ticks"));
-    };
-
-    const auto [free_ticks, free_charged, free_swept] =
-        run_once(false);
-    EXPECT_EQ(free_charged, Tick{0});
-    EXPECT_GT(free_swept, 0.0); // Sweeps ran but cost nothing.
-
-    const auto [paid_ticks, paid_charged, paid_swept] =
-        run_once(true);
-    EXPECT_GT(paid_swept, 0.0);
-    EXPECT_GT(paid_charged, Tick{0});
-    // Charging makes the run strictly longer, by at least the
-    // first boundary's sweep (later sweeps may differ once the
-    // timeline shifts).
-    EXPECT_GT(paid_ticks, free_ticks);
-
-    // Deterministic under replay, charge included.
-    const auto again = run_once(true);
-    EXPECT_EQ(std::get<0>(again), paid_ticks);
-    EXPECT_EQ(std::get<1>(again), paid_charged);
 }
 
 TEST(RecoveryFleet, ElectionSweepsChargeTenantsWhenAsked)
