@@ -43,7 +43,7 @@ RetryingSender::replan(const Interconnect::Request &req,
     // counter carried over, so the total budget still bounds the
     // chain, and replanned legs never re-plan again.
     Interconnect::Request again = req;
-    again.notBefore = _eq.curTick() + _policy.backoff(attempt_no);
+    again.notBefore = _eq.curTick() + backoff(attempt_no);
     _rerouter->send(
         [this, attempt_no](const Interconnect::Request &leg) {
             return attempt(leg, attempt_no + 1, true);
@@ -107,7 +107,7 @@ RetryingSender::attempt(const Interconnect::Request &req,
     // models the real cost of discovering the loss, counted from the
     // moment the transfer enters the fabric (after any backoff hold).
     const Tick entered = std::max(a->submit, req.notBefore);
-    a->floor = entered + _policy.ackTimeout;
+    a->floor = entered + ackTimeout;
     a->when = std::max(predicted + 1, a->floor);
     a->timeout = _eq.schedule(a->when, [this, a] { onTimeout(a); });
 
@@ -147,7 +147,7 @@ RetryingSender::onTimeout(const AttemptPtr &a)
     }
     _retried.inc();
     Interconnect::Request again = req;
-    again.notBefore = _eq.curTick() + _policy.backoff(a->number);
+    again.notBefore = _eq.curTick() + backoff(a->number);
     attempt(again, a->number + 1, a->replanned);
 }
 

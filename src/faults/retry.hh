@@ -51,13 +51,6 @@ struct RetryPolicy
     /** Off by default: a perfect fabric needs no acknowledgements. */
     bool enabled = false;
 
-    /** Minimum wait for an ack before declaring a delivery lost. */
-    Tick ackTimeout = 5 * ticksPerMicrosecond;
-
-    /** Backoff before attempt k+1 is base << (k-1), capped below. */
-    Tick backoffBase = 2 * ticksPerMicrosecond;
-    Tick backoffMax = 64 * ticksPerMicrosecond;
-
     /** Total send attempts (including the first) before fallback. */
     int maxAttempts = 5;
 
@@ -68,16 +61,6 @@ struct RetryPolicy
      * budget and the reliable fallback are unaffected either way.
      */
     int rerouteAfterAttempts = 0;
-
-    /** Backoff after failed attempt @p attempt (1-based), capped. */
-    Tick
-    backoff(int attempt) const
-    {
-        Tick b = backoffBase;
-        for (int i = 1; i < attempt && b < backoffMax; ++i)
-            b *= 2;
-        return b < backoffMax ? b : backoffMax;
-    }
 };
 
 /**
@@ -99,6 +82,23 @@ struct RetryPolicy
 class RetryingSender
 {
   public:
+    /** Minimum wait for an ack before declaring a delivery lost. */
+    static constexpr Tick ackTimeout = 5 * ticksPerMicrosecond;
+
+    /** Backoff before attempt k+1 is base << (k-1), capped below. */
+    static constexpr Tick backoffBase = 2 * ticksPerMicrosecond;
+    static constexpr Tick backoffMax = 64 * ticksPerMicrosecond;
+
+    /** Backoff after failed attempt @p attempt (1-based), capped. */
+    static constexpr Tick
+    backoff(int attempt)
+    {
+        Tick b = backoffBase;
+        for (int i = 1; i < attempt && b < backoffMax; ++i)
+            b *= 2;
+        return b < backoffMax ? b : backoffMax;
+    }
+
     RetryingSender(EventQueue &eq, Interconnect &fabric,
                    RetryPolicy policy, StatSet *stats = nullptr,
                    Trace *trace = nullptr)
@@ -123,8 +123,6 @@ class RetryingSender
      *         extend beyond it; eventual delivery is guaranteed.
      */
     Tick send(Interconnect::Request req);
-
-    const RetryPolicy &policy() const { return _policy; }
 
     /**
      * Attach the route planner consulted after

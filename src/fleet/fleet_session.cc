@@ -1,5 +1,6 @@
 #include "fleet/fleet_session.hh"
 
+#include "proact/runtime.hh"
 #include "sim/logging.hh"
 #include "workloads/registry.hh"
 
@@ -214,13 +215,13 @@ FleetSession::runTenant(const JobSpec &job,
     if (_options.faultPlanFor) {
         run_options.faults = _options.faultPlanFor(job, attempt);
         if (!run_options.faults.empty())
-            run_options.retry.enabled = true;
+            run_options.config.retry.enabled = true;
     }
     if (_options.observerFor)
         run_options.deliveryObserver = _options.observerFor(job);
     if (_options.recovery.enabled) {
         run_options.deviceHealth = true;
-        run_options.checkpoint = _options.recovery.checkpoint;
+        run_options.checkpoint = true;
         run_options.firstIteration = first_iteration;
     }
 
@@ -236,7 +237,7 @@ FleetSession::runTenant(const JobSpec &job,
     // (and the run starts) only after its charged cost elapses.
     rec.electedAt = now + rec.electionSweepTicks;
     if (first_iteration > 0)
-        rec.restoreTicks = _options.recovery.checkpoint.cost;
+        rec.restoreTicks = ProactRuntime::checkpointCost;
     rec.serviceTicks =
         rec.run.ticks + rec.electionSweepTicks + rec.restoreTicks;
     rec.completion = now + rec.serviceTicks;

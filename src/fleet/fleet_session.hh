@@ -48,22 +48,18 @@
 namespace proact::fleet {
 
 /**
- * Device-loss recovery behaviour for the whole fleet (ISSUE:
- * checkpointed job recovery and GPU quarantine). When enabled, every
- * tenant runs with the device watchdog and iteration-boundary
- * checkpoints armed; an aborted tenant releases its placement, the
- * dead physical GPU is quarantined for the rest of the serve, and
- * the job re-enters the admission queue to restart from its latest
- * checkpoint — shrunk onto surviving GPUs when its original request
- * no longer fits any plane.
+ * Device-loss recovery behaviour for the whole fleet. When enabled,
+ * every tenant runs with the device watchdog and iteration-boundary
+ * checkpoints armed (a restart pays one
+ * ProactRuntime::checkpointCost to restore); an aborted tenant
+ * releases its placement, the dead physical GPU is quarantined for
+ * the rest of the serve, and the job re-enters the admission queue
+ * to restart from its latest checkpoint — shrunk onto surviving GPUs
+ * when its original request no longer fits any plane.
  */
 struct RecoveryPolicy
 {
     bool enabled = false;
-
-    /** Checkpoints for every tenant run (restore costs one
-     * checkpoint.cost at restart). */
-    CheckpointPolicy checkpoint{true};
 
     /** Never shrink a resumed job below this many GPUs. */
     int minGpus = 2;

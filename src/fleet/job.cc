@@ -21,6 +21,22 @@ JobSpec::describe() const
     return oss.str();
 }
 
+namespace {
+
+/** Mean of the exponential inter-arrival gap. */
+constexpr Tick meanInterarrival = 100 * ticksPerMicrosecond;
+
+/** Priorities are drawn uniformly from [0, numPriorities). */
+constexpr std::uint64_t numPriorities = 3;
+
+/** Fraction of jobs carrying a deadline. */
+constexpr double deadlineFraction = 0.25;
+
+/** Deadline slack, as a multiple of meanInterarrival. */
+constexpr double deadlineSlack = 16.0;
+
+} // namespace
+
 std::vector<JobSpec>
 generateJobStream(const ArrivalModel &model)
 {
@@ -29,9 +45,7 @@ generateJobStream(const ArrivalModel &model)
     if (model.gpuCounts.empty())
         fatalError("generateJobStream: no candidate GPU counts");
 
-    const std::vector<std::string> names = model.workloads.empty()
-        ? standardWorkloadNames()
-        : model.workloads;
+    const std::vector<std::string> names = standardWorkloadNames();
 
     std::vector<JobSpec> jobs;
     jobs.reserve(static_cast<std::size_t>(model.numJobs));
@@ -45,9 +59,7 @@ generateJobStream(const ArrivalModel &model)
                               0x10000u + static_cast<std::uint64_t>(i));
         job.workload = names[rng.below(names.size())];
         job.gpus = model.gpuCounts[rng.below(model.gpuCounts.size())];
-        job.priority = static_cast<int>(
-            rng.below(static_cast<std::uint64_t>(
-                std::max(1, model.numPriorities))));
+        job.priority = static_cast<int>(rng.below(numPriorities));
 
         // Exponential inter-arrival gap via inverse transform. The
         // draw order within the per-job stream is fixed (workload,
@@ -55,15 +67,15 @@ generateJobStream(const ArrivalModel &model)
         // silently invalidate every golden stream.
         const double u = rng.uniform();
         const double gap = -std::log(1.0 - u)
-            * static_cast<double>(model.meanInterarrival);
+            * static_cast<double>(meanInterarrival);
         clock += static_cast<Tick>(gap);
         job.arrival = clock;
 
-        if (rng.uniform() < model.deadlineFraction) {
+        if (rng.uniform() < deadlineFraction) {
             job.deadline = job.arrival
                 + static_cast<Tick>(
-                      model.deadlineSlack
-                      * static_cast<double>(model.meanInterarrival));
+                      deadlineSlack
+                      * static_cast<double>(meanInterarrival));
         }
         jobs.push_back(std::move(job));
     }

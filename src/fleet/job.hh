@@ -55,34 +55,19 @@ struct ArrivalModel
     std::uint64_t seed = 1;
     int numJobs = 32;
 
-    /**
-     * Mean of the exponential inter-arrival gap. The default sits
-     * near typical scaled-down tenant service times so a served
-     * stream actually overlaps: placements contend, planes share,
-     * and admission has queues to order.
-     */
-    Tick meanInterarrival = 100 * ticksPerMicrosecond;
-
-    /** Candidate workloads; empty = the full standard registry. */
-    std::vector<std::string> workloads;
-
     /** Candidate GPU counts, drawn uniformly. */
     std::vector<int> gpuCounts = {2, 4, 8};
-
-    /** Priorities drawn uniformly from [0, numPriorities). */
-    int numPriorities = 3;
-
-    /** Fraction of jobs carrying a deadline. */
-    double deadlineFraction = 0.25;
-
-    /** Deadline slack, as a multiple of meanInterarrival. */
-    double deadlineSlack = 16.0;
 };
 
 /**
  * Generate @p model.numJobs jobs with exponential inter-arrival
  * times. Job i draws everything from its own stream seeded
- * deriveSeed(model.seed, i); arrivals accumulate in id order.
+ * deriveSeed(model.seed, i); arrivals accumulate in id order. Each
+ * job names a standard registry workload and one of three
+ * priorities, the gaps average 100 us (near typical scaled-down
+ * tenant service times, so a served stream overlaps: placements
+ * contend, planes share, and admission has queues to order), and a
+ * quarter of the jobs carry a deadline 16 mean gaps after arrival.
  */
 std::vector<JobSpec> generateJobStream(const ArrivalModel &model);
 

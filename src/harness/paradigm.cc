@@ -35,7 +35,7 @@ allParadigms()
 std::unique_ptr<Runtime>
 makeRuntime(Paradigm paradigm, MultiGpuSystem &system,
             const TransferConfig &config,
-            const CheckpointPolicy &checkpoint, int first_iteration)
+            bool checkpoint, int first_iteration)
 {
     switch (paradigm) {
       case Paradigm::CudaMemcpy:

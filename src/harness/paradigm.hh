@@ -40,16 +40,16 @@ std::vector<Paradigm> allParadigms();
  * @param config Transfer configuration for ProactDecoupled (ignored
  *        by the other paradigms; a non-decoupled mechanism falls
  *        back to polling).
- * @param checkpoint Iteration-boundary checkpoint policy for the
- *        PROACT runtimes (the baselines have no consistent boundary
- *        to checkpoint at and ignore it).
+ * @param checkpoint Iteration-boundary checkpoints for the PROACT
+ *        runtimes (the baselines have no consistent boundary to
+ *        checkpoint at and ignore it).
  * @param first_iteration Resume point for a recovery restart (PROACT
  *        runtimes only; 0 = run from the start).
  */
 std::unique_ptr<Runtime>
 makeRuntime(Paradigm paradigm, MultiGpuSystem &system,
             const TransferConfig &config = {},
-            const CheckpointPolicy &checkpoint = {},
+            bool checkpoint = false,
             int first_iteration = 0);
 
 } // namespace proact

@@ -58,11 +58,8 @@ Session::run(Workload &workload, Paradigm paradigm,
     MultiGpuSystem system(_platform);
     system.setFunctional(options.functional);
 
-    TransferConfig effective = options.config;
-    if (!options.faults.empty()) {
+    if (!options.faults.empty())
         system.installFaults(options.faults);
-        effective.retry = options.retry;
-    }
     if (options.health || options.reroute) {
         system.enableHealth();
         // Boundary-aware bookings: in-flight transfers follow
@@ -80,7 +77,7 @@ Session::run(Workload &workload, Paradigm paradigm,
     if (options.deliveryObserver)
         system.fabric().addDeliveryObserver(options.deliveryObserver);
 
-    auto runtime = makeRuntime(paradigm, system, effective,
+    auto runtime = makeRuntime(paradigm, system, options.config,
                                options.checkpoint,
                                options.firstIteration);
 

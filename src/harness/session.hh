@@ -103,10 +103,7 @@ class Session
          * fabric). */
         FaultPlan faults{};
 
-        /** Retry policy forced onto the config when faults are armed. */
-        RetryPolicy retry{};
-
-        /** Link health monitoring (default HealthPolicy). */
+        /** Link health monitoring (no transition holdoff). */
         bool health = false;
 
         /** Detours/splits around unhealthy links (implies health). */
@@ -121,7 +118,7 @@ class Session
         bool deviceHealth = false;
 
         /** Iteration-boundary checkpoints (PROACT paradigms only). */
-        CheckpointPolicy checkpoint{};
+        bool checkpoint = false;
 
         /**
          * Resume a recovery restart at this iteration (normally the

@@ -19,24 +19,11 @@ LinkHealthMonitor::Transition::describe() const
 LinkHealthMonitor::LinkHealthMonitor(EventQueue &eq,
                                      Interconnect &fabric,
                                      HealthPolicy policy)
-    : _eq(eq), _fabric(fabric), _policy(std::move(policy)),
+    : _eq(eq), _fabric(fabric),
+      _transitionHoldoff(policy.transitionHoldoff),
       _links(static_cast<std::size_t>(fabric.numGpus())
              * fabric.numGpus())
 {
-    if (_policy.downAfterLosses < 1 ||
-        _policy.recoverAfterDeliveries < 1) {
-        fatalError("LinkHealthMonitor: streak thresholds must be "
-                   "positive");
-    }
-    if (_policy.degradedBwFraction >= _policy.healthyBwFraction) {
-        fatalError("LinkHealthMonitor: hysteresis gap requires "
-                   "degradedBwFraction < healthyBwFraction");
-    }
-    if (_policy.clearQueueRatio >= _policy.congestedQueueRatio) {
-        fatalError("LinkHealthMonitor: hysteresis gap requires "
-                   "clearQueueRatio < congestedQueueRatio");
-    }
-
     _observerHandle = _fabric.addDeliveryObserver(
         [this](const Interconnect::Request &req,
                const Interconnect::DeliverySample &sample) {
@@ -184,7 +171,7 @@ LinkHealthMonitor::observe(int src, int dst, std::uint64_t wire_bytes,
         static_cast<double>(queue_delay)
         / static_cast<double>(std::max<Tick>(expected, 1));
 
-    const double a = _policy.ewmaAlpha;
+    const double a = ewmaAlpha;
     if (l.deliveries == 1) {
         l.ewmaFraction = fraction;
         l.ewmaQueueRatio = queue_ratio;
@@ -225,7 +212,7 @@ LinkHealthMonitor::reclassify(int src, int dst)
 {
     Link &l = link(src, dst);
 
-    if (l.lossStreak >= _policy.downAfterLosses) {
+    if (l.lossStreak >= downAfterLosses) {
         setState(src, dst, LinkState::Down);
         return;
     }
@@ -234,23 +221,23 @@ LinkHealthMonitor::reclassify(int src, int dst)
     // freezes (DOWN above excepted) until the holdoff elapses, so a
     // link straddling a threshold can't oscillate at delivery rate.
     if (l.everTransitioned &&
-        _eq.curTick() - l.lastTransition < _policy.transitionHoldoff) {
+        _eq.curTick() - l.lastTransition < _transitionHoldoff) {
         return;
     }
 
     const bool enough_samples =
-        l.deliveries >= static_cast<std::uint64_t>(_policy.minSamples);
+        l.deliveries >= static_cast<std::uint64_t>(minSamples);
     const bool congested =
-        l.ewmaQueueRatio > _policy.congestedQueueRatio;
+        l.ewmaQueueRatio > congestedQueueRatio;
 
     switch (l.state) {
       case LinkState::Down:
         // Leave DOWN only after a streak of clean deliveries; land in
         // DEGRADED, CONGESTED or HEALTHY depending on what the two
         // signals say now.
-        if (l.deliverStreak >= _policy.recoverAfterDeliveries) {
+        if (l.deliverStreak >= recoverAfterDeliveries) {
             setState(src, dst,
-                     l.ewmaFraction < _policy.healthyBwFraction
+                     l.ewmaFraction < healthyBwFraction
                          ? LinkState::Degraded
                          : (congested ? LinkState::Congested
                                       : LinkState::Healthy));
@@ -258,7 +245,7 @@ LinkHealthMonitor::reclassify(int src, int dst)
         break;
       case LinkState::Healthy:
         if (enough_samples &&
-            l.ewmaFraction < _policy.degradedBwFraction) {
+            l.ewmaFraction < degradedBwFraction) {
             setState(src, dst, LinkState::Degraded);
         } else if (enough_samples && congested) {
             setState(src, dst, LinkState::Congested);
@@ -268,17 +255,17 @@ LinkHealthMonitor::reclassify(int src, int dst)
         // The wire signal always wins: a degraded rate underneath a
         // backlog is still a degraded rate.
         if (enough_samples &&
-            l.ewmaFraction < _policy.degradedBwFraction) {
+            l.ewmaFraction < degradedBwFraction) {
             setState(src, dst, LinkState::Degraded);
-        } else if (l.ewmaQueueRatio < _policy.clearQueueRatio) {
+        } else if (l.ewmaQueueRatio < clearQueueRatio) {
             setState(src, dst, LinkState::Healthy);
         }
         break;
       case LinkState::Degraded:
         // Hysteresis: recovery needs both a clean streak and the
         // bandwidth estimate back above the (higher) exit threshold.
-        if (l.deliverStreak >= _policy.recoverAfterDeliveries &&
-            l.ewmaFraction > _policy.healthyBwFraction) {
+        if (l.deliverStreak >= recoverAfterDeliveries &&
+            l.ewmaFraction > healthyBwFraction) {
             setState(src, dst,
                      congested ? LinkState::Congested
                                : LinkState::Healthy);
@@ -331,8 +318,7 @@ void
 LinkHealthMonitor::scheduleProbe(int src, int dst)
 {
     Link &l = link(src, dst);
-    if (_policy.probeInterval == 0 || l.probeScheduled ||
-        l.probeFailures >= _policy.maxProbeFailures) {
+    if (l.probeScheduled || l.probeFailures >= maxProbeFailures) {
         return;
     }
     // No probe can revive a link whose endpoint device is dead, and
@@ -341,7 +327,7 @@ LinkHealthMonitor::scheduleProbe(int src, int dst)
     if (_fabric.deviceDown(src) || _fabric.deviceDown(dst))
         return;
     l.probeScheduled = true;
-    _eq.scheduleIn(_policy.probeInterval,
+    _eq.scheduleIn(probeInterval,
                    [this, src, dst] { sendProbe(src, dst); });
 }
 
@@ -360,10 +346,10 @@ LinkHealthMonitor::sendProbe(int src, int dst)
     Interconnect::Request req;
     req.src = src;
     req.dst = dst;
-    req.bytes = _policy.probeBytes;
+    req.bytes = probeBytes;
     req.writeGranularity = static_cast<std::uint32_t>(std::min<
         std::uint64_t>(
-        _policy.probeBytes,
+        probeBytes,
         _fabric.pairPacketModel(src, dst).maxPayloadBytes));
     req.threads = 1;
     req.onComplete = [this, probe] {

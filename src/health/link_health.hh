@@ -17,8 +17,8 @@
  * never invalidates route plans.
  *
  * A link that has been declared DOWN stops carrying payload once the
- * Rerouter detours around it, so the monitor optionally sends small
- * probe transfers on DOWN links to discover recovery; probing gives
+ * Rerouter detours around it, so the monitor sends small probe
+ * transfers on DOWN links to discover recovery; probing gives
  * up after a bounded number of consecutive failures so the event
  * queue always drains. All decisions are pure functions of the
  * observation sequence, which the deterministic event queue fixes, so
@@ -42,39 +42,9 @@
 
 namespace proact {
 
-/** Thresholds of the health state machine. */
+/** The one health setting callers vary. */
 struct HealthPolicy
 {
-    /** EWMA weight of the newest latency / bandwidth sample. */
-    double ewmaAlpha = 0.25;
-
-    /** Consecutive losses before a link is declared DOWN. */
-    int downAfterLosses = 3;
-
-    /** Consecutive clean deliveries before a state may improve. */
-    int recoverAfterDeliveries = 4;
-
-    /**
-     * Enter DEGRADED when EWMA bandwidth falls below this fraction of
-     * nominal; leave it only above healthyBwFraction (hysteresis gap).
-     */
-    double degradedBwFraction = 0.55;
-    double healthyBwFraction = 0.8;
-
-    /** Deliveries needed before bandwidth classification kicks in. */
-    int minSamples = 3;
-
-    /**
-     * Enter CONGESTED when the EWMA of per-delivery queueing delay
-     * exceeds this multiple of the expected service time (i.e. the
-     * average delivery waits longer behind other flows than its own
-     * wire time, several times over); leave CONGESTED only once the
-     * EWMA falls below clearQueueRatio (hysteresis gap). Queueing
-     * never feeds the DEGRADED/DOWN classification.
-     */
-    double congestedQueueRatio = 2.0;
-    double clearQueueRatio = 0.75;
-
     /**
      * Minimum time between consecutive state changes of one link.
      * Transitions to DOWN are exempt (a loss streak means payload is
@@ -85,22 +55,6 @@ struct HealthPolicy
      * sequences at one tick, which a holdoff would freeze.
      */
     Tick transitionHoldoff = 0;
-
-    /**
-     * Probe period for DOWN links (0 disables probing). Probes are
-     * tiny non-reliable transfers whose only job is to detect that a
-     * link started delivering again.
-     */
-    Tick probeInterval = 20 * ticksPerMicrosecond;
-
-    /** Probe payload on the wire. */
-    std::uint64_t probeBytes = 64;
-
-    /**
-     * Consecutive failed probes before the monitor gives up on a DOWN
-     * link (bounds event-queue lifetime; the link then stays DOWN).
-     */
-    int maxProbeFailures = 16;
 };
 
 /**
@@ -132,6 +86,61 @@ class LinkHealthMonitor : public LinkStateProvider
     using Listener =
         std::function<void(int src, int dst, LinkState from,
                            LinkState to)>;
+
+    /** @{ @name Classifier thresholds */
+    /** EWMA weight of the newest latency / bandwidth sample. */
+    static constexpr double ewmaAlpha = 0.25;
+
+    /** Consecutive losses before a link is declared DOWN. */
+    static constexpr int downAfterLosses = 3;
+
+    /** Consecutive clean deliveries before a state may improve. */
+    static constexpr int recoverAfterDeliveries = 4;
+
+    /**
+     * Enter DEGRADED when EWMA bandwidth falls below this fraction of
+     * nominal; leave it only above healthyBwFraction (hysteresis gap).
+     */
+    static constexpr double degradedBwFraction = 0.55;
+    static constexpr double healthyBwFraction = 0.8;
+
+    /** Deliveries needed before bandwidth classification kicks in. */
+    static constexpr int minSamples = 3;
+
+    /**
+     * Enter CONGESTED when the EWMA of per-delivery queueing delay
+     * exceeds this multiple of the expected service time (i.e. the
+     * average delivery waits longer behind other flows than its own
+     * wire time, several times over); leave CONGESTED only once the
+     * EWMA falls below clearQueueRatio (hysteresis gap). Queueing
+     * never feeds the DEGRADED/DOWN classification.
+     */
+    static constexpr double congestedQueueRatio = 2.0;
+    static constexpr double clearQueueRatio = 0.75;
+
+    /**
+     * Probe period for DOWN links. Probes are tiny non-reliable
+     * transfers whose only job is to detect that a link started
+     * delivering again.
+     */
+    static constexpr Tick probeInterval = 20 * ticksPerMicrosecond;
+
+    /** Probe payload on the wire. */
+    static constexpr std::uint64_t probeBytes = 64;
+
+    /**
+     * Consecutive failed probes before the monitor gives up on a DOWN
+     * link (bounds event-queue lifetime; the link then stays DOWN).
+     */
+    static constexpr int maxProbeFailures = 16;
+    /** @} */
+
+    static_assert(downAfterLosses >= 1 && recoverAfterDeliveries >= 1,
+                  "streak thresholds must be positive");
+    static_assert(degradedBwFraction < healthyBwFraction,
+                  "bandwidth hysteresis needs a gap");
+    static_assert(clearQueueRatio < congestedQueueRatio,
+                  "queueing hysteresis needs a gap");
 
     /**
      * Create the monitor and register itself on the fabric's delivery
@@ -194,8 +203,6 @@ class LinkHealthMonitor : public LinkStateProvider
         return _transitions;
     }
 
-    const HealthPolicy &policy() const { return _policy; }
-
     StatSet &stats() { return _stats; }
     const StatSet &stats() const { return _stats; }
 
@@ -234,7 +241,7 @@ class LinkHealthMonitor : public LinkStateProvider
     EventQueue &_eq;
     Interconnect &_fabric;
     Interconnect::ObserverHandle _observerHandle = 0;
-    HealthPolicy _policy;
+    Tick _transitionHoldoff;
     StatSet _stats;
     std::vector<Link> _links;
     std::vector<Listener> _listeners;

@@ -10,21 +10,9 @@
 namespace proact {
 
 Rerouter::Rerouter(EventQueue &eq, Interconnect &fabric,
-                   const LinkStateProvider &health,
-                   ReroutePolicy policy)
-    : _eq(eq), _fabric(fabric), _health(health), _policy(policy)
+                   const LinkStateProvider &health)
+    : _eq(eq), _fabric(fabric), _health(health)
 {
-    if (_policy.relayDiscount <= 0.0 || _policy.relayDiscount > 1.0)
-        fatalError("Rerouter: relayDiscount must be in (0, 1]");
-    if (_policy.maxRelayHops < 1)
-        fatalError("Rerouter: maxRelayHops must be positive");
-    if (_policy.maxRelayFanout < 1)
-        fatalError("Rerouter: maxRelayFanout must be positive");
-    if (_policy.congestedPenalty <= 0.0 ||
-        _policy.congestedPenalty > 1.0) {
-        fatalError("Rerouter: congestedPenalty must be in (0, 1]");
-    }
-
     _cache.resize(static_cast<std::size_t>(fabric.numGpus())
                   * fabric.numGpus());
 }
@@ -43,13 +31,13 @@ Rerouter::scoredRelays(int src, int dst, bool *used_foreign) const
 
     const auto penalty = [this](int s, int d) {
         return _health.linkState(s, d) == LinkState::Congested
-            ? _policy.congestedPenalty
+            ? congestedPenalty
             : 1.0;
     };
     const auto score = [this, &penalty](int s, int k, int d) {
         double v = std::min(_health.residualFraction(s, k),
                             _health.residualFraction(k, d))
-            * _policy.relayDiscount;
+            * relayDiscount;
         // Spread-don't-detour: congested relay legs keep their full
         // residual (the wire is fine) but score lower, so the fan-out
         // leans toward quiet relays instead of piling onto a port
@@ -134,7 +122,7 @@ Rerouter::relayChain(int src, int dst) const
     // health snapshot. On one node every hop costs (0, 1), pops
     // follow discovery order, and this is a breadth-first search.
     const int n = _fabric.numGpus();
-    const int max_edges = _policy.maxRelayHops + 1;
+    const int max_edges = maxRelayHops + 1;
     struct Cost
     {
         int inter;
@@ -243,8 +231,8 @@ Rerouter::computePlan(int src, int dst, Reads &reads,
     // plan now depends on both tiers.
     if (tier_mask == kTierInter || foreign)
         tier_mask = kTierIntra | kTierInter;
-    if (static_cast<int>(relays.size()) > _policy.maxRelayFanout)
-        relays.resize(static_cast<std::size_t>(_policy.maxRelayFanout));
+    if (static_cast<int>(relays.size()) > maxRelayFanout)
+        relays.resize(static_cast<std::size_t>(maxRelayFanout));
 
     if (direct == LinkState::Down) {
         if (relays.empty()) {
@@ -262,7 +250,7 @@ Rerouter::computePlan(int src, int dst, Reads &reads,
         for (const auto &[id, score] : relays)
             weights.push_back(score);
         const auto fractions =
-            splitFractions(weights, _policy.minSplitFraction);
+            splitFractions(weights, minSplitFraction);
         std::vector<Leg> legs;
         for (std::size_t i = 0; i < relays.size(); ++i) {
             if (fractions[i] > 0.0)
@@ -281,7 +269,7 @@ Rerouter::computePlan(int src, int dst, Reads &reads,
     const double residual = _health.residualFraction(src, dst);
     while (!relays.empty() &&
            relays.back().second
-               <= residual * _policy.relayAdvantage) {
+               <= residual * relayAdvantage) {
         relays.pop_back();
     }
     if (relays.empty())
@@ -290,7 +278,7 @@ Rerouter::computePlan(int src, int dst, Reads &reads,
     for (const auto &[id, score] : relays)
         weights.push_back(score);
     const auto fractions =
-        splitFractions(weights, _policy.minSplitFraction);
+        splitFractions(weights, minSplitFraction);
 
     std::vector<Leg> legs;
     if (fractions[0] > 0.0)
@@ -317,10 +305,8 @@ Rerouter::plan(int src, int dst) const
     // so split weights track slow drift (congestion flips don't
     // evict by design).
     bool valid = entry.valid;
-    if (valid && entry.reads != Reads::DirectLink &&
-        _policy.planTtl > 0) {
-        valid = _eq.curTick() - entry.computedAt < _policy.planTtl;
-    }
+    if (valid && entry.reads != Reads::DirectLink)
+        valid = _eq.curTick() - entry.computedAt < planTtl;
 
     if (valid) {
         _stats.inc("reroute.plan_cache_hits");
@@ -427,7 +413,7 @@ Rerouter::send(const Submit &submit, Interconnect::Request req)
     // Payloads too small to split ride the best single leg whole:
     // the direct link on a DEGRADED split (legs[0]), the best relay
     // on a DOWN fan-out.
-    if (legs.size() > 1 && req.bytes < _policy.minSplitBytes)
+    if (legs.size() > 1 && req.bytes < minSplitBytes)
         legs = {Leg{legs[0].vias, 1.0}};
 
     if (legs.size() == 1 && legs[0].direct()) {

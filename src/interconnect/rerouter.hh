@@ -49,76 +49,6 @@
 
 namespace proact {
 
-/** Route-selection knobs. */
-struct ReroutePolicy
-{
-    /**
-     * Don't bother splitting when a leg would carry less than this
-     * fraction of the payload (overhead beats benefit).
-     */
-    double minSplitFraction = 0.15;
-
-    /** Don't split payloads smaller than this. */
-    std::uint64_t minSplitBytes = 4 * KiB;
-
-    /**
-     * Relay paths consume wire on multiple links; their
-     * residual-bandwidth score is multiplied by this once per hop
-     * beyond the first before competing with the direct link.
-     */
-    double relayDiscount = 0.5;
-
-    /**
-     * Longest detour the relay-chain search may plan, counted in relay
-     * GPUs (a path src -> a -> b -> dst has two). Bounds planning
-     * cost and keeps pathological detours off large fabrics.
-     */
-    int maxRelayHops = 3;
-
-    /**
-     * How many single-relay candidates a detour or split fans out
-     * across. On a DGX-2 a dead pair leaves 14 healthy relays;
-     * spreading the payload over several of them multiplies the
-     * detour bandwidth instead of hammering one relay's wires.
-     */
-    int maxRelayFanout = 4;
-
-    /**
-     * A relay only joins a DEGRADED-link split when its discounted
-     * bottleneck score beats the direct residual by this factor. A
-     * relay leg consumes egress wire at the source AND at the relay,
-     * so a marginal win is a real loss — notably when the whole
-     * fabric degrades uniformly (a dead NVSwitch plane) and
-     * momentarily-healthy relay legs would otherwise siphon payload
-     * onto equally-degraded wires and congest them further. The
-     * split stays reserved for severe degradation, where the direct
-     * link is nearly useless; DOWN-link detours are unaffected.
-     */
-    double relayAdvantage = 2.0;
-
-    /**
-     * Staleness tolerance for cached relay plans. Wire transitions
-     * evict every plan that read the link immediately (the plan's
-     * shape may be wrong); drift in *relay* conditions — endpoint
-     * congestion flapping links between HEALTHY and CONGESTED — only
-     * re-weights split fractions and evicts nothing, so a relay plan
-     * tolerates it for up to this long before recomputing. 0 never
-     * expires a plan by time.
-     */
-    Tick planTtl = 200 * ticksPerMicrosecond;
-
-    /**
-     * Spread-don't-detour: a CONGESTED link is never by itself a
-     * reason to leave the direct route (the backlog drains when the
-     * competing flows do), but when a DOWN or DEGRADED link forces a
-     * relay fan-out, each congested relay leg multiplies the relay's
-     * score by this factor so payload spreads toward quiet relays
-     * first without abandoning congested ones. 1.0 makes scoring
-     * congestion-blind.
-     */
-    double congestedPenalty = 0.5;
-};
-
 /**
  * Plans alternate routes from the live link-health classification.
  *
@@ -159,9 +89,82 @@ class Rerouter
     /** Functor that actually books a (single-link) transfer. */
     using Submit = std::function<Tick(const Interconnect::Request &)>;
 
+    /** @{ @name Route-selection constants */
+    /**
+     * Don't bother splitting when a leg would carry less than this
+     * fraction of the payload (overhead beats benefit).
+     */
+    static constexpr double minSplitFraction = 0.15;
+
+    /** Don't split payloads smaller than this. */
+    static constexpr std::uint64_t minSplitBytes = 4 * KiB;
+
+    /**
+     * Relay paths consume wire on multiple links; their
+     * residual-bandwidth score is multiplied by this once per hop
+     * beyond the first before competing with the direct link.
+     */
+    static constexpr double relayDiscount = 0.5;
+
+    /**
+     * Longest detour the relay-chain search may plan, counted in relay
+     * GPUs (a path src -> a -> b -> dst has two). Bounds planning
+     * cost and keeps pathological detours off large fabrics.
+     */
+    static constexpr int maxRelayHops = 3;
+
+    /**
+     * How many single-relay candidates a detour or split fans out
+     * across. On a DGX-2 a dead pair leaves 14 healthy relays;
+     * spreading the payload over several of them multiplies the
+     * detour bandwidth instead of hammering one relay's wires.
+     */
+    static constexpr int maxRelayFanout = 4;
+
+    /**
+     * A relay only joins a DEGRADED-link split when its discounted
+     * bottleneck score beats the direct residual by this factor. A
+     * relay leg consumes egress wire at the source AND at the relay,
+     * so a marginal win is a real loss — notably when the whole
+     * fabric degrades uniformly (a dead NVSwitch plane) and
+     * momentarily-healthy relay legs would otherwise siphon payload
+     * onto equally-degraded wires and congest them further. The
+     * split stays reserved for severe degradation, where the direct
+     * link is nearly useless; DOWN-link detours are unaffected.
+     */
+    static constexpr double relayAdvantage = 2.0;
+
+    /**
+     * Staleness tolerance for cached relay plans. Wire transitions
+     * evict every plan that read the link immediately (the plan's
+     * shape may be wrong); drift in *relay* conditions — endpoint
+     * congestion flapping links between HEALTHY and CONGESTED — only
+     * re-weights split fractions and evicts nothing, so a relay plan
+     * tolerates it for up to this long before recomputing.
+     */
+    static constexpr Tick planTtl = 200 * ticksPerMicrosecond;
+
+    /**
+     * Spread-don't-detour: a CONGESTED link is never by itself a
+     * reason to leave the direct route (the backlog drains when the
+     * competing flows do), but when a DOWN or DEGRADED link forces a
+     * relay fan-out, each congested relay leg multiplies the relay's
+     * score by this factor so payload spreads toward quiet relays
+     * first without abandoning congested ones.
+     */
+    static constexpr double congestedPenalty = 0.5;
+    /** @} */
+
+    static_assert(relayDiscount > 0.0 && relayDiscount <= 1.0,
+                  "relayDiscount must be in (0, 1]");
+    static_assert(maxRelayHops >= 1, "maxRelayHops must be positive");
+    static_assert(maxRelayFanout >= 1,
+                  "maxRelayFanout must be positive");
+    static_assert(congestedPenalty > 0.0 && congestedPenalty <= 1.0,
+                  "congestedPenalty must be in (0, 1]");
+
     Rerouter(EventQueue &eq, Interconnect &fabric,
-             const LinkStateProvider &health,
-             ReroutePolicy policy = {});
+             const LinkStateProvider &health);
 
     /**
      * Current route decision for src -> dst: one direct leg when the
@@ -214,8 +217,6 @@ class Rerouter
     void onLinkTransition(int src, int dst, LinkState from,
                           LinkState to);
 
-    const ReroutePolicy &policy() const { return _policy; }
-
     /** Rerouting statistics. */
     const StatSet &stats() const { return _stats; }
 
@@ -223,7 +224,6 @@ class Rerouter
     EventQueue &_eq;
     Interconnect &_fabric;
     const LinkStateProvider &_health;
-    ReroutePolicy _policy;
     mutable StatSet _stats;
 
     /** Which links a cached plan read, and so which evict it. */

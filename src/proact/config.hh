@@ -70,27 +70,6 @@ struct TransferConfig
     }
 };
 
-/**
- * Iteration-boundary checkpointing. Region boundaries are the only
- * points where no chunk is mid-flight (the paper's sys-scope release
- * flushes all PROACT buffers there), so a checkpoint taken at one is
- * consistent by construction — the runtime models it as a fixed cost
- * charged to the simulated timeline every @c interval iterations.
- * After a device loss, a job restarts from the latest checkpointed
- * iteration (ProactRuntime::Options::firstIteration) instead of from
- * zero.
- */
-struct CheckpointPolicy
-{
-    bool enabled = false;
-
-    /** Iterations between checkpoints (>= 1). */
-    int interval = 1;
-
-    /** Simulated cost of writing one checkpoint. */
-    Tick cost = 50 * ticksPerMicrosecond;
-};
-
 /** Human-readable byte size (4kB, 1MB, ...). */
 std::string formatBytes(std::uint64_t bytes);
 

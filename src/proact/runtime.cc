@@ -42,10 +42,6 @@ ProactRuntime::run(Workload &workload)
                    _options.firstIteration, " outside [0, ",
                    iterations, "]");
     }
-    if (_options.checkpoint.enabled &&
-        _options.checkpoint.interval < 1) {
-        fatalError("ProactRuntime: checkpoint interval must be >= 1");
-    }
 
     const TrafficProfile traffic = workload.traffic();
     _atomicFanout = workload.footprintScale();
@@ -71,15 +67,15 @@ ProactRuntime::run(Workload &workload)
         }
 
         _completedIterations = iter + 1;
-        if (_options.checkpoint.enabled &&
-            (iter + 1) % _options.checkpoint.interval == 0) {
+        if (_options.checkpoint &&
+            (iter + 1) % checkpointInterval == 0) {
             _checkpointIteration = iter;
             ++_checkpoints;
-            _checkpointTicks += _options.checkpoint.cost;
+            _checkpointTicks += checkpointCost;
             _stats.inc("checkpoints");
             _stats.inc("checkpoint_ticks",
-                       static_cast<double>(_options.checkpoint.cost));
-            advanceTimeline(_options.checkpoint.cost);
+                       static_cast<double>(checkpointCost));
+            advanceTimeline(checkpointCost);
         }
     }
     // A loss declared after the last boundary check (e.g. during the

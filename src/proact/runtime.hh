@@ -47,8 +47,8 @@ class ProactRuntime : public Runtime
         /** Cap iterations (profiling runs use a short prefix). */
         int maxIterations = -1;
 
-        /** Iteration-boundary checkpoints (see CheckpointPolicy). */
-        CheckpointPolicy checkpoint;
+        /** Iteration-boundary checkpoints (see checkpointCost). */
+        bool checkpoint = false;
 
         /**
          * First iteration to execute (a recovery restart resumes at
@@ -58,6 +58,27 @@ class ProactRuntime : public Runtime
          */
         int firstIteration = 0;
     };
+
+    /**
+     * @{ @name Iteration-boundary checkpoints
+     * Region boundaries are the only points where no chunk is
+     * mid-flight (the paper's sys-scope release flushes all PROACT
+     * buffers there), so a checkpoint taken at one is consistent by
+     * construction. The runtime models it as a fixed cost charged to
+     * the simulated timeline every checkpointInterval iterations.
+     * After a device loss, a job restarts from the latest
+     * checkpointed iteration (Options::firstIteration) instead of
+     * from zero.
+     */
+    /** Iterations between checkpoints. */
+    static constexpr int checkpointInterval = 1;
+
+    /** Simulated cost of writing (or restoring) one checkpoint. */
+    static constexpr Tick checkpointCost = 50 * ticksPerMicrosecond;
+    /** @} */
+
+    static_assert(checkpointInterval >= 1,
+                  "checkpoint interval must be >= 1");
 
     ProactRuntime(MultiGpuSystem &system, Options options);
 

@@ -102,12 +102,11 @@ MultiGpuSystem::enableHealth(HealthPolicy policy)
 }
 
 Rerouter &
-MultiGpuSystem::enableReroute(ReroutePolicy policy)
+MultiGpuSystem::enableReroute()
 {
     if (!_rerouter) {
         enableHealth();
-        _rerouter = std::make_unique<Rerouter>(_eq, *_fabric, *_health,
-                                               policy);
+        _rerouter = std::make_unique<Rerouter>(_eq, *_fabric, *_health);
         // The monitor's transition fan-out drives the plan cache:
         // wire transitions evict exactly the plans that read the
         // link, so quiet-fabric sends are served on a flag check.

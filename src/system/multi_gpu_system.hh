@@ -119,7 +119,7 @@ class MultiGpuSystem
      * collectives and DMA engines detour around DOWN links and split
      * traffic across DEGRADED ones. Idempotent.
      */
-    Rerouter &enableReroute(ReroutePolicy policy = {});
+    Rerouter &enableReroute();
 
     /** The health monitor, or nullptr when disabled. */
     LinkHealthMonitor *health() { return _health.get(); }

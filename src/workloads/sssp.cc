@@ -20,8 +20,6 @@ SsspWorkload::setup(int num_gpus)
     _numGpus = num_gpus;
 
     _inOffsets = rmatInOffsets(_params.graph, _graphs);
-    if (_params.source < 0 || _params.source >= _params.graph.numVertices)
-        fatalError("SsspWorkload: source vertex out of range");
 
     _bounds = partitionByEdges(*_inOffsets, num_gpus);
     _ctaBounds = balanceCtas(*_inOffsets, _bounds, _params.vertsPerCta);
@@ -38,8 +36,10 @@ SsspWorkload::numeric() const
 
     Numeric num;
     num.graph = rmatGraph(_params.graph, _graphs);
+    const std::vector<std::int32_t> &out = num.graph->outDegree;
+    num.source = std::max_element(out.begin(), out.end()) - out.begin();
     num.distOld.assign(num.graph->numVertices, inf);
-    num.distOld[_params.source] = 0.0;
+    num.distOld[num.source] = 0.0;
     num.distNew = num.distOld;
     return _numeric.emplace(std::move(num));
 }
@@ -126,10 +126,11 @@ SsspWorkload::buildPhase(int iter)
 std::vector<double>
 SsspWorkload::referenceDistances(int hops) const
 {
-    const Graph &graph = *numeric().graph;
+    const Numeric &num = numeric();
+    const Graph &graph = *num.graph;
     std::vector<double> dist(graph.numVertices, inf);
     std::vector<double> next(graph.numVertices, inf);
-    dist[_params.source] = 0.0;
+    dist[num.source] = 0.0;
     for (int round = 0; round < hops; ++round) {
         for (std::int64_t v = 0; v < graph.numVertices; ++v) {
             double best = dist[v];
@@ -159,7 +160,7 @@ SsspWorkload::verify() const
         if (ref[v] != dist[v])
             return false;
     }
-    return dist[_params.source] == 0.0;
+    return dist[numeric().source] == 0.0;
 }
 
 } // namespace proact

@@ -32,7 +32,6 @@ class SsspWorkload : public Workload
     struct Params
     {
         RmatParams graph{1 << 19, 1 << 24, 0.57, 0.19, 0.19, 97, 16};
-        std::int64_t source = 0;
         int iterations = 10;
         int vertsPerCta = 256;
     };
@@ -85,6 +84,14 @@ class SsspWorkload : public Workload
     struct Numeric
     {
         std::shared_ptr<const Graph> graph;
+
+        /**
+         * The vertex with the highest out-degree, lowest id on ties:
+         * R-MAT leaves many vertices with no out-edge, and a source
+         * among them would reach nothing.
+         */
+        std::int64_t source = 0;
+
         std::vector<double> distOld;
         std::vector<double> distNew;
     };

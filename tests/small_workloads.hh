@@ -50,9 +50,6 @@ makeSmallWorkload(const std::string &name)
         p.graph.numVertices = 1 << 12;
         p.graph.numEdges = 1 << 15;
         p.iterations = 4;
-        // Vertex 0 has no edges in this graph; vertex 2 reaches 2,542
-        // vertices in the four iterations.
-        p.source = 2;
         return std::make_unique<SsspWorkload>(p);
     }
     if (name == "ALS") {

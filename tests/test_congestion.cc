@@ -114,7 +114,7 @@ TEST(CongestionTest, PureCongestionIsNotAWireFault)
     // wire: CONGESTED, with the bandwidth EWMA unharmed.
     EXPECT_EQ(mon.linkState(0, 1), LinkState::Congested);
     EXPECT_GT(mon.ewmaQueueRatio(0, 1),
-              mon.policy().congestedQueueRatio);
+              LinkHealthMonitor::congestedQueueRatio);
     EXPECT_DOUBLE_EQ(mon.residualFraction(0, 1), 1.0);
     EXPECT_EQ(mon.stats().get("health.wire_transitions"), 0.0);
     EXPECT_GT(mon.stats().get("health.to_congested"), 0.0);
@@ -207,7 +207,7 @@ TEST(CongestionTest, EqualMagnitudeWireFaultTripsDegradedAndReroutes)
 
     EXPECT_EQ(mon.linkState(0, 1), LinkState::Degraded);
     EXPECT_LT(mon.residualFraction(0, 1),
-              mon.policy().degradedBwFraction);
+              LinkHealthMonitor::degradedBwFraction);
     EXPECT_GT(degraded_at, 0u);
     EXPECT_TRUE(plan_recomputed_at_transition);
     EXPECT_GE(mon.stats().get("health.wire_transitions"), 1.0);
@@ -243,10 +243,10 @@ TEST(CongestionTest, WireVerdictWinsWhenCongestionOverlapsAFault)
 
     EXPECT_EQ(mon.linkState(0, 1), LinkState::Degraded);
     EXPECT_LT(mon.residualFraction(0, 1),
-              mon.policy().degradedBwFraction);
+              LinkHealthMonitor::degradedBwFraction);
     // The congestion signal was genuinely present and tracked...
     EXPECT_GT(mon.ewmaQueueRatio(0, 1),
-              mon.policy().congestedQueueRatio);
+              LinkHealthMonitor::congestedQueueRatio);
     // ...but the classification came from the wire component.
     EXPECT_GE(mon.stats().get("health.wire_transitions"), 1.0);
 }
@@ -282,7 +282,7 @@ TEST(CongestionTest, CongestionClearsWithoutDisturbingPlans)
 
     // The link visited CONGESTED and came back — and nothing else.
     EXPECT_EQ(mon.linkState(0, 1), LinkState::Healthy);
-    EXPECT_LT(mon.ewmaQueueRatio(0, 1), mon.policy().clearQueueRatio);
+    EXPECT_LT(mon.ewmaQueueRatio(0, 1), LinkHealthMonitor::clearQueueRatio);
     int congested = 0;
     int healthy = 0;
     for (const auto &t : mon.transitions()) {

@@ -29,7 +29,7 @@ constexpr int numGpus = 16;
 void
 killLink(LinkHealthMonitor &mon, int src, int dst)
 {
-    for (int i = 0; i < mon.policy().downAfterLosses; ++i)
+    for (int i = 0; i < LinkHealthMonitor::downAfterLosses; ++i)
         mon.recordLoss(src, dst);
     ASSERT_EQ(mon.linkState(src, dst), LinkState::Down);
 }
@@ -38,7 +38,7 @@ killLink(LinkHealthMonitor &mon, int src, int dst)
 void
 reviveLink(LinkHealthMonitor &mon, int src, int dst)
 {
-    for (int i = 0; i < mon.policy().recoverAfterDeliveries + 1; ++i)
+    for (int i = 0; i < LinkHealthMonitor::recoverAfterDeliveries + 1; ++i)
         mon.recordDelivery(src, dst, 64 * KiB, 0, 1);
     ASSERT_EQ(mon.linkState(src, dst), LinkState::Healthy);
 }
@@ -218,11 +218,11 @@ TEST(Dgx2RerouteTest, ChainPlanDropsADeadInteriorHop)
     // every wire transition must evict it: 1 -> 3 dying makes the
     // cached 0 -> 1 -> 3 -> 2 chain useless, and a DOWN-direct plan
     // that found no chain at all must see an interior link recover.
+    // The clock stays at tick 0, so no plan expires by
+    // Rerouter::planTtl: only transitions evict.
     MultiGpuSystem system(dgx2Platform());
     LinkHealthMonitor &mon = system.enableHealth();
-    ReroutePolicy policy;
-    policy.planTtl = 0; // Only transitions evict.
-    Rerouter &rr = system.enableReroute(policy);
+    Rerouter &rr = system.enableReroute();
 
     for (int k = 2; k < numGpus; ++k)
         killLink(mon, 0, k);
@@ -349,11 +349,11 @@ TEST(Dgx2FaultPlanTest, NodeDownBuilder)
 
 TEST(Dgx2RerouteTest, PlanCacheInvalidatesExactly)
 {
+    // The clock stays at tick 0, so no plan expires by
+    // Rerouter::planTtl: every recompute below is a transition's.
     MultiGpuSystem system(dgx2Platform());
     LinkHealthMonitor &mon = system.enableHealth();
-    ReroutePolicy policy;
-    policy.planTtl = 0; // Every relay-side change recomputes.
-    Rerouter &rr = system.enableReroute(policy);
+    Rerouter &rr = system.enableReroute();
 
     auto computes = [&rr] {
         return rr.stats().get("reroute.plan_computes");

@@ -108,21 +108,20 @@ addRecoveryRows(Rows &rows)
     plan.dropDeliveries(0, maxTick, 0.05);
     plan.downGpu(clean_ticks / 2, maxTick, 5);
     options.faults = std::move(plan);
-    options.retry.enabled = true;
-    options.retry.maxAttempts = 6;
-    options.retry.rerouteAfterAttempts = 2;
+    options.config.retry.enabled = true;
+    options.config.retry.maxAttempts = 6;
+    options.config.retry.rerouteAfterAttempts = 2;
     options.health = true;
     options.reroute = true;
     options.deviceHealth = true;
-    options.checkpoint.enabled = true;
-    options.checkpoint.interval = 1;
+    options.checkpoint = true;
     const ParadigmRun lost =
         session.run(*make(), Paradigm::ProactDecoupled, options);
     rows.emplace_back("recovery/" + platform.name + "/Jacobi/lost",
                       test::runDigest(lost));
 
     Session::RunOptions resume = goldenOptions();
-    resume.checkpoint = options.checkpoint;
+    resume.checkpoint = true;
     resume.firstIteration = lost.checkpointIteration + 1;
     const ParadigmRun resumed =
         session.run(*make(), Paradigm::ProactDecoupled, resume);

@@ -89,7 +89,7 @@ TEST(LinkHealthTest, LossStreakBelowThresholdDoesNotFlap)
 {
     MultiGpuSystem system(voltaPlatform());
     LinkHealthMonitor &mon = system.enableHealth();
-    const int threshold = mon.policy().downAfterLosses;
+    const int threshold = LinkHealthMonitor::downAfterLosses;
     ASSERT_GE(threshold, 2);
 
     // One short of the streak: still healthy, no transition recorded.
@@ -118,11 +118,10 @@ TEST(LinkHealthTest, OneSlowDeliveryDoesNotDegrade)
 {
     MultiGpuSystem system(voltaPlatform());
     LinkHealthMonitor &mon = system.enableHealth();
-    const HealthPolicy &policy = mon.policy();
 
     // Prime the EWMA with nominal-speed samples (actual == 1 tick
     // makes the achieved fraction saturate at 1.0).
-    for (int i = 0; i < policy.minSamples; ++i)
+    for (int i = 0; i < LinkHealthMonitor::minSamples; ++i)
         mon.recordDelivery(0, 1, 64 * KiB, 0, 1);
     EXPECT_EQ(mon.linkState(0, 1), LinkState::Healthy);
 
@@ -136,7 +135,8 @@ TEST(LinkHealthTest, OneSlowDeliveryDoesNotDegrade)
     for (int i = 0; i < 16; ++i)
         mon.recordDelivery(0, 1, 64 * KiB, 0, ticksPerSecond);
     EXPECT_EQ(mon.linkState(0, 1), LinkState::Degraded);
-    EXPECT_LT(mon.residualFraction(0, 1), policy.degradedBwFraction);
+    EXPECT_LT(mon.residualFraction(0, 1),
+              LinkHealthMonitor::degradedBwFraction);
 }
 
 TEST(LinkHealthTest, DegradedRecoveryRequiresStreakAndBandwidth)
@@ -195,7 +195,7 @@ TEST(LinkHealthTest, DownDetectionLatencyIsBounded)
     // Only 0->1 deliveries are lost, so the monitor's loss count at
     // the transition is the detection latency in observations.
     EXPECT_EQ(losses_at_down, static_cast<std::uint64_t>(
-                                  mon.policy().downAfterLosses));
+                                  LinkHealthMonitor::downAfterLosses));
     // Drops are observed when the transfer is booked (cut-through
     // fabric), so detection can land at the submission tick itself —
     // only the upper bound is meaningful.
@@ -288,10 +288,7 @@ TEST(LinkHealthTest, TransitionHoldoffDampensBorderlineFlapping)
 TEST(LinkHealthTest, ProbingGivesUpOnAPermanentlyDeadLink)
 {
     HealthHarness h((voltaPlatform()));
-    HealthPolicy policy;
-    policy.probeInterval = 5 * ticksPerMicrosecond;
-    policy.maxProbeFailures = 4;
-    LinkHealthMonitor &mon = h.system.enableHealth(policy);
+    LinkHealthMonitor &mon = h.system.enableHealth();
 
     FaultPlan plan;
     plan.downLink(0, maxTick, 0, 1);
@@ -305,7 +302,7 @@ TEST(LinkHealthTest, ProbingGivesUpOnAPermanentlyDeadLink)
     EXPECT_EQ(mon.linkState(0, 1), LinkState::Down);
     EXPECT_GT(mon.stats().get("health.probes"), 0.0);
     EXPECT_LE(mon.stats().get("health.probes"),
-              static_cast<double>(policy.maxProbeFailures));
+              static_cast<double>(LinkHealthMonitor::maxProbeFailures));
 }
 
 TEST(RerouterTest, PlansDetourAroundDownLink)
@@ -319,7 +316,7 @@ TEST(RerouterTest, PlansDetourAroundDownLink)
     ASSERT_EQ(legs.size(), 1u);
     EXPECT_TRUE(legs[0].direct());
 
-    for (int i = 0; i < mon.policy().downAfterLosses; ++i)
+    for (int i = 0; i < LinkHealthMonitor::downAfterLosses; ++i)
         mon.recordLoss(0, 1);
     legs = rr.plan(0, 1);
     // On 4 GPUs both healthy relays (2 and 3) survive, so the detour
@@ -349,7 +346,7 @@ TEST(RerouterTest, SplitsProportionallyOnDegradedLink)
     EXPECT_GE(legs[1].via(), 0);
     EXPECT_NEAR(legs[0].fraction + legs[1].fraction, 1.0, 1e-9);
     for (const auto &leg : legs)
-        EXPECT_GE(leg.fraction, rr.policy().minSplitFraction);
+        EXPECT_GE(leg.fraction, Rerouter::minSplitFraction);
 }
 
 TEST(RerouterTest, AgentTrafficDetoursAndAllChunksLand)
@@ -525,7 +522,7 @@ TEST(RerouterTest, PushInvalidatesExactlyOncePerWireTransition)
 
     // Wire round trip: HEALTHY -> DOWN -> HEALTHY. Each wire
     // transition invalidates exactly once — the counters stay equal.
-    for (int i = 0; i < mon.policy().downAfterLosses; ++i)
+    for (int i = 0; i < LinkHealthMonitor::downAfterLosses; ++i)
         mon.recordLoss(0, 1);
     ASSERT_EQ(mon.linkState(0, 1), LinkState::Down);
     EXPECT_EQ(rr.stats().get("reroute.push_invalidations"),
@@ -699,11 +696,12 @@ TEST(RerouterSearchTest, RelayChainsMatchTheReferenceSearches)
 {
     // Each seeded case kills the direct link and, for every other GPU
     // k, either src -> k or k -> dst, so no single relay survives and
-    // plan() must search for a chain; random extra DOWN links and
-    // relay bounds shape the graph. On one node the chain must equal
-    // the edge-count BFS exactly. Across nodes it must match the
-    // node-id Dijkstra's reachability and (network hops, edges) cost
-    // over live hops only; equal-cost ties may pick another chain.
+    // plan() must search for a chain; random extra DOWN links shape
+    // the graph, and the search is bounded by Rerouter::maxRelayHops.
+    // On one node the chain must equal the edge-count BFS exactly.
+    // Across nodes it must match the node-id Dijkstra's reachability
+    // and (network hops, edges) cost over live hops only; equal-cost
+    // ties may pick another chain.
     constexpr std::uint64_t kCampaign = 0x7365617263u;
     constexpr int kCases = 2400;
     const FabricSpec chassis = dgx2Platform().fabric;
@@ -739,7 +737,9 @@ TEST(RerouterSearchTest, RelayChainsMatchTheReferenceSearches)
             else
                 health.set(k, dst, LinkState::Down);
         }
-        const double density = 0.5 * rng.uniform();
+        // Extra DOWN density up to 1: at the fixed hop bound this
+        // keeps both outcomes common on both kinds of fabric.
+        const double density = rng.uniform();
         for (int a = 0; a < n; ++a) {
             for (int b = 0; b < n; ++b) {
                 if (a != b && rng.uniform() < density)
@@ -747,10 +747,8 @@ TEST(RerouterSearchTest, RelayChainsMatchTheReferenceSearches)
             }
         }
 
-        ReroutePolicy policy;
-        policy.maxRelayHops = static_cast<int>(rng.between(1, 4));
-        const int max_edges = policy.maxRelayHops + 1;
-        Rerouter rr(eq, fabric, health, policy);
+        const int max_edges = Rerouter::maxRelayHops + 1;
+        Rerouter rr(eq, fabric, health);
         ASSERT_TRUE(rr.relayCandidates(src, dst).empty()) << "case " << c;
         const auto &legs = rr.plan(src, dst);
         ASSERT_EQ(legs.size(), 1u) << "case " << c;

@@ -44,7 +44,7 @@ namespace {
 void
 killLink(LinkHealthMonitor &mon, int src, int dst)
 {
-    for (int i = 0; i < mon.policy().downAfterLosses; ++i)
+    for (int i = 0; i < LinkHealthMonitor::downAfterLosses; ++i)
         mon.recordLoss(src, dst);
     ASSERT_EQ(mon.linkState(src, dst), LinkState::Down);
 }

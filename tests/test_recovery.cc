@@ -15,6 +15,7 @@
 #include "harness/session.hh"
 #include "health/device_health.hh"
 #include "proact/config.hh"
+#include "proact/runtime.hh"
 #include "sim/logging.hh"
 #include "system/multi_gpu_system.hh"
 #include "system/platform.hh"
@@ -23,7 +24,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <map>
 #include <string>
 #include <tuple>
@@ -292,7 +292,7 @@ TEST(RecoveryWatchdog, TransientOutageRecoversWithoutLost)
 
 TEST(RecoverySession, CheckpointsChargeTheTimeline)
 {
-    auto run_once = [](const CheckpointPolicy &checkpoint) {
+    auto run_once = [](bool checkpoint) {
         auto workload = makeSmallWorkload("Jacobi");
         workload->setup(4);
         Session session(voltaPlatform());
@@ -303,26 +303,17 @@ TEST(RecoverySession, CheckpointsChargeTheTimeline)
                            options);
     };
 
-    const ParadigmRun off = run_once({});
+    const ParadigmRun off = run_once(false);
     EXPECT_EQ(off.checkpoints, 0);
     EXPECT_EQ(off.checkpointTicks, Tick{0});
 
-    CheckpointPolicy every;
-    every.enabled = true;
-    every.interval = 1;
-    every.cost = 50 * us;
-    const ParadigmRun on = run_once(every);
+    static_assert(ProactRuntime::checkpointCost == 50 * us);
+    const ParadigmRun on = run_once(true);
     EXPECT_EQ(on.checkpoints, 4); // One per Jacobi iteration.
     EXPECT_EQ(on.checkpointIteration, 3);
     EXPECT_EQ(on.checkpointTicks, Tick{4 * 50 * us});
     // The charge is real simulated time, not a side counter.
     EXPECT_EQ(on.ticks, off.ticks + 4 * 50 * us);
-
-    CheckpointPolicy sparse = every;
-    sparse.interval = 3;
-    const ParadigmRun few = run_once(sparse);
-    EXPECT_EQ(few.checkpoints, 1); // After iteration index 2 only.
-    EXPECT_EQ(few.checkpointIteration, 2);
 }
 
 TEST(RecoverySession, DeviceLossAbortsAndResumesFromCheckpoint)
@@ -334,13 +325,9 @@ TEST(RecoverySession, DeviceLossAbortsAndResumesFromCheckpoint)
     };
     Session session(voltaPlatform());
 
-    CheckpointPolicy every;
-    every.enabled = true;
-    every.interval = 1;
-
     Session::RunOptions clean;
     clean.config = decoupledConfig();
-    clean.checkpoint = every;
+    clean.checkpoint = true;
     const ParadigmRun healthy = session.run(
         *make(), Paradigm::ProactDecoupled, clean);
     ASSERT_FALSE(healthy.aborted);
@@ -349,7 +336,7 @@ TEST(RecoverySession, DeviceLossAbortsAndResumesFromCheckpoint)
     // Kill GPU 3 halfway through the run.
     Session::RunOptions faulty = clean;
     faulty.faults.downGpu(healthy.ticks / 2, maxTick, 3);
-    faulty.retry = testRetry();
+    faulty.config.retry = testRetry();
     faulty.deviceHealth = true;
     const ParadigmRun lost = session.run(
         *make(), Paradigm::ProactDecoupled, faulty);
@@ -357,7 +344,7 @@ TEST(RecoverySession, DeviceLossAbortsAndResumesFromCheckpoint)
     EXPECT_TRUE(lost.aborted);
     EXPECT_EQ(lost.lostGpu, 3);
     EXPECT_LT(lost.completedIterations, 4);
-    // Interval-1 checkpoints cover every completed iteration.
+    // Every completed iteration is checkpointed.
     EXPECT_EQ(lost.checkpointIteration, lost.completedIterations - 1);
     EXPECT_GT(lost.refusedDeliveries + lost.orphanedTransfers
                   + lost.quiescedFlights,
@@ -431,12 +418,10 @@ TEST(RecoveryFleet, ElectedAtTickMovesWhenChargingIsOn)
               paid.admitted + paid.electionSweepTicks);
 }
 
-TEST(RecoveryFleet, ElectionChargeIgnoresEnvironment)
+TEST(RecoveryFleet, ElectionChargeDefaultsOff)
 {
     // Charging is a FleetSession::Options field, off unless set.
-    setenv("PROACT_REPROFILE_CHARGE", "1", 1);
     const FleetSession::Options options;
-    unsetenv("PROACT_REPROFILE_CHARGE");
     EXPECT_FALSE(options.chargeElections);
 }
 
@@ -449,7 +434,6 @@ recoveryOptions(int victim, Tick loss_tick, int lost_gpu)
 {
     FleetSession::Options options;
     options.recovery.enabled = true;
-    options.recovery.checkpoint.interval = 1;
     options.faultPlanFor = [=](const JobSpec &job, int attempt) {
         FaultPlan plan;
         if (job.id == victim && attempt == 0)
@@ -470,8 +454,7 @@ TEST(RecoveryFleet, DeviceLossQuarantinesShrinksAndRestarts)
     {
         FleetSession::Options options;
         options.recovery.enabled = true;
-        options.recovery.checkpoint.interval = 1;
-        FleetSession session(voltaPlatform(), options);
+            FleetSession session(voltaPlatform(), options);
         const FleetReport clean = session.serve(jobs);
         ASSERT_EQ(clean.tenants.size(), 1u);
         EXPECT_TRUE(clean.recoveries.empty());
@@ -522,8 +505,7 @@ TEST(RecoveryFleet, MultiPlaneMachineRestartsAtFullWidth)
     {
         FleetSession::Options options;
         options.recovery.enabled = true;
-        options.recovery.checkpoint.interval = 1;
-        FleetSession session(dgx2Platform(), options);
+            FleetSession session(dgx2Platform(), options);
         clean_service =
             session.serve(jobs).tenants.at(0).serviceTicks;
     }

@@ -333,6 +333,26 @@ TEST(Workloads, SsspMatchesSerialReferenceBitwise)
         ASSERT_EQ(ref[v], sssp.distances()[v]) << "vertex " << v;
 }
 
+TEST(Workloads, RegistrySsspReachesPastItsSource)
+{
+    // At scale shift 6 (the fleet's, the elector's and the benchmark's
+    // functional size) vertex 0 of the R-MAT graph has no out-edge, so
+    // a run from it relaxes nothing and verifies on its initial state.
+    auto workload = makeWorkload("SSSP", 6);
+    workload->setup(4);
+    MultiGpuSystem system(voltaPlatform());
+    system.setFunctional(true);
+    IdealRuntime runtime(system);
+    runtime.run(*workload);
+    EXPECT_TRUE(workload->verify());
+
+    const auto &dist =
+        dynamic_cast<const SsspWorkload &>(*workload).distances();
+    EXPECT_GT(std::count_if(dist.begin(), dist.end(),
+                            [](double d) { return std::isfinite(d); }),
+              1);
+}
+
 TEST(Workloads, SsspDistancesImproveMonotonically)
 {
     SsspWorkload::Params p;
