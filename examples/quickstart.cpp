@@ -15,6 +15,7 @@
  */
 
 #include "harness/session.hh"
+#include "proact/config.hh"
 #include "workloads/registry.hh"
 
 #include <iomanip>

@@ -158,16 +158,10 @@ Session::compareParadigms(const WorkloadFactory &factory,
 {
     const Tick single = singleGpuTicks(factory, functional);
 
-    // Profile on a dedicated (timing-only) instance. The factory
-    // doubles as the sweep factory, so PROACT_SIM_SHARDS>1 fans the
-    // candidate measurements out over a worker pool (results are
-    // bit-identical to the serial sweep either way).
+    // Profile on a dedicated (timing-only) instance.
     auto profile_workload = factory(_platform.numGpus);
-    Profiler::Options sweep_options = profiler_options;
-    if (!sweep_options.sweepFactory)
-        sweep_options.sweepFactory = factory;
     const ProfileResult prof =
-        profile(*profile_workload, sweep_options);
+        profile(*profile_workload, profiler_options);
     const TransferConfig decoupled_cfg = prof.bestDecoupled().config;
 
     std::vector<ParadigmRun> results;

@@ -107,10 +107,9 @@ envMultiNodePlatform(int gpus_per_node)
 }
 
 int
-envSimShards()
+envScaleShift()
 {
-    const auto v = static_cast<int>(envInt("PROACT_SIM_SHARDS", 0, 0, 64));
-    return v <= 1 ? 0 : v;
+    return static_cast<int>(envInt("PROACT_SCALE_SHIFT", 0, 0, 8));
 }
 
 } // namespace proact

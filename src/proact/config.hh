@@ -98,11 +98,10 @@ int envNodes();
 PlatformSpec envMultiNodePlatform(int gpus_per_node = 16);
 
 /**
- * Profiler sweep workers requested by PROACT_SIM_SHARDS (0/unset/1 =
- * serial, clamped to [0, 64]). Workers measure whole candidate
- * simulations in parallel; each simulation runs on one event queue.
+ * Workload scale shift from PROACT_SCALE_SHIFT (default 0, clamped
+ * to [0, 8]); makeWorkload shrinks every dimension by 2^shift.
  */
-int envSimShards();
+int envScaleShift();
 
 } // namespace proact
 

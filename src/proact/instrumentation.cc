@@ -70,22 +70,6 @@ instrumentDecoupled(const KernelDesc &kernel,
 }
 
 KernelLaunch
-instrumentDecoupled(const GpuPhaseWork &work, RegionTracker &tracker,
-                    TransferAgent &agent, Gpu &gpu, StatSet *stats,
-                    EventQueue::Callback on_complete,
-                    std::uint64_t atomic_fanout)
-{
-    if (!work.ctaRange)
-        fatalError("instrumentDecoupled: kernel '", work.kernel.name,
-                   "' lacks CTA write footprints");
-    std::vector<TrackedRegion> regions{
-        TrackedRegion{&tracker, work.ctaRange}};
-    return instrumentDecoupled(work.kernel, std::move(regions), agent,
-                               gpu, stats, std::move(on_complete),
-                               atomic_fanout);
-}
-
-KernelLaunch
 instrumentInline(const GpuPhaseWork &work, MultiGpuSystem &system,
                  int gpu_id, std::uint32_t store_bytes,
                  bool elide_transfers,

@@ -28,7 +28,6 @@
 
 namespace proact {
 
-/** Memory-fence + counter-index cost added to each tracked CTA. */
 /**
  * Memory-fence + counter-index cost added to each tracked CTA: a
  * gpu-scope membar draining the SM's store path plus the bounds and
@@ -70,13 +69,6 @@ struct TrackedRegion
 KernelLaunch
 instrumentDecoupled(const KernelDesc &kernel,
                     std::vector<TrackedRegion> regions,
-                    TransferAgent &agent, Gpu &gpu, StatSet *stats,
-                    EventQueue::Callback on_complete,
-                    std::uint64_t atomic_fanout = 1);
-
-/** Single-region convenience (the common case). */
-KernelLaunch
-instrumentDecoupled(const GpuPhaseWork &work, RegionTracker &tracker,
                     TransferAgent &agent, Gpu &gpu, StatSet *stats,
                     EventQueue::Callback on_complete,
                     std::uint64_t atomic_fanout = 1);

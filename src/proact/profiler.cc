@@ -4,11 +4,8 @@
 #include "sim/logging.hh"
 #include "system/multi_gpu_system.hh"
 
-#include <atomic>
-#include <exception>
+#include <algorithm>
 #include <limits>
-#include <mutex>
-#include <thread>
 
 namespace proact {
 
@@ -70,9 +67,6 @@ Profiler::profile(Workload &workload)
         }
     }
 
-    // Enumerate the candidate space up front so serial and parallel
-    // sweeps measure the identical list in the identical order.
-    std::vector<TransferConfig> candidates;
     for (const auto mech : _options.mechanisms) {
         for (const auto chunk : _options.chunkSizes) {
             if (max_partition / chunk
@@ -85,63 +79,14 @@ Profiler::profile(Workload &workload)
                 config.mechanism = mech;
                 config.chunkBytes = chunk;
                 config.transferThreads = threads;
-                candidates.push_back(config);
-            }
-        }
-    }
-
-    const int shards =
-        _options.shards > 0 ? _options.shards : envSimShards();
-    const std::size_t workers = std::min<std::size_t>(
-        shards > 1 && _options.sweepFactory ? shards : 1,
-        candidates.empty() ? 1 : candidates.size());
-
-    std::vector<Tick> measured(candidates.size(), 0);
-    if (workers <= 1) {
-        for (std::size_t i = 0; i < candidates.size(); ++i)
-            measured[i] = measure(workload, candidates[i]);
-    } else {
-        // Each worker measures on its own workload instance (fresh
-        // system per candidate as always); ticks land in sweep order
-        // so the fold below is bit-identical to the serial path.
-        std::atomic<std::size_t> next{0};
-        std::exception_ptr failure;
-        std::mutex failure_mutex;
-        auto sweep_worker = [&] {
-            try {
-                auto local = _options.sweepFactory(_platform.numGpus);
-                if (!local)
-                    fatalError("Profiler: sweep factory returned "
-                               "null");
-                for (;;) {
-                    const std::size_t i =
-                        next.fetch_add(1, std::memory_order_relaxed);
-                    if (i >= candidates.size())
-                        break;
-                    measured[i] = measure(*local, candidates[i]);
+                const Tick ticks = measure(workload, config);
+                result.entries.push_back({config, ticks});
+                result.sweepTicks += ticks;
+                if (ticks < best_ticks) {
+                    best_ticks = ticks;
+                    result.best = config;
                 }
-            } catch (...) {
-                std::lock_guard<std::mutex> lock(failure_mutex);
-                if (!failure)
-                    failure = std::current_exception();
             }
-        };
-        std::vector<std::thread> pool;
-        for (std::size_t w = 1; w < workers; ++w)
-            pool.emplace_back(sweep_worker);
-        sweep_worker();
-        for (std::thread &t : pool)
-            t.join();
-        if (failure)
-            std::rethrow_exception(failure);
-    }
-
-    for (std::size_t i = 0; i < candidates.size(); ++i) {
-        result.entries.push_back({candidates[i], measured[i]});
-        result.sweepTicks += measured[i];
-        if (measured[i] < best_ticks) {
-            best_ticks = measured[i];
-            result.best = candidates[i];
         }
     }
 

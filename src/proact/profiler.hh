@@ -20,19 +20,9 @@
 #include "workloads/workload.hh"
 
 #include <cstdint>
-#include <functional>
-#include <memory>
 #include <vector>
 
 namespace proact {
-
-/**
- * Builds fresh, set-up workload instances for concurrent sweep
- * workers (same contract as harness WorkloadFactory; redeclared here
- * so the profiler layer doesn't depend on the harness).
- */
-using SweepWorkloadFactory =
-    std::function<std::unique_ptr<Workload>(int num_gpus)>;
 
 /** One measured point of the profiling sweep. */
 struct ProfileEntry
@@ -94,27 +84,6 @@ class Profiler
          * unreasonable; cf. the paper's Sec. III-B storage remark).
          */
         int maxChunksPerGpu = 65536;
-
-        /** @{ @name Parallel sweep
-         *
-         * Every candidate is an independent simulation on a fresh
-         * system, so the sweep parallelizes embarrassingly: with
-         * @c shards > 1 and a @c sweepFactory, candidates are
-         * measured by a worker pool (each worker on its own workload
-         * instance) and the results merge back in sweep order —
-         * bit-identical to the serial sweep, including best-config
-         * tie-breaking. Without a factory the sweep stays serial
-         * (workers cannot share one Workload).
-         */
-
-        /** Sweep worker count; 0 = read PROACT_SIM_SHARDS, 1 =
-         * serial. */
-        int shards = 0;
-
-        /** Produces a fresh set-up workload per worker; must create
-         * instances equivalent to the one passed to profile(). */
-        SweepWorkloadFactory sweepFactory;
-        /** @} */
     };
 
     explicit Profiler(PlatformSpec platform);

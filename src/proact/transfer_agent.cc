@@ -142,18 +142,6 @@ CdpAgent::chunkReady(int /*chunk*/, std::uint64_t bytes)
 }
 
 void
-CdpAgent::flush()
-{
-    // The release stalls the producer until everything queued has
-    // been launched, so the steady-state window does not apply.
-    while (!_pendingBytes.empty()) {
-        const std::uint64_t bytes = _pendingBytes.front();
-        _pendingBytes.pop_front();
-        dispatch(bytes, /*windowed=*/false);
-    }
-}
-
-void
 CdpAgent::tryLaunch()
 {
     if (_active >= maxConcurrentChildren || _pendingBytes.empty())
@@ -162,15 +150,9 @@ CdpAgent::tryLaunch()
     const std::uint64_t bytes = _pendingBytes.front();
     _pendingBytes.pop_front();
     ++_active;
-    dispatch(bytes, /*windowed=*/true);
-}
 
-void
-CdpAgent::dispatch(std::uint64_t bytes, bool windowed)
-{
-    auto &system = *_ctx.system;
     auto &eq = queue();
-    auto &gpu = system.gpu(_ctx.gpuId);
+    auto &gpu = _ctx.system->gpu(_ctx.gpuId);
     const GpuSpec &spec = gpu.spec();
 
     _cdpLaunches.inc();
@@ -189,12 +171,10 @@ CdpAgent::dispatch(std::uint64_t bytes, bool windowed)
     eq.schedule(start, [&gpu, share] { gpu.reserveCompute(share); });
     const Tick done =
         pushToPeers(bytes, start, _ctx.config.transferThreads);
-    eq.schedule(done, [this, &gpu, share, windowed] {
+    eq.schedule(done, [this, &gpu, share] {
         gpu.releaseCompute(share);
-        if (windowed) {
-            --_active;
-            tryLaunch();
-        }
+        --_active;
+        tryLaunch();
     });
 }
 

@@ -74,14 +74,6 @@ class TransferAgent
     /** A chunk's readiness counter reached zero. */
     virtual void chunkReady(int chunk, std::uint64_t bytes) = 0;
 
-    /**
-     * sys-scope release semantics (paper Sec. III-C): dispatch every
-     * ready-but-unsent chunk immediately, bypassing discovery delays
-     * and launch windows. (Unready chunks have unwritten data and
-     * thus nothing to flush.)
-     */
-    virtual void flush() {}
-
     /** Mechanism this agent implements. */
     virtual TransferMechanism mechanism() const = 0;
 
@@ -129,9 +121,6 @@ class PollingAgent : public TransferAgent
 
     void chunkReady(int chunk, std::uint64_t bytes) override;
 
-    /** Dispatch the pending bitmap immediately (no poll wait). */
-    void flush() override { poll(); }
-
     TransferMechanism
     mechanism() const override
     {
@@ -174,9 +163,6 @@ class CdpAgent : public TransferAgent
 
     void chunkReady(int chunk, std::uint64_t bytes) override;
 
-    /** Launch everything queued, ignoring the concurrency window. */
-    void flush() override;
-
     TransferMechanism
     mechanism() const override
     {
@@ -199,7 +185,6 @@ class CdpAgent : public TransferAgent
     StatSet::Counter _cdpLaunches{_ctx.stats, "cdp_launches"};
 
     void tryLaunch();
-    void dispatch(std::uint64_t bytes, bool windowed);
 };
 
 /** Proposed dedicated-hardware agent (paper Sec. III-D). */

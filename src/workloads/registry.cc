@@ -8,7 +8,6 @@
 #include "workloads/sssp.hh"
 
 #include <algorithm>
-#include <cstdlib>
 
 namespace proact {
 
@@ -54,20 +53,6 @@ makeWorkload(const std::string &name, int scale_shift,
         return std::make_unique<AlsWorkload>(p);
     }
     fatalError("makeWorkload: unknown workload '", name, "'");
-}
-
-int
-envScaleShift()
-{
-    const char *env = std::getenv("PROACT_SCALE_SHIFT");
-    if (env == nullptr)
-        return 0;
-    char *end = nullptr;
-    // strtoll saturates on overflow, so a huge value clamps to 8.
-    const long long v = std::strtoll(env, &end, 10);
-    if (end == env)
-        return 0;
-    return static_cast<int>(std::clamp(v, 0LL, 8LL));
 }
 
 } // namespace proact

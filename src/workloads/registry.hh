@@ -4,8 +4,9 @@
  *
  * Benchmark harnesses create workloads by name; a scale shift lets
  * quick runs shrink every dimension by powers of two (set
- * PROACT_SCALE_SHIFT=1,2,... in the environment) without changing
- * any compute/communication *ratio* qualitatively.
+ * PROACT_SCALE_SHIFT=1,2,... in the environment; envScaleShift in
+ * proact/config.hh reads it) without changing any
+ * compute/communication *ratio* qualitatively.
  */
 
 #ifndef PROACT_WORKLOADS_REGISTRY_HH
@@ -33,13 +34,6 @@ std::vector<std::string> standardWorkloadNames();
 std::unique_ptr<Workload> makeWorkload(const std::string &name,
                                        int scale_shift = 0,
                                        GraphCache *graphs = nullptr);
-
-/**
- * Scale shift from PROACT_SCALE_SHIFT: 0 when unset or without
- * digits, else the value clamped to [0, 8] (an overflowing value
- * saturates first).
- */
-int envScaleShift();
 
 } // namespace proact
 

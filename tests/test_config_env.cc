@@ -167,13 +167,6 @@ TEST(ConfigEnv, SessionRunsIgnoreFaultVariables)
     }
 }
 
-TEST(ConfigEnv, NanNodesFallBackToOneNode)
-{
-    // Not an integer: the default count.
-    ScopedEnv nodes("PROACT_NODES", "nan");
-    EXPECT_EQ(envNodes(), 1);
-}
-
 TEST(ConfigEnv, DecoupledPredicate)
 {
     TransferConfig config;
@@ -187,21 +180,22 @@ TEST(ConfigEnv, DecoupledPredicate)
     }
 }
 
-TEST(ConfigEnv, SimShardsParsesAndClamps)
+TEST(ConfigEnv, NodesParsesAndClamps)
 {
     {
-        ScopedEnv unset("PROACT_SIM_SHARDS", nullptr);
-        EXPECT_EQ(envSimShards(), 0);
+        ScopedEnv unset("PROACT_NODES", nullptr);
+        EXPECT_EQ(envNodes(), 1);
     }
     const std::pair<const char *, int> cases[] = {
-        {"1", 0}, // One worker is the serial sweep.
+        {"1", 1},
         {"4", 4},
         {"999", 64},
-        {"-3", 0},
-        {"abc", 0},
+        {"-3", 1},
+        {"abc", 1},
+        {"nan", 1}, // Not an integer: the default count.
     };
-    for (const auto &[value, workers] : cases) {
-        ScopedEnv env("PROACT_SIM_SHARDS", value);
-        EXPECT_EQ(envSimShards(), workers) << value;
+    for (const auto &[value, nodes] : cases) {
+        ScopedEnv env("PROACT_NODES", value);
+        EXPECT_EQ(envNodes(), nodes) << value;
     }
 }

@@ -11,6 +11,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 using namespace proact;
 using proact::test::ToyWorkload;
 
@@ -44,6 +46,13 @@ struct Fixture
     }
 };
 
+/** @p work's one output region, tracked by @p tracker. */
+std::vector<TrackedRegion>
+tracked(RegionTracker &tracker, const GpuPhaseWork &work)
+{
+    return {TrackedRegion{&tracker, work.ctaRange}};
+}
+
 } // namespace
 
 TEST(Instrumentation, DecoupledWiresTrackingHooks)
@@ -55,8 +64,8 @@ TEST(Instrumentation, DecoupledWiresTrackingHooks)
 
     bool kernel_done = false;
     KernelLaunch launch = instrumentDecoupled(
-        f.work, tracker, agent, f.system.gpu(0), &f.stats,
-        [&] { kernel_done = true; });
+        f.work.kernel, tracked(tracker, f.work), agent,
+        f.system.gpu(0), &f.stats, [&] { kernel_done = true; });
 
     // Hardware agents skip the software atomic path.
     EXPECT_FALSE(launch.instrumented);
@@ -83,7 +92,8 @@ TEST(Instrumentation, SoftwareAgentsPayTrackingCosts)
     PollingAgent agent(ctx);
 
     const KernelLaunch launch = instrumentDecoupled(
-        f.work, tracker, agent, f.system.gpu(0), &f.stats, nullptr);
+        f.work.kernel, tracked(tracker, f.work), agent,
+        f.system.gpu(0), &f.stats, nullptr);
     EXPECT_TRUE(launch.instrumented);
     EXPECT_EQ(launch.extraCtaTicks, trackingFenceCost);
     EXPECT_DOUBLE_EQ(launch.hbmTrafficOverhead, trackingHbmOverhead);
@@ -99,8 +109,8 @@ TEST(Instrumentation, AtomicFanoutScalesDecrementTraffic)
     PollingAgent agent(ctx);
 
     KernelLaunch launch = instrumentDecoupled(
-        f.work, tracker, agent, f.system.gpu(0), &f.stats, nullptr,
-        /*atomic_fanout=*/16);
+        f.work.kernel, tracked(tracker, f.work), agent,
+        f.system.gpu(0), &f.stats, nullptr, /*atomic_fanout=*/16);
     f.system.gpu(0).launch(launch);
     f.system.run();
     EXPECT_DOUBLE_EQ(f.stats.get("counter_decrements"),
@@ -158,7 +168,8 @@ TEST(Instrumentation, RejectsMissingFootprints)
     work.ctaRange = nullptr;
     RegionTracker tracker(1024, 1024);
     HardwareAgent agent(f.agentContext());
-    EXPECT_THROW(instrumentDecoupled(work, tracker, agent,
+    EXPECT_THROW(instrumentDecoupled(work.kernel,
+                                     tracked(tracker, work), agent,
                                      f.system.gpu(0), nullptr,
                                      nullptr),
                  FatalError);

@@ -3,17 +3,16 @@
  * Unit tests for the compile-time profiler (paper Sec. III-A).
  */
 
-#include "harness/session.hh"
 #include "proact/profiler.hh"
 #include "proact/runtime.hh"
-#include "tests/small_workloads.hh"
+#include "system/multi_gpu_system.hh"
 #include "tests/toy_workload.hh"
 
 #include "sim/logging.hh"
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
+#include <algorithm>
 
 using namespace proact;
 using proact::test::ToyWorkload;
@@ -175,82 +174,4 @@ TEST(Profiler, SweepRangesMatchPaper)
     const auto threads = threadCountSweep();
     EXPECT_EQ(threads.front(), 32u);
     EXPECT_EQ(threads.back(), 8192u);
-}
-
-TEST(ProfilerSweep, ParallelSweepBitIdenticalToSerial)
-{
-    const SweepWorkloadFactory factory = [](int gpus) {
-        auto workload = test::makeSmallWorkload("Jacobi");
-        workload->setup(gpus);
-        return workload;
-    };
-
-    Profiler::Options quick;
-    quick.chunkSizes = {64 * KiB, 128 * KiB};
-    quick.threadCounts = {1024, 2048};
-    quick.profileIterations = 1;
-
-    Profiler::Options serial = quick;
-    serial.shards = 1;
-    Profiler::Options parallel = quick;
-    parallel.shards = 4;
-    parallel.sweepFactory = factory;
-
-    const PlatformSpec platform = voltaPlatform();
-    auto workload_a = factory(platform.numGpus);
-    const ProfileResult a =
-        Profiler(platform, serial).profile(*workload_a);
-    auto workload_b = factory(platform.numGpus);
-    const ProfileResult b =
-        Profiler(platform, parallel).profile(*workload_b);
-
-    EXPECT_EQ(a.bestTicks, b.bestTicks);
-    EXPECT_EQ(a.inlineTicks, b.inlineTicks);
-    EXPECT_EQ(a.best.mechanism, b.best.mechanism);
-    EXPECT_EQ(a.best.chunkBytes, b.best.chunkBytes);
-    EXPECT_EQ(a.best.transferThreads, b.best.transferThreads);
-    ASSERT_EQ(a.entries.size(), b.entries.size());
-    for (std::size_t i = 0; i < a.entries.size(); ++i) {
-        EXPECT_EQ(a.entries[i].ticks, b.entries[i].ticks) << i;
-        EXPECT_EQ(a.entries[i].config.chunkBytes,
-                  b.entries[i].config.chunkBytes) << i;
-        EXPECT_EQ(a.entries[i].config.transferThreads,
-                  b.entries[i].config.transferThreads) << i;
-        EXPECT_EQ(a.entries[i].config.mechanism,
-                  b.entries[i].config.mechanism) << i;
-    }
-}
-
-TEST(ProfilerSweep, CompareParadigmsBitIdenticalUnderEnvShards)
-{
-    // PROACT_SIM_SHARDS > 1 fans compareParadigms' profiler sweep out
-    // over a worker pool; every summary number must stay untouched
-    // (each candidate is an independent deterministic simulation).
-    const WorkloadFactory factory = [](int gpus) {
-        auto workload = test::makeSmallWorkload("Jacobi");
-        workload->setup(gpus);
-        return workload;
-    };
-
-    Profiler::Options quick;
-    quick.chunkSizes = {64 * KiB, 128 * KiB};
-    quick.threadCounts = {2048};
-    quick.profileIterations = 1;
-
-    Session session(voltaPlatform());
-    unsetenv("PROACT_SIM_SHARDS");
-    const auto serial =
-        session.compareParadigms(factory, /*functional=*/false, quick);
-    setenv("PROACT_SIM_SHARDS", "4", 1);
-    const auto parallel =
-        session.compareParadigms(factory, /*functional=*/false, quick);
-    unsetenv("PROACT_SIM_SHARDS");
-
-    ASSERT_EQ(serial.size(), parallel.size());
-    for (std::size_t i = 0; i < serial.size(); ++i) {
-        EXPECT_EQ(test::runDigest(serial[i]),
-                  test::runDigest(parallel[i]))
-            << paradigmName(serial[i].paradigm);
-        EXPECT_DOUBLE_EQ(serial[i].speedup, parallel[i].speedup);
-    }
 }

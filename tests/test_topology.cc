@@ -1,13 +1,10 @@
 /**
  * @file
  * Tests for fabric topologies (shared ports vs. statically
- * partitioned pairwise NVLink links) and the agents' sys-scope
- * flush semantics.
+ * partitioned pairwise NVLink links).
  */
 
 #include "interconnect/interconnect.hh"
-#include "proact/transfer_agent.hh"
-#include "gpu/gpu_spec.hh"
 #include "system/platform.hh"
 
 #include "sim/logging.hh"
@@ -143,74 +140,4 @@ TEST(Topology, MultiNodeTierAccessors)
     // The base latency stays the intra (minimum) latency.
     EXPECT_EQ(platform.fabric.latency, nvswitchFabric().latency);
     EXPECT_GE(platform.fabric.interLatency, platform.fabric.latency);
-}
-
-namespace {
-
-struct FlushHarness
-{
-    MultiGpuSystem system{voltaPlatform()};
-    int deliveries = 0;
-    Tick lastDelivery = 0;
-
-    TransferAgent::Context
-    context(TransferMechanism mech)
-    {
-        TransferAgent::Context ctx;
-        ctx.system = &system;
-        ctx.gpuId = 0;
-        ctx.config.mechanism = mech;
-        ctx.config.chunkBytes = 64 * KiB;
-        ctx.config.transferThreads = 2048;
-        ctx.onDelivered = [this](std::uint64_t) {
-            ++deliveries;
-            lastDelivery = system.now();
-        };
-        return ctx;
-    }
-};
-
-} // namespace
-
-TEST(Flush, PollingFlushBypassesPollInterval)
-{
-    auto last_delivery = [](bool flush) {
-        FlushHarness h;
-        PollingAgent agent(h.context(TransferMechanism::Polling));
-        agent.chunkReady(0, 4096);
-        if (flush)
-            agent.flush(); // Dispatch now, not at the next poll.
-        h.system.run();
-        EXPECT_EQ(h.deliveries, 3);
-        return h.lastDelivery;
-    };
-    const Tick flushed = last_delivery(true);
-    const Tick polled = last_delivery(false);
-    EXPECT_LE(flushed + voltaSpec().pollInterval, polled + 1);
-}
-
-TEST(Flush, CdpFlushDrainsBeyondWindow)
-{
-    FlushHarness h;
-    CdpAgent agent(h.context(TransferMechanism::Cdp));
-    const int chunks = 2 * CdpAgent::maxConcurrentChildren;
-    for (int c = 0; c < chunks; ++c)
-        agent.chunkReady(c, 4096);
-    agent.flush();
-    h.system.run();
-    EXPECT_EQ(h.deliveries, chunks * 3);
-    EXPECT_EQ(agent.activeChildren(), 0);
-}
-
-TEST(Flush, FlushOnEmptyAgentIsNoop)
-{
-    FlushHarness h;
-    PollingAgent polling(h.context(TransferMechanism::Polling));
-    CdpAgent cdp(h.context(TransferMechanism::Cdp));
-    HardwareAgent hw(h.context(TransferMechanism::Hardware));
-    EXPECT_NO_THROW(polling.flush());
-    EXPECT_NO_THROW(cdp.flush());
-    EXPECT_NO_THROW(hw.flush());
-    h.system.run();
-    EXPECT_EQ(h.deliveries, 0);
 }
