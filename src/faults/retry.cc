@@ -95,7 +95,10 @@ RetryingSender::attempt(const Interconnect::Request &req,
             return;
         _eq.deschedule(a->timeout);
         a->when = want;
-        a->timeout = _eq.schedule(want, [this, a] { onTimeout(a); });
+        a->timeout = _eq.schedule(want, [this, a] {
+            if (!a->acked)
+                onTimeout(a);
+        });
     };
 
     const Tick predicted = _fabric.transfer(wire);
@@ -109,7 +112,16 @@ RetryingSender::attempt(const Interconnect::Request &req,
     const Tick entered = std::max(a->submit, req.notBefore);
     a->floor = entered + ackTimeout;
     a->when = std::max(predicted + 1, a->floor);
-    a->timeout = _eq.schedule(a->when, [this, a] { onTimeout(a); });
+    // An acked attempt's timeout stays queued until it fires, and may
+    // fire after the sender is gone: ProactRuntime::runPhase destroys
+    // its per-phase senders once every delivery has landed, and a
+    // later drain still runs their timeouts. The closure reads the
+    // shared record first, so an acked timeout never touches the
+    // sender.
+    a->timeout = _eq.schedule(a->when, [this, a] {
+        if (!a->acked)
+            onTimeout(a);
+    });
 
     return predicted;
 }
@@ -117,8 +129,6 @@ RetryingSender::attempt(const Interconnect::Request &req,
 void
 RetryingSender::onTimeout(const AttemptPtr &a)
 {
-    if (a->acked)
-        return;
     --_inFlight;
     const Interconnect::Request &req = a->req;
     if (_trace) {

@@ -177,7 +177,10 @@ class RetryingSender
     Tick attempt(const Interconnect::Request &req, int attempt_no,
                  bool replanned = false);
 
-    /** No ack by the horizon: orphan, retry, re-plan or fall back. */
+    /**
+     * No ack by the horizon: orphan, retry, re-plan or fall back.
+     * Only for an unacked attempt; the timeout closure checks.
+     */
     void onTimeout(const AttemptPtr &a);
 
     /**

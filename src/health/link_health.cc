@@ -21,6 +21,8 @@ LinkHealthMonitor::LinkHealthMonitor(EventQueue &eq,
                                      HealthPolicy policy)
     : _eq(eq), _fabric(fabric),
       _transitionHoldoff(policy.transitionHoldoff),
+      _deliveries(&_stats, "health.deliveries"),
+      _losses(&_stats, "health.losses"),
       _links(static_cast<std::size_t>(fabric.numGpus())
              * fabric.numGpus())
 {
@@ -145,7 +147,7 @@ LinkHealthMonitor::observe(int src, int dst, std::uint64_t wire_bytes,
                            Tick service_time)
 {
     Link &l = link(src, dst);
-    _stats.inc("health.deliveries");
+    _deliveries.inc();
     ++l.deliveries;
     l.lossStreak = 0;
     ++l.deliverStreak;
@@ -188,7 +190,7 @@ void
 LinkHealthMonitor::recordLoss(int src, int dst)
 {
     Link &l = link(src, dst);
-    _stats.inc("health.losses");
+    _losses.inc();
     ++l.losses;
     ++l.lossStreak;
     l.deliverStreak = 0;

@@ -243,6 +243,10 @@ class LinkHealthMonitor : public LinkStateProvider
     Interconnect::ObserverHandle _observerHandle = 0;
     Tick _transitionHoldoff;
     StatSet _stats;
+    /** @{ Per-observation statistics (see the class comment). */
+    StatSet::Counter _deliveries;
+    StatSet::Counter _losses;
+    /** @} */
     std::vector<Link> _links;
     std::vector<Listener> _listeners;
     std::vector<Transition> _transitions;

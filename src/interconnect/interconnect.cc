@@ -172,7 +172,8 @@ Interconnect::transfer(const Request &req)
     _writeSizes.record(gran, packets);
 
     const Tick nb = std::max(_eq.curTick(), req.notBefore);
-    const std::uint64_t fid = _nextFlightId++;
+    const std::uint64_t tag = _rebooking ? acquireFlight() : 0;
+    Hops hops;
 
     DeliverySample sample;
     sample.enqueued = nb;
@@ -188,49 +189,43 @@ Interconnect::transfer(const Request &req)
         const auto pair_wire_eq = static_cast<std::uint64_t>(
             static_cast<double>(wire) * link.rate() / pair_eff);
         const Channel::Timing t =
-            link.submitTimed(nb, pair_wire_eq, req.bytes, nullptr, fid);
+            link.submitTimed(nb, pair_wire_eq, req.bytes, nullptr, tag);
 
         sample.start = t.start;
         sample.delivered = t.delivered;
         sample.queueDelay = t.queueDelay();
         sample.serviceTime = t.serviceTicks() + link.latency();
 
-        std::vector<Hop> hops;
         if (_rebooking)
-            hops.push_back(Hop{&link, link.latency(), t.serviceEnd});
-        return finishDelivery(req, sample, std::move(hops), fid);
+            hops.push(Hop{&link, link.latency(), t.serviceEnd});
+        return finishDelivery(req, sample, hops, tag);
     }
 
     // Cut-through booking: each hop starts once the previous hop
     // begins streaming; delivery waits for the slowest hop to drain
     // plus the fabric latency (carried by the ingress channel).
     const Channel::Timing e = _egress[req.src]->submitTimed(
-        nb, wire_eq, req.bytes, nullptr, fid);
-
-    std::vector<Hop> hops;
-    if (_rebooking) {
-        hops.push_back(
-            Hop{_egress[req.src].get(), _spec.latency, e.serviceEnd});
-    }
+        nb, wire_eq, req.bytes, nullptr, tag);
+    if (_rebooking)
+        hops.push(Hop{_egress[req.src].get(), _spec.latency, e.serviceEnd});
 
     Tick c_end = e.start;
     Tick c_dur = 0;
     Tick i_nb = e.start;
     if (_core) {
         const Channel::Timing c =
-            _core->submitTimed(e.start, wire, req.bytes, nullptr, fid);
+            _core->submitTimed(e.start, wire, req.bytes, nullptr, tag);
         i_nb = c.start;
         c_end = c.serviceEnd;
         c_dur = c.serviceTicks();
         if (_rebooking)
-            hops.push_back(Hop{_core.get(), _spec.latency, c.serviceEnd});
+            hops.push(Hop{_core.get(), _spec.latency, c.serviceEnd});
     }
     const Channel::Timing i = _ingress[req.dst]->submitTimed(
-        i_nb, wire, req.bytes, nullptr, fid);
+        i_nb, wire, req.bytes, nullptr, tag);
     if (_rebooking) {
-        hops.push_back(Hop{_ingress[req.dst].get(),
-                           _ingress[req.dst]->latency(),
-                           i.serviceEnd});
+        hops.push(Hop{_ingress[req.dst].get(),
+                      _ingress[req.dst]->latency(), i.serviceEnd});
     }
 
     const Tick delivered =
@@ -249,12 +244,12 @@ Interconnect::transfer(const Request &req)
         std::max({e.serviceTicks(), c_dur, i.serviceTicks()})
         + _spec.latency;
     sample.queueDelay = delivered - nb - sample.serviceTime;
-    return finishDelivery(req, sample, std::move(hops), fid);
+    return finishDelivery(req, sample, hops, tag);
 }
 
 Tick
 Interconnect::finishDelivery(const Request &req, DeliverySample sample,
-                             std::vector<Hop> hops, std::uint64_t id)
+                             const Hops &hops, std::uint64_t tag)
 {
     Tick delivered = sample.delivered;
     bool dropped = false;
@@ -272,30 +267,35 @@ Interconnect::finishDelivery(const Request &req, DeliverySample sample,
     }
     sample.dropped = dropped;
     const Tick start = sample.start;
+    const auto slot = static_cast<std::uint32_t>(tag);
+    const bool tracked =
+        tag != 0 && !dropped && (req.onComplete || req.onRebook);
 
     if (dropped) {
         ++_droppedDeliveries;
-    } else if (_rebooking && !hops.empty() &&
-               (req.onComplete || req.onRebook)) {
+    } else if (tracked) {
         // Track the flight so a mid-run rate change can move its
-        // completion. Dropped deliveries are not tracked: their wire
-        // occupancy still re-times, but their tag finds no flight.
-        Flight flight;
+        // completion.
+        Flight &flight = _flights[slot];
         flight.src = req.src;
         flight.dst = req.dst;
-        flight.hops = std::move(hops);
+        flight.hops = hops;
         flight.extraDelay = extra_delay;
         flight.delivered = delivered;
         flight.onComplete = req.onComplete;
         flight.onRebook = req.onRebook;
-        if (req.onComplete) {
-            flight.event = _eq.schedule(
-                delivered, [this, id] { completeFlight(id); });
-        }
-        _flights.emplace(id, std::move(flight));
+        flight.event = req.onComplete
+            ? _eq.schedule(delivered, [this, tag] { completeFlight(tag); })
+            : 0;
+        flight.live = true;
+        ++_liveFlights;
     } else if (req.onComplete) {
         _eq.schedule(delivered, req.onComplete);
     }
+    // Dropped and untracked deliveries free their slot at once: their
+    // wire occupancy still re-times, but their tag finds no flight.
+    if (tag != 0 && !tracked)
+        releaseFlight(slot);
 
     notifyObservers(req, sample);
 
@@ -354,15 +354,13 @@ Interconnect::quiesceDevice(int gpu)
     if (gpu < 0 || gpu >= _numGpus)
         fatalError("Interconnect: quiesceDevice on bad gpu ", gpu);
     std::size_t aborted = 0;
-    for (auto it = _flights.begin(); it != _flights.end();) {
-        Flight &flight = it->second;
-        if (flight.src != gpu && flight.dst != gpu) {
-            ++it;
+    for (std::uint32_t slot = 0; slot < _flights.size(); ++slot) {
+        const Flight &flight = _flights[slot];
+        if (!flight.live || (flight.src != gpu && flight.dst != gpu))
             continue;
-        }
         if (flight.event != 0)
             _eq.deschedule(flight.event);
-        it = _flights.erase(it);
+        releaseFlight(slot);
         ++aborted;
     }
     _quiescedFlights += aborted;
@@ -421,29 +419,74 @@ Interconnect::setRebooking(bool on)
         if (on) {
             Channel *cp = &ch;
             ch.setRebookListener([this, cp](Channel::BookingId,
-                                            Channel::BookingTag id,
+                                            Channel::BookingTag tag,
                                             Tick end) {
-                onHopRebooked(cp, id, end);
+                onHopRebooked(cp, tag, end);
             });
         } else {
             ch.setRebookListener(nullptr);
         }
     });
     if (!on) {
-        // Pending completion events stay scheduled at their current
-        // ticks; they just can no longer move.
-        _flights.clear();
+        // Tracked flights are forgotten. Their completion events stay
+        // scheduled but find their slots freed, so those callbacks
+        // never fire; no caller turns rebooking off mid-run.
+        for (std::uint32_t slot = 0; slot < _flights.size(); ++slot) {
+            if (_flights[slot].live)
+                releaseFlight(slot);
+        }
     }
 }
 
+std::uint64_t
+Interconnect::acquireFlight()
+{
+    std::uint32_t slot = _freeFlight;
+    if (slot != NoSlot) {
+        _freeFlight = _flights[slot].nextFree;
+    } else {
+        slot = static_cast<std::uint32_t>(_flights.size());
+        _flights.emplace_back();
+    }
+    return (static_cast<std::uint64_t>(_flights[slot].generation) << 32)
+        | slot;
+}
+
 void
-Interconnect::onHopRebooked(Channel *channel, std::uint64_t id,
+Interconnect::releaseFlight(std::uint32_t slot)
+{
+    Flight &flight = _flights[slot];
+    if (flight.live) {
+        flight.live = false;
+        --_liveFlights;
+    }
+    flight.onComplete = nullptr;
+    flight.onRebook = nullptr;
+    if (++flight.generation == 0)
+        flight.generation = 1;
+    flight.nextFree = _freeFlight;
+    _freeFlight = slot;
+}
+
+Interconnect::Flight *
+Interconnect::findFlight(std::uint64_t tag)
+{
+    const auto slot = static_cast<std::uint32_t>(tag);
+    if (slot >= _flights.size())
+        return nullptr;
+    Flight &flight = _flights[slot];
+    return flight.live && flight.generation == (tag >> 32) ? &flight
+                                                           : nullptr;
+}
+
+void
+Interconnect::onHopRebooked(Channel *channel, std::uint64_t tag,
                             Tick new_service_end)
 {
-    const auto fit = _flights.find(id);
-    if (fit == _flights.end())
+    Flight *const found = findFlight(tag);
+    if (found == nullptr)
         return;
-    Flight &flight = fit->second;
+    Flight &flight = *found;
 
     Tick delivered = 0;
     for (Hop &hop : flight.hops) {
@@ -462,20 +505,20 @@ Interconnect::onHopRebooked(Channel *channel, std::uint64_t id,
     if (flight.event != 0) {
         _eq.deschedule(flight.event);
         flight.event = _eq.schedule(
-            delivered, [this, id] { completeFlight(id); });
+            delivered, [this, tag] { completeFlight(tag); });
     }
     if (flight.onRebook)
         flight.onRebook(delivered);
 }
 
 void
-Interconnect::completeFlight(std::uint64_t id)
+Interconnect::completeFlight(std::uint64_t tag)
 {
-    const auto fit = _flights.find(id);
-    if (fit == _flights.end())
+    Flight *const flight = findFlight(tag);
+    if (flight == nullptr)
         return;
-    EventQueue::Callback cb = std::move(fit->second.onComplete);
-    _flights.erase(fit);
+    EventQueue::Callback cb = std::move(flight->onComplete);
+    releaseFlight(static_cast<std::uint32_t>(tag));
     if (cb)
         cb();
 }

@@ -23,10 +23,11 @@
 #include "sim/trace.hh"
 #include "sim/types.hh"
 
+#include <array>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 namespace proact {
@@ -318,7 +319,7 @@ class Interconnect
     std::uint64_t quiescedFlights() const { return _quiescedFlights; }
 
     /** Live in-flight transfers tracked for rebooking. */
-    std::size_t numTrackedFlights() const { return _flights.size(); }
+    std::size_t numTrackedFlights() const { return _liveFlights; }
     /** @} */
 
   private:
@@ -369,34 +370,69 @@ class Interconnect
         Tick serviceEnd;   ///< Current service end on the channel.
     };
 
-    /** A live transfer whose completion may move under rebooking. */
+    /** A transfer's hops, stored inline: egress, core, ingress. */
+    struct Hops
+    {
+        std::array<Hop, 3> hop{};
+        std::size_t size = 0;
+
+        void push(const Hop &h) { hop[size++] = h; }
+        Hop *begin() { return hop.data(); }
+        Hop *end() { return hop.data() + size; }
+    };
+
+    static constexpr std::uint32_t NoSlot = ~std::uint32_t(0);
+
+    /**
+     * One slot of the flight table: a live transfer whose completion
+     * may move under rebooking, or a free slot on the freelist.
+     */
     struct Flight
     {
         int src = -1;                   ///< Endpoints, for quiesce.
         int dst = -1;
-        std::vector<Hop> hops;
+        Hops hops;
         Tick extraDelay = 0;            ///< Fault-injected delay.
         Tick delivered = 0;             ///< Current delivery tick.
         EventId event = 0;              ///< Completion event (0=none).
         EventQueue::Callback onComplete;
         RebookCallback onRebook;
+        /** Bumped when the slot is freed, so old tags miss. Never 0. */
+        std::uint32_t generation = 1;
+        std::uint32_t nextFree = NoSlot; ///< Freelist link when free.
+        bool live = false;              ///< Holds a tracked flight.
     };
 
     bool _rebooking = false;
-    /**
-     * Every submission takes the next id before it books a channel
-     * and tags its bookings with it; only tracked flights enter
-     * _flights, so a rebooked tag that finds nothing belongs to a
-     * dropped, untracked, completed or quiesced transfer.
-     */
-    std::uint64_t _nextFlightId = 1;
     std::uint64_t _rebookedDeliveries = 0;
     std::uint64_t _refusedDeliveries = 0;
     std::uint64_t _quiescedFlights = 0;
 
     /** Per-GPU down flags (see setDeviceDown). */
     std::vector<char> _deadDevice;
-    std::unordered_map<std::uint64_t, Flight> _flights;
+
+    /**
+     * Flight table. While rebooking is on, every submission takes a
+     * slot before it books a channel and tags its bookings with
+     * generation << 32 | slot. Only a tracked flight fills its slot;
+     * a dropped or untracked transfer frees it at once, and a
+     * completed or quiesced one frees it then. Freeing bumps the
+     * generation, so a rebooked tag that finds its slot free or
+     * reused belongs to a transfer that is no longer tracked. A deque
+     * grows without moving the slots (or doubling its footprint).
+     */
+    std::deque<Flight> _flights;
+    std::uint32_t _freeFlight = NoSlot;
+    std::size_t _liveFlights = 0;
+
+    /** Take a free slot; returns its tag. */
+    std::uint64_t acquireFlight();
+
+    /** Return @p slot to the freelist, dropping its callbacks. */
+    void releaseFlight(std::uint32_t slot);
+
+    /** The live flight @p tag names, or nullptr. */
+    Flight *findFlight(std::uint64_t tag);
 
     void validate(const Request &req) const;
 
@@ -407,12 +443,12 @@ class Interconnect
     /** Apply @p f to every channel of the fabric. */
     void forEachChannel(const std::function<void(Channel &)> &f);
 
-    /** Channel rebook listener: move flight @p id's delivery. */
-    void onHopRebooked(Channel *channel, std::uint64_t id,
+    /** Channel rebook listener: move flight @p tag's delivery. */
+    void onHopRebooked(Channel *channel, std::uint64_t tag,
                        Tick new_service_end);
 
-    /** Fire and garbage-collect a tracked flight's completion. */
-    void completeFlight(std::uint64_t id);
+    /** Fire and free a tracked flight's completion. */
+    void completeFlight(std::uint64_t tag);
 
     /**
      * Consult the fault filter, schedule the completion callback
@@ -420,12 +456,13 @@ class Interconnect
      * observer, and trace the span. @p sample carries the pre-fault
      * timing split; fault delay spikes are charged to its service
      * component (they are a wire symptom, not queueing). Under
-     * rebooking @p hops carries the channel bookings, tagged @p id,
-     * so the completion can later move.
+     * rebooking @p hops carries the channel bookings, tagged @p tag,
+     * so the completion can later move; the slot @p tag names is
+     * filled or freed here.
      * @return The (possibly delayed) delivery tick.
      */
     Tick finishDelivery(const Request &req, DeliverySample sample,
-                        std::vector<Hop> hops, std::uint64_t id);
+                        const Hops &hops, std::uint64_t tag);
 };
 
 } // namespace proact

@@ -11,7 +11,15 @@ namespace proact {
 
 Rerouter::Rerouter(EventQueue &eq, Interconnect &fabric,
                    const LinkStateProvider &health)
-    : _eq(eq), _fabric(fabric), _health(health)
+    : _eq(eq), _fabric(fabric), _health(health),
+      _planRequests(&_stats, "reroute.plan_requests"),
+      _planCacheHits(&_stats, "reroute.plan_cache_hits"),
+      _planComputes(&_stats, "reroute.plan_computes"),
+      _detours(&_stats, "reroute.detours"),
+      _splits(&_stats, "reroute.splits"),
+      _noPath(&_stats, "reroute.no_path"),
+      _relayHops(&_stats, "reroute.relay_hops"),
+      _bytesDetoured(&_stats, "reroute.bytes_detoured")
 {
     _cache.resize(static_cast<std::size_t>(fabric.numGpus())
                   * fabric.numGpus());
@@ -295,7 +303,7 @@ Rerouter::computePlan(int src, int dst, Reads &reads,
 const std::vector<Rerouter::Leg> &
 Rerouter::plan(int src, int dst) const
 {
-    _stats.inc("reroute.plan_requests");
+    _planRequests.inc();
 
     CachedPlan &entry = _cache.at(
         static_cast<std::size_t>(src) * _fabric.numGpus() + dst);
@@ -309,9 +317,9 @@ Rerouter::plan(int src, int dst) const
         valid = _eq.curTick() - entry.computedAt < planTtl;
 
     if (valid) {
-        _stats.inc("reroute.plan_cache_hits");
+        _planCacheHits.inc();
     } else {
-        _stats.inc("reroute.plan_computes");
+        _planComputes.inc();
         entry.legs = computePlan(src, dst, entry.reads, entry.tierMask);
         entry.computedAt = _eq.curTick();
         entry.valid = true;
@@ -362,99 +370,109 @@ Rerouter::onLinkTransition(int src, int dst, LinkState from,
 }
 
 Tick
+Rerouter::submitHop(const std::shared_ptr<RelayChain> &chain,
+                    std::size_t k)
+{
+    Interconnect::Request hop = chain->base;
+    hop.src = chain->nodes[k - 1];
+    hop.dst = chain->nodes[k];
+    if (k > 1)
+        hop.notBefore = 0;
+    if (k == chain->last) {
+        hop.onComplete = chain->arrived;
+    } else {
+        hop.onComplete = [chain, k] { submitHop(chain, k + 1); };
+    }
+    return chain->submit(hop);
+}
+
+Tick
 Rerouter::sendLeg(const Submit &submit,
                   const Interconnect::Request &base, const Leg &leg,
                   std::uint64_t bytes,
-                  const std::function<void()> &arrived)
+                  const EventQueue::Callback &arrived)
 {
-    Interconnect::Request req = base;
-    req.bytes = bytes;
-
     if (leg.direct()) {
+        Interconnect::Request req = base;
+        req.bytes = bytes;
         req.onComplete = arrived;
         return submit(req);
     }
 
-    _stats.inc("reroute.relay_hops",
-               static_cast<double>(leg.vias.size()));
-    _stats.inc("reroute.bytes_detoured", bytes);
+    _relayHops.inc(static_cast<double>(leg.vias.size()));
+    _bytesDetoured.inc(static_cast<double>(bytes));
 
     // Node sequence src -> vias... -> dst; every hop after the first
     // is submitted on the previous hop's delivery, and only the final
-    // hop's delivery counts as arrival. Build the chain back to
-    // front.
-    std::vector<int> nodes;
-    nodes.push_back(req.src);
-    for (const int via : leg.vias)
-        nodes.push_back(via);
-    nodes.push_back(req.dst);
-
-    std::function<void()> tail = arrived;
-    for (std::size_t i = nodes.size() - 1; i >= 2; --i) {
-        Interconnect::Request hop = req;
-        hop.src = nodes[i - 1];
-        hop.dst = nodes[i];
-        hop.notBefore = 0;
-        hop.onComplete = tail;
-        tail = [submit, hop] { submit(hop); };
-    }
-
-    Interconnect::Request first = req;
-    first.dst = nodes[1];
-    first.onComplete = tail;
-    return submit(first);
+    // hop's delivery counts as arrival.
+    if (leg.vias.size() > static_cast<std::size_t>(maxRelayHops))
+        panicError("Rerouter: leg with ", leg.vias.size(), " relays");
+    auto chain = std::make_shared<RelayChain>();
+    chain->submit = submit;
+    chain->base = base;
+    chain->base.bytes = bytes;
+    chain->base.onComplete = nullptr;
+    chain->nodes[0] = base.src;
+    std::copy(leg.vias.begin(), leg.vias.end(), chain->nodes.begin() + 1);
+    chain->last = leg.vias.size() + 1;
+    chain->nodes[chain->last] = base.dst;
+    chain->arrived = arrived;
+    return submitHop(chain, 1);
 }
 
 Tick
 Rerouter::send(const Submit &submit, Interconnect::Request req)
 {
-    std::vector<Leg> legs = plan(req.src, req.dst);
+    // The cached legs are read in place: nothing reachable from
+    // submit recomputes a cache entry. A health transition a
+    // submission triggers reaches onLinkTransition, which only clears
+    // valid flags, and RetryingSender::replan runs from a timeout
+    // event, never inside a submission.
+    const std::vector<Leg> &legs = plan(req.src, req.dst);
 
     // Payloads too small to split ride the best single leg whole:
     // the direct link on a DEGRADED split (legs[0]), the best relay
     // on a DOWN fan-out.
-    if (legs.size() > 1 && req.bytes < minSplitBytes)
-        legs = {Leg{legs[0].vias, 1.0}};
+    const std::size_t num_legs =
+        req.bytes < minSplitBytes ? 1 : legs.size();
 
-    if (legs.size() == 1 && legs[0].direct()) {
+    if (num_legs == 1 && legs[0].direct()) {
         if (_health.linkState(req.src, req.dst) == LinkState::Down)
-            _stats.inc("reroute.no_path");
+            _noPath.inc();
         return submit(req); // Healthy or no better route: unchanged.
     }
 
-    if (legs.size() == 1) {
-        _stats.inc("reroute.detours");
+    if (num_legs == 1) {
+        _detours.inc();
     } else {
-        _stats.inc("reroute.splits");
+        _splits.inc();
     }
 
     // Join: the original completion fires once, at the last arrival.
-    auto remaining = std::make_shared<int>(
-        static_cast<int>(legs.size()));
-    const EventQueue::Callback on_complete = req.onComplete;
-    const std::function<void()> arrived =
-        [remaining, on_complete] {
-            if (--*remaining == 0 && on_complete)
-                on_complete();
-        };
+    const auto join = std::make_shared<Join>(
+        Join{static_cast<int>(num_legs), std::move(req.onComplete)});
+    const EventQueue::Callback arrived = [join] {
+        if (--join->remaining == 0 && join->onComplete)
+            join->onComplete();
+    };
 
     // Byte split: integer shares, remainder on the first leg; a leg
     // rounded to zero bytes still submits (zero-byte transfers
     // complete immediately) so the join count stays exact.
-    std::vector<std::uint64_t> shares(legs.size(), 0);
-    std::uint64_t assigned = 0;
-    for (std::size_t i = 1; i < legs.size(); ++i) {
-        shares[i] = static_cast<std::uint64_t>(
+    const auto share = [&req, &legs](std::size_t i) {
+        return static_cast<std::uint64_t>(
             static_cast<double>(req.bytes) * legs[i].fraction);
-        assigned += shares[i];
-    }
-    shares[0] = req.bytes - assigned;
+    };
+    std::uint64_t assigned = 0;
+    for (std::size_t i = 1; i < num_legs; ++i)
+        assigned += share(i);
 
     Tick predicted = 0;
-    for (std::size_t i = 0; i < legs.size(); ++i) {
+    for (std::size_t i = 0; i < num_legs; ++i) {
+        const std::uint64_t bytes =
+            i == 0 ? req.bytes - assigned : share(i);
         predicted = std::max(
-            predicted,
-            sendLeg(submit, req, legs[i], shares[i], arrived));
+            predicted, sendLeg(submit, req, legs[i], bytes, arrived));
     }
     return predicted;
 }

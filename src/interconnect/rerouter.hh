@@ -43,8 +43,10 @@
 #include "sim/stats.hh"
 #include "sim/types.hh"
 
+#include <array>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <vector>
 
 namespace proact {
@@ -166,6 +168,9 @@ class Rerouter
     Rerouter(EventQueue &eq, Interconnect &fabric,
              const LinkStateProvider &health);
 
+    Rerouter(const Rerouter &) = delete;
+    Rerouter &operator=(const Rerouter &) = delete;
+
     /**
      * Current route decision for src -> dst: one direct leg when the
      * link is healthy (or nothing better exists), a relay fan-out
@@ -225,6 +230,46 @@ class Rerouter
     Interconnect &_fabric;
     const LinkStateProvider &_health;
     mutable StatSet _stats;
+
+    /** @{ Per-send statistics (see the class comment). */
+    mutable StatSet::Counter _planRequests;
+    mutable StatSet::Counter _planCacheHits;
+    mutable StatSet::Counter _planComputes;
+    StatSet::Counter _detours;
+    StatSet::Counter _splits;
+    StatSet::Counter _noPath;
+    StatSet::Counter _relayHops;
+    StatSet::Counter _bytesDetoured;
+    /** @} */
+
+    /**
+     * A multi-leg send's join: the original completion fires once,
+     * at the last leg's arrival. Every leg's arrival callback shares
+     * it.
+     */
+    struct Join
+    {
+        int remaining = 0;
+        EventQueue::Callback onComplete;
+    };
+
+    /**
+     * One relay leg's hop chain src -> vias... -> dst. Hop k books
+     * nodes[k - 1] -> nodes[k] when hop k - 1 lands; every hop's
+     * callback shares the record and carries only its index.
+     */
+    struct RelayChain
+    {
+        Submit submit;
+        Interconnect::Request base; ///< The leg's request, unjoined.
+        std::array<int, maxRelayHops + 2> nodes{};
+        std::size_t last = 0;       ///< Index of the destination.
+        EventQueue::Callback arrived;
+    };
+
+    /** Submit hop @p k of @p chain (k >= 1). */
+    static Tick submitHop(const std::shared_ptr<RelayChain> &chain,
+                          std::size_t k);
 
     /** Which links a cached plan read, and so which evict it. */
     enum class Reads : unsigned char
@@ -315,7 +360,7 @@ class Rerouter
     Tick sendLeg(const Submit &submit,
                  const Interconnect::Request &base, const Leg &leg,
                  std::uint64_t bytes,
-                 const std::function<void()> &arrived);
+                 const EventQueue::Callback &arrived);
 };
 
 } // namespace proact

@@ -38,7 +38,7 @@ class Channel
 
     /**
      * Caller-chosen value stored with a booking and handed back to
-     * the rebook listener (the fabric passes its flight id).
+     * the rebook listener (the fabric passes its flight tag).
      */
     using BookingTag = std::uint64_t;
 

@@ -3,9 +3,10 @@
  * Tests for the fault-injection & resilience subsystem (src/faults):
  * plan validation, episode scheduling, deterministic seeded drops,
  * the per-link fault filter against a whole-plan scan, retry/backoff
- * ordering, reliable-path fallback, rebooking of live and dead
- * flights, and end-to-end survival of every transfer mechanism on a
- * faulty fabric.
+ * ordering, reliable-path fallback, rebooking of live, dead and
+ * reused flight slots, ack timeouts that outlive their sender, and
+ * end-to-end survival of every transfer mechanism on a faulty
+ * fabric.
  */
 
 #include "faults/fault_injector.hh"
@@ -892,6 +893,109 @@ TEST(RebookingTest, DroppedAndQuiescedFlightsIgnoreLaterRetimes)
     EXPECT_EQ(fabric.rebookedDeliveries(), 1u);
     EXPECT_EQ(fabric.quiescedFlights(), 1u);
     EXPECT_EQ(fabric.numTrackedFlights(), 0u);
+}
+
+TEST(RebookingTest, ReusedFlightSlotIgnoresItsOldTag)
+{
+    // A dropped 0 -> 1 push frees its flight slot at once while its
+    // booking stays on the 0 -> 1 wire, and a reliable push on the
+    // same link takes the freed slot, booked right behind it. A
+    // degrade window then re-times both bookings. The dropped
+    // booking's tag names the reused slot under an old generation: it
+    // must find nothing, or it would move the live flight to the
+    // dropped booking's service end.
+    PlatformSpec platform = voltaPlatform();
+    platform.fabric.topology = FabricTopology::PairwiseLinks;
+    MultiGpuSystem system(platform);
+    system.setFunctional(false);
+    Interconnect &fabric = system.fabric();
+    fabric.setRebooking(true);
+
+    const Tick window = 5 * ticksPerMicrosecond;
+    FaultPlan plan;
+    plan.downLink(0, window, 0, 1);
+    plan.degradeLink(window, maxTick, 0.5, 0, 1);
+    system.installFaults(std::move(plan));
+
+    // dropped, reused (live, same slot), quiesced, landed early.
+    const std::pair<int, int> pairs[] = {{0, 1}, {0, 1}, {2, 3}, {3, 2}};
+    const std::uint64_t bytes[] = {4 * MiB, 4 * MiB, 4 * MiB, 4 * KiB};
+    int fired[4] = {0, 0, 0, 0};
+    Tick predicted[4] = {0, 0, 0, 0};
+    Tick landed = 0;
+    for (int i = 0; i < 4; ++i) {
+        Interconnect::Request req;
+        req.src = pairs[i].first;
+        req.dst = pairs[i].second;
+        req.bytes = bytes[i];
+        req.writeGranularity = 4096;
+        req.reliable = i == 1; // Exempt from the LinkDown drop.
+        req.onComplete = [&fired, &landed, &system, i] {
+            ++fired[i];
+            landed = system.now();
+        };
+        predicted[i] = fabric.transfer(req);
+    }
+    ASSERT_GT(predicted[1], window); // On the wire when it opens.
+    ASSERT_LT(predicted[3], window);
+    EXPECT_EQ(fabric.droppedDeliveries(), 1u);
+    EXPECT_EQ(fabric.numTrackedFlights(), 3u);
+
+    // The landed 3 -> 2 flight's slot is free but still names GPU 3:
+    // only the live 2 -> 3 flight may be aborted.
+    system.eventQueue().schedule(window - 1, [&] {
+        EXPECT_EQ(fired[3], 1);
+        EXPECT_EQ(fabric.numTrackedFlights(), 2u);
+        EXPECT_EQ(fabric.quiesceDevice(3), 1u);
+        EXPECT_EQ(fabric.quiesceDevice(2), 0u);
+        EXPECT_EQ(fabric.numTrackedFlights(), 1u);
+    });
+    system.run();
+
+    EXPECT_EQ(fired[0], 0); // Dropped.
+    EXPECT_EQ(fired[1], 1); // Live, moved once by the window.
+    EXPECT_EQ(fired[2], 0); // Quiesced.
+    EXPECT_EQ(fired[3], 1);
+    EXPECT_GT(landed, predicted[1]);
+    EXPECT_EQ(fabric.rebookedDeliveries(), 1u);
+    EXPECT_EQ(fabric.quiescedFlights(), 1u);
+    EXPECT_EQ(fabric.numTrackedFlights(), 0u);
+}
+
+TEST(RetryLifetimeTest, AckedTimeoutOutlivesItsSender)
+{
+    // ProactRuntime::runPhase destroys its per-phase senders once
+    // every delivery has landed, while their acked attempts' timeouts
+    // are still queued; a later drain fires them. They must not touch
+    // the dead sender (ASan reports a use-after-free if they do; an
+    // unsanitized build may crash or re-send the payload).
+    MultiGpuSystem system(voltaPlatform());
+    system.setFunctional(false);
+    auto &eq = system.eventQueue();
+    StatSet stats;
+    auto sender = std::make_unique<RetryingSender>(
+        eq, system.fabric(), testRetry(), &stats);
+
+    int delivered = 0;
+    Interconnect::Request req;
+    req.src = 0;
+    req.dst = 1;
+    req.bytes = 4 * KiB;
+    req.writeGranularity = 4096;
+    req.onComplete = [&delivered] { ++delivered; };
+    sender->send(std::move(req));
+    while (delivered == 0 && eq.runNext()) {
+    }
+    ASSERT_EQ(delivered, 1);
+    EXPECT_EQ(sender->inFlight(), 0u);
+    ASSERT_FALSE(eq.empty()); // The acked attempt's timeout.
+
+    sender.reset();
+    eq.run();
+    EXPECT_TRUE(eq.empty());
+    EXPECT_EQ(delivered, 1);
+    EXPECT_DOUBLE_EQ(stats.get("transfers.retried"), 0.0);
+    EXPECT_DOUBLE_EQ(stats.get("fallback.activations"), 0.0);
 }
 
 TEST(RetryRerouteTest, ReplansThroughRerouterInsteadOfFallback)
