@@ -217,8 +217,6 @@ FleetSession::runTenant(const JobSpec &job,
         if (!run_options.faults.empty())
             run_options.config.retry.enabled = true;
     }
-    if (_options.observerFor)
-        run_options.deliveryObserver = _options.observerFor(job);
     if (_options.recovery.enabled) {
         run_options.deviceHealth = true;
         run_options.checkpoint = true;

@@ -36,7 +36,6 @@
 #include "fleet/job.hh"
 #include "fleet/placement.hh"
 #include "harness/session.hh"
-#include "interconnect/interconnect.hh"
 #include "proact/config.hh"
 #include "workloads/graph.hh"
 
@@ -232,13 +231,6 @@ class FleetSession
          * is the point of the persistent elector cache).
          */
         bool chargeElections = false;
-
-        /**
-         * Per-tenant delivery observer, registered on the tenant's
-         * private fabric next to its health machinery.
-         */
-        std::function<Interconnect::DeliveryObserver(const JobSpec &)>
-            observerFor;
     };
 
     /**

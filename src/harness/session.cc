@@ -72,11 +72,6 @@ Session::run(Workload &workload, Paradigm paradigm,
     if (options.reroute)
         system.enableReroute();
 
-    // Per-tenant tracing rides the observer list next to the health
-    // monitor's slot — exactly what the single-slot setter forbade.
-    if (options.deliveryObserver)
-        system.fabric().addDeliveryObserver(options.deliveryObserver);
-
     auto runtime = makeRuntime(paradigm, system, options.config,
                                options.checkpoint,
                                options.firstIteration);

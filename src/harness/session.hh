@@ -125,13 +125,6 @@ class Session
          * previous attempt's checkpointIteration + 1).
          */
         int firstIteration = 0;
-
-        /**
-         * Extra delivery observer registered on the fresh system's
-         * fabric for the duration of the run — per-tenant tracing
-         * riding alongside the health monitor's own observer.
-         */
-        Interconnect::DeliveryObserver deliveryObserver{};
     };
 
     explicit Session(PlatformSpec platform);

@@ -169,7 +169,6 @@ Interconnect::transfer(const Request &req)
     const std::uint64_t packets =
         (req.bytes + gran - 1) / gran;
     _storeTransactions[req.src] += packets;
-    _writeSizes.record(gran, packets);
 
     const Tick nb = std::max(_eq.curTick(), req.notBefore);
     const std::uint64_t tag = _rebooking ? acquireFlight() : 0;
@@ -189,7 +188,7 @@ Interconnect::transfer(const Request &req)
         const auto pair_wire_eq = static_cast<std::uint64_t>(
             static_cast<double>(wire) * link.rate() / pair_eff);
         const Channel::Timing t =
-            link.submitTimed(nb, pair_wire_eq, req.bytes, nullptr, tag);
+            link.submitTimed(nb, pair_wire_eq, req.bytes, tag);
 
         sample.start = t.start;
         sample.delivered = t.delivered;
@@ -204,8 +203,8 @@ Interconnect::transfer(const Request &req)
     // Cut-through booking: each hop starts once the previous hop
     // begins streaming; delivery waits for the slowest hop to drain
     // plus the fabric latency (carried by the ingress channel).
-    const Channel::Timing e = _egress[req.src]->submitTimed(
-        nb, wire_eq, req.bytes, nullptr, tag);
+    const Channel::Timing e =
+        _egress[req.src]->submitTimed(nb, wire_eq, req.bytes, tag);
     if (_rebooking)
         hops.push(Hop{_egress[req.src].get(), _spec.latency, e.serviceEnd});
 
@@ -214,15 +213,15 @@ Interconnect::transfer(const Request &req)
     Tick i_nb = e.start;
     if (_core) {
         const Channel::Timing c =
-            _core->submitTimed(e.start, wire, req.bytes, nullptr, tag);
+            _core->submitTimed(e.start, wire, req.bytes, tag);
         i_nb = c.start;
         c_end = c.serviceEnd;
         c_dur = c.serviceTicks();
         if (_rebooking)
             hops.push(Hop{_core.get(), _spec.latency, c.serviceEnd});
     }
-    const Channel::Timing i = _ingress[req.dst]->submitTimed(
-        i_nb, wire, req.bytes, nullptr, tag);
+    const Channel::Timing i =
+        _ingress[req.dst]->submitTimed(i_nb, wire, req.bytes, tag);
     if (_rebooking) {
         hops.push(Hop{_ingress[req.dst].get(),
                       _ingress[req.dst]->latency(), i.serviceEnd});
@@ -413,29 +412,15 @@ Interconnect::setRebooking(bool on)
 {
     if (on == _rebooking)
         return;
-    _rebooking = on;
-    forEachChannel([this, on](Channel &ch) {
-        ch.setRebookable(on);
-        if (on) {
-            Channel *cp = &ch;
-            ch.setRebookListener([this, cp](Channel::BookingId,
-                                            Channel::BookingTag tag,
-                                            Tick end) {
-                onHopRebooked(cp, tag, end);
-            });
-        } else {
-            ch.setRebookListener(nullptr);
-        }
+    if (!on)
+        fatalError("Interconnect: rebooking cannot be turned off");
+    _rebooking = true;
+    forEachChannel([this](Channel &ch) {
+        Channel *cp = &ch;
+        ch.setRebookListener([this, cp](Channel::BookingTag tag, Tick end) {
+            onHopRebooked(cp, tag, end);
+        });
     });
-    if (!on) {
-        // Tracked flights are forgotten. Their completion events stay
-        // scheduled but find their slots freed, so those callbacks
-        // never fire; no caller turns rebooking off mid-run.
-        for (std::uint32_t slot = 0; slot < _flights.size(); ++slot) {
-            if (_flights[slot].live)
-                releaseFlight(slot);
-        }
-    }
 }
 
 std::uint64_t
@@ -577,7 +562,6 @@ Interconnect::resetStats()
             ch->resetStats();
     }
     std::fill(_storeTransactions.begin(), _storeTransactions.end(), 0);
-    _writeSizes.clear();
 }
 
 } // namespace proact

@@ -19,7 +19,6 @@
 #include "sim/channel.hh"
 #include "sim/event_queue.hh"
 #include "sim/small_fn.hh"
-#include "sim/stats.hh"
 #include "sim/trace.hh"
 #include "sim/types.hh"
 
@@ -140,8 +139,8 @@ class Interconnect
      * Observer of every submission's outcome, called once per
      * transfer at submission time with the full timing breakdown,
      * including whether the fault filter dropped the delivery. The
-     * LinkHealthMonitor feeds from one; per-tenant tracers attach
-     * their own alongside it (addDeliveryObserver).
+     * LinkHealthMonitor feeds from one; the DeviceHealthMonitor
+     * attaches its own alongside it (addDeliveryObserver).
      */
     using DeliveryObserver = std::function<void(
         const Request &, const DeliverySample &)>;
@@ -231,9 +230,6 @@ class Interconnect
     /** Total wire bytes consumed across the fabric. */
     std::uint64_t totalWireBytes() const;
 
-    /** Distribution of write granularities seen on the wire. */
-    const Histogram &writeSizes() const { return _writeSizes; }
-
     void resetStats();
 
     /** Attach a span tracer (nullptr disables tracing). */
@@ -267,13 +263,16 @@ class Interconnect
     }
 
     /**
-     * Boundary-aware in-flight transfers: when enabled, a mid-flight
+     * Boundary-aware in-flight transfers: when on, a mid-flight
      * rate-scale change (fault window boundary) re-books the remaining
      * wire time of already-submitted transfers at the new rate, moving
      * their completion callbacks accordingly, instead of honoring the
      * submission-tick rate to the end. Off by default — the cheaper
      * submission-rate model is exact whenever fault windows don't cut
-     * through live transfers.
+     * through live transfers. Once on it stays on: setRebooking(false)
+     * is a no-op on a fabric that never rebooked.
+     *
+     * @throws FatalError for setRebooking(false) while rebooking.
      */
     void setRebooking(bool on);
 
@@ -341,7 +340,6 @@ class Interconnect
     std::vector<std::unique_ptr<Channel>> _pairs;
 
     std::vector<std::uint64_t> _storeTransactions;
-    Histogram _writeSizes;
     Trace *_trace = nullptr;
     FaultFilter _faultFilter;
 

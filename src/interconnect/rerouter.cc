@@ -1,5 +1,6 @@
 #include "interconnect/rerouter.hh"
 
+#include "sim/joiner.hh"
 #include "sim/logging.hh"
 
 #include <algorithm>
@@ -449,12 +450,8 @@ Rerouter::send(const Submit &submit, Interconnect::Request req)
     }
 
     // Join: the original completion fires once, at the last arrival.
-    const auto join = std::make_shared<Join>(
-        Join{static_cast<int>(num_legs), std::move(req.onComplete)});
-    const EventQueue::Callback arrived = [join] {
-        if (--join->remaining == 0 && join->onComplete)
-            join->onComplete();
-    };
+    const EventQueue::Callback arrived = Joiner::arrival(Joiner::make(
+        static_cast<int>(num_legs), std::move(req.onComplete)));
 
     // Byte split: integer shares, remainder on the first leg; a leg
     // rounded to zero bytes still submits (zero-byte transfers

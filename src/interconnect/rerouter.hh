@@ -243,17 +243,6 @@ class Rerouter
     /** @} */
 
     /**
-     * A multi-leg send's join: the original completion fires once,
-     * at the last leg's arrival. Every leg's arrival callback shares
-     * it.
-     */
-    struct Join
-    {
-        int remaining = 0;
-        EventQueue::Callback onComplete;
-    };
-
-    /**
      * One relay leg's hop chain src -> vias... -> dst. Hop k books
      * nodes[k - 1] -> nodes[k] when hop k - 1 lands; every hop's
      * callback shares the record and carries only its index.

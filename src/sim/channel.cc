@@ -34,18 +34,16 @@ Channel::setRateScale(double scale)
         return;
     const double old_rate = rate();
     _rateScale = scale;
-    if (_rebookable)
+    if (_rebookListener)
         retimeBookings(old_rate, rate());
 }
 
 void
-Channel::setRebookable(bool on)
+Channel::setRebookListener(RebookListener listener)
 {
-    _rebookable = on;
-    if (!on) {
+    _rebookListener = std::move(listener);
+    if (!_rebookListener)
         _bookings.clear();
-        _lastBookingId = 0;
-    }
 }
 
 void
@@ -99,13 +97,7 @@ Channel::retimeBookings(double old_rate, double new_rate)
         b.start = new_start;
         b.serviceEnd = new_end;
         prev_end = new_end;
-
-        if (b.event != 0) {
-            _eq.deschedule(b.event);
-            b.event = _eq.schedule(new_end + _latency, b.callback);
-        }
-        if (_rebookListener)
-            _rebookListener(b.id, b.tag, new_end);
+        _rebookListener(b.tag, new_end);
     }
     _busyUntil = prev_end;
 }
@@ -114,8 +106,14 @@ Tick
 Channel::submit(std::uint64_t wire_bytes, std::uint64_t payload_bytes,
                 EventQueue::Callback on_delivered)
 {
-    return submitAfter(_eq.curTick(), wire_bytes, payload_bytes,
-                       std::move(on_delivered));
+    if (on_delivered && _rebookListener)
+        throw std::logic_error("Channel: delivery callback on a "
+                               "rebookable channel: " + _name);
+    const Tick delivered =
+        submitTimed(_eq.curTick(), wire_bytes, payload_bytes).delivered;
+    if (on_delivered)
+        _eq.schedule(delivered, std::move(on_delivered));
+    return delivered;
 }
 
 Tick
@@ -124,19 +122,9 @@ Channel::nextStart(Tick not_before) const
     return std::max({_eq.curTick(), _busyUntil, not_before});
 }
 
-Tick
-Channel::submitAfter(Tick not_before, std::uint64_t wire_bytes,
-                     std::uint64_t payload_bytes,
-                     EventQueue::Callback on_delivered)
-{
-    return submitTimed(not_before, wire_bytes, payload_bytes,
-                       std::move(on_delivered)).delivered;
-}
-
 Channel::Timing
 Channel::submitTimed(Tick not_before, std::uint64_t wire_bytes,
-                     std::uint64_t payload_bytes,
-                     EventQueue::Callback on_delivered, BookingTag tag)
+                     std::uint64_t payload_bytes, BookingTag tag)
 {
     const Tick enqueued = std::max(_eq.curTick(), not_before);
     const Tick start = nextStart(not_before);
@@ -151,26 +139,10 @@ Channel::submitTimed(Tick not_before, std::uint64_t wire_bytes,
     _payloadBytes += payload_bytes;
     ++_numTransfers;
 
-    if (_rebookable) {
+    if (_rebookListener) {
         pruneBookings();
-        Booking b;
-        b.id = _nextBookingId++;
-        b.tag = tag;
-        b.notBefore = not_before;
-        b.start = start;
-        b.serviceEnd = service_end;
-        b.event = 0;
-        if (on_delivered) {
-            b.callback = std::move(on_delivered);
-            b.event = _eq.schedule(delivered, b.callback);
-        }
-        _lastBookingId = b.id;
-        _bookings.push_back(std::move(b));
-        return timing;
+        _bookings.push_back({tag, not_before, start, service_end});
     }
-
-    if (on_delivered)
-        _eq.schedule(delivered, std::move(on_delivered));
     return timing;
 }
 

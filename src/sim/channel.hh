@@ -33,9 +33,6 @@ namespace proact {
 class Channel
 {
   public:
-    /** Identifies one live submission while rebooking is enabled. */
-    using BookingId = std::uint64_t;
-
     /**
      * Caller-chosen value stored with a booking and handed back to
      * the rebook listener (the fabric passes its flight tag).
@@ -44,11 +41,11 @@ class Channel
 
     /**
      * Notified after a booking's service end moved (rebooking), with
-     * the booking's id, its submission tag and the new service end.
+     * the booking's submission tag and the new service end.
      * Small-buffer storage, same as event callbacks: rebooking sits
      * on the delivery hot path and must not allocate per booking.
      */
-    using RebookListener = SmallFn<void(BookingId, BookingTag, Tick)>;
+    using RebookListener = SmallFn<void(BookingTag, Tick)>;
 
     /**
      * Per-submission timing breakdown. The gap between @c enqueued and
@@ -81,7 +78,7 @@ class Channel
             Tick latency = 0);
 
     /**
-     * Enqueue a transfer.
+     * Enqueue a transfer at the current tick.
      *
      * The transfer begins at max(now, busyUntil()), occupies the
      * channel for wire_bytes/rate, and @p on_delivered (if any) fires
@@ -91,38 +88,27 @@ class Channel
      * @param payload_bytes Useful bytes carried (for goodput stats).
      * @param on_delivered Optional completion callback.
      * @return Absolute tick of delivery.
+     * @throws std::logic_error for a callback on a rebookable channel:
+     *         a re-time moves bookings, not callbacks.
      */
     Tick submit(std::uint64_t wire_bytes, std::uint64_t payload_bytes,
                 EventQueue::Callback on_delivered = nullptr);
 
     /**
-     * Enqueue a transfer that may not begin before @p not_before.
-     *
-     * Used to book multi-hop paths (egress -> core -> ingress)
-     * synchronously: each hop is booked to start no earlier than the
-     * previous hop's completion, yielding a deterministic end-to-end
-     * delivery tick without callback chaining.
-     */
-    Tick submitAfter(Tick not_before, std::uint64_t wire_bytes,
-                     std::uint64_t payload_bytes,
-                     EventQueue::Callback on_delivered = nullptr);
-
-    /**
-     * Like submitAfter, but returns the full timing breakdown
-     * (enqueue/dequeue/service-end/delivery stamps) instead of just
-     * the delivery tick. This is the fabric's entry point: it needs
+     * Enqueue a transfer that may not begin before @p not_before and
+     * return its timing breakdown. This is the fabric's entry point:
+     * it books multi-hop paths (egress -> core -> ingress)
+     * synchronously, each hop gated on the previous one, and needs
      * the queueing/service split to build a DeliverySample. While
      * rebookable, the booking keeps @p tag for the rebook listener.
      */
     Timing submitTimed(Tick not_before, std::uint64_t wire_bytes,
-                       std::uint64_t payload_bytes,
-                       EventQueue::Callback on_delivered = nullptr,
-                       BookingTag tag = 0);
+                       std::uint64_t payload_bytes, BookingTag tag = 0);
 
     /** First tick at which a new request could begin service. */
     Tick busyUntil() const { return _busyUntil; }
 
-    /** Start tick a submitAfter(@p not_before, ...) would get now. */
+    /** Start tick a submitTimed(@p not_before, ...) would get now. */
     Tick nextStart(Tick not_before) const;
 
     /** Whether a request submitted now would queue behind others. */
@@ -147,27 +133,14 @@ class Channel
     double rateScale() const { return _rateScale; }
 
     /**
-     * Track live bookings so a rate-scale change mid-flight re-times
-     * the remaining service of already-submitted transfers (and shifts
-     * queued ones) instead of honoring the submission-tick rate. Off
-     * by default: booking tracking costs memory and the fault model's
-     * original submission-rate semantics are often what a test wants.
+     * Make the channel rebookable: while @p listener is installed the
+     * channel tracks live bookings, so a rate-scale change mid-flight
+     * re-times the remaining service of already-submitted transfers
+     * (and shifts queued ones) and reports each new service end to
+     * @p listener. nullptr restores the submission-rate model, which
+     * keeps no bookings.
      */
-    void setRebookable(bool on);
-
-    bool rebookable() const { return _rebookable; }
-
-    /** Observer of booking moves (nullptr disables). */
-    void setRebookListener(RebookListener listener)
-    {
-        _rebookListener = std::move(listener);
-    }
-
-    /**
-     * Booking id assigned to the most recent submit while rebooking
-     * is enabled (0 when rebooking is off).
-     */
-    BookingId lastBookingId() const { return _lastBookingId; }
+    void setRebookListener(RebookListener listener);
 
     /** Fixed post-service delivery latency. */
     Tick latency() const { return _latency; }
@@ -192,13 +165,10 @@ class Channel
     /** One live submission, remembered only while rebookable. */
     struct Booking
     {
-        BookingId id;
         BookingTag tag;    ///< Handed back to the rebook listener.
         Tick notBefore;    ///< Earliest permissible service start.
         Tick start;        ///< Current service start.
         Tick serviceEnd;   ///< Current service end (excl. latency).
-        EventId event;     ///< Pending delivery event (0 if none).
-        EventQueue::Callback callback; ///< Re-scheduled on rebook.
     };
 
     EventQueue &_eq;
@@ -213,9 +183,6 @@ class Channel
     std::uint64_t _payloadBytes = 0;
     Tick _busyTicks = 0;
 
-    bool _rebookable = false;
-    BookingId _nextBookingId = 1;
-    BookingId _lastBookingId = 0;
     std::deque<Booking> _bookings; ///< FIFO by service start.
     RebookListener _rebookListener;
 

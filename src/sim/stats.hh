@@ -1,22 +1,18 @@
 /**
  * @file
- * Lightweight named-statistics containers.
+ * Lightweight named-statistics container.
  *
- * Components accumulate counters and distributions into a StatSet;
- * benchmark harnesses read them back by name to print the paper's
- * tables. A Histogram records value distributions (e.g. remote-store
- * granularities) with power-of-two bucketing.
+ * Components accumulate counters into a StatSet; benchmark harnesses
+ * read them back by name to print the paper's tables.
  */
 
 #ifndef PROACT_SIM_STATS_HH
 #define PROACT_SIM_STATS_HH
 
-#include <cstdint>
 #include <map>
 #include <ostream>
 #include <string>
 #include <utility>
-#include <vector>
 
 namespace proact {
 
@@ -132,38 +128,6 @@ class StatSet
 
   private:
     std::map<std::string, double> _values;
-};
-
-/**
- * Power-of-two bucketed histogram for byte-granularity distributions.
- *
- * Bucket i holds samples in [2^i, 2^(i+1)); bucket 0 also holds 0.
- */
-class Histogram
-{
-  public:
-    void record(std::uint64_t value, std::uint64_t weight = 1);
-
-    std::uint64_t samples() const { return _samples; }
-    std::uint64_t total() const { return _total; }
-    double mean() const;
-    std::uint64_t minValue() const { return _min; }
-    std::uint64_t maxValue() const { return _max; }
-
-    /** Count in the bucket covering [2^i, 2^(i+1)). */
-    std::uint64_t bucket(std::size_t i) const;
-    std::size_t numBuckets() const { return _buckets.size(); }
-
-    void clear();
-
-    void dump(std::ostream &os, const std::string &label = "") const;
-
-  private:
-    std::vector<std::uint64_t> _buckets;
-    std::uint64_t _samples = 0;
-    std::uint64_t _total = 0;
-    std::uint64_t _min = ~std::uint64_t(0);
-    std::uint64_t _max = 0;
 };
 
 } // namespace proact

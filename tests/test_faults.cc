@@ -962,6 +962,33 @@ TEST(RebookingTest, ReusedFlightSlotIgnoresItsOldTag)
     EXPECT_EQ(fabric.numTrackedFlights(), 0u);
 }
 
+TEST(RebookingTest, RebookingCannotBeTurnedOff)
+{
+    // Turning rebooking off would strand the tracked flights, whose
+    // completions the flight table fires. The fabric refuses, and the
+    // one tracked transfer still completes exactly once.
+    MultiGpuSystem system(voltaPlatform());
+    system.setFunctional(false);
+    Interconnect &fabric = system.fabric();
+    fabric.setRebooking(true);
+
+    int fired = 0;
+    Interconnect::Request req;
+    req.src = 0;
+    req.dst = 1;
+    req.bytes = 4 * MiB;
+    req.writeGranularity = 4096;
+    req.onComplete = [&fired] { ++fired; };
+    fabric.transfer(req);
+    ASSERT_EQ(fabric.numTrackedFlights(), 1u);
+
+    EXPECT_THROW(fabric.setRebooking(false), FatalError);
+    EXPECT_TRUE(fabric.rebooking());
+    system.run();
+    EXPECT_EQ(fired, 1) << "fired " << fired;
+    EXPECT_EQ(fabric.numTrackedFlights(), 0u);
+}
+
 TEST(RetryLifetimeTest, AckedTimeoutOutlivesItsSender)
 {
     // ProactRuntime::runPhase destroys its per-phase senders once

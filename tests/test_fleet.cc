@@ -300,20 +300,6 @@ TEST(FleetSessionTest, DisjointPlacementIsolatesTenantFaults)
             plan.dropDeliveries(0, maxTick, 0.05);
         return plan;
     };
-    std::uint64_t observed_drops[2] = {0, 0};
-    std::uint64_t observed_deliveries[2] = {0, 0};
-    faulty.observerFor = [&](const JobSpec &job) {
-        const int id = job.id;
-        return [&observed_drops, &observed_deliveries, id](
-                   const Interconnect::Request &,
-                   const Interconnect::DeliverySample &sample) {
-            if (sample.dropped)
-                ++observed_drops[id];
-            else
-                ++observed_deliveries[id];
-        };
-    };
-
     FleetSession session(dgx2Platform(), faulty);
     const FleetReport report = session.serve(jobs);
     ASSERT_EQ(report.tenants.size(), 2u);
@@ -326,15 +312,10 @@ TEST(FleetSessionTest, DisjointPlacementIsolatesTenantFaults)
     EXPECT_EQ(faulted.admitted, clean.admitted);
     EXPECT_EQ(clean.placement.shareCount, 1);
 
-    // The injected faults landed on tenant 0 alone; the per-tenant
-    // observers (riding the observer list next to each slice's own
-    // machinery) agree with the harness counters.
+    // The injected faults landed on tenant 0 alone.
     EXPECT_GT(faulted.run.faultsDropped, 0u);
-    EXPECT_GT(observed_drops[0], 0u);
     EXPECT_EQ(clean.run.faultsDropped, 0u);
     EXPECT_EQ(clean.run.retries, 0u);
-    EXPECT_EQ(observed_drops[1], 0u);
-    EXPECT_GT(observed_deliveries[1], 0u);
 
     // Zero cross-tenant leakage: the clean tenant's run is
     // tick-identical to the same fleet with no faults anywhere.

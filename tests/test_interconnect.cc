@@ -183,12 +183,10 @@ TEST(Interconnect, PayloadAndWireTotals)
     eq.run();
     EXPECT_EQ(fab.totalPayloadBytes(), 1024u);
     EXPECT_EQ(fab.totalWireBytes(), 4 * 288u);
-    EXPECT_EQ(fab.writeSizes().samples(), 4u);
 
     fab.resetStats();
     EXPECT_EQ(fab.totalPayloadBytes(), 0u);
     EXPECT_EQ(fab.totalStoreTransactions(), 0u);
-    EXPECT_EQ(fab.writeSizes().samples(), 0u);
 }
 
 TEST(Interconnect, NotBeforeDefersEntry)

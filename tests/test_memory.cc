@@ -151,10 +151,11 @@ TEST(DmaEngine, CopiesUseBestPacketGranularity)
     MultiGpuSystem system(voltaPlatform());
     system.dma(0).copyToPeer(1, 1 << 20);
     system.run();
-    const auto &hist = system.fabric().writeSizes();
-    EXPECT_EQ(hist.maxValue(),
-              system.fabric().packetModel().maxPayloadBytes);
-    EXPECT_EQ(hist.minValue(), hist.maxValue());
+    // Every write carries a full packet payload.
+    const std::uint64_t max_payload =
+        system.fabric().packetModel().maxPayloadBytes;
+    EXPECT_EQ(system.fabric().storeTransactions(0),
+              ((1u << 20) + max_payload - 1) / max_payload);
 }
 
 TEST(DmaEngine, NotBeforeIsRespected)

@@ -1,6 +1,6 @@
 /**
  * @file
- * Unit tests for StatSet and Histogram.
+ * Unit tests for StatSet.
  */
 
 #include "sim/stats.hh"
@@ -103,62 +103,4 @@ TEST(StatSet, DumpIsSortedByName)
     std::ostringstream oss;
     s.dump(oss, "p.");
     EXPECT_EQ(oss.str(), "p.alpha = 2\np.zeta = 1\n");
-}
-
-TEST(Histogram, PowerOfTwoBuckets)
-{
-    Histogram h;
-    h.record(1);
-    h.record(2);
-    h.record(3);
-    h.record(4);
-    // [1,2): 1 sample; [2,4): 2; [4,8): 1.
-    EXPECT_EQ(h.bucket(0), 1u);
-    EXPECT_EQ(h.bucket(1), 2u);
-    EXPECT_EQ(h.bucket(2), 1u);
-    EXPECT_EQ(h.bucket(99), 0u);
-}
-
-TEST(Histogram, ZeroGoesToBucketZero)
-{
-    Histogram h;
-    h.record(0);
-    EXPECT_EQ(h.bucket(0), 1u);
-    EXPECT_EQ(h.samples(), 1u);
-}
-
-TEST(Histogram, WeightedSamples)
-{
-    Histogram h;
-    h.record(256, 10);
-    EXPECT_EQ(h.samples(), 10u);
-    EXPECT_EQ(h.total(), 2560u);
-    EXPECT_EQ(h.bucket(8), 10u);
-    EXPECT_DOUBLE_EQ(h.mean(), 256.0);
-}
-
-TEST(Histogram, MinMaxTracking)
-{
-    Histogram h;
-    h.record(100);
-    h.record(7);
-    h.record(5000);
-    EXPECT_EQ(h.minValue(), 7u);
-    EXPECT_EQ(h.maxValue(), 5000u);
-}
-
-TEST(Histogram, MeanOfEmptyIsZero)
-{
-    Histogram h;
-    EXPECT_DOUBLE_EQ(h.mean(), 0.0);
-}
-
-TEST(Histogram, ClearResets)
-{
-    Histogram h;
-    h.record(64, 3);
-    h.clear();
-    EXPECT_EQ(h.samples(), 0u);
-    EXPECT_EQ(h.total(), 0u);
-    EXPECT_EQ(h.numBuckets(), 0u);
 }
