@@ -1,16 +1,15 @@
 #include "faults/fault_injector.hh"
 
-#include "gpu/dma_engine.hh"
 #include "sim/logging.hh"
 
 #include <algorithm>
-#include <map>
+#include <unordered_map>
 
 namespace proact {
 
 /**
- * Boundary events (rate changes, stalls) run before any same-tick
- * transfer submission sees the new state.
+ * Boundary events (rate changes, device loss) run before any
+ * same-tick transfer submission sees the new state.
  */
 constexpr int faultEventPriority = -100;
 
@@ -24,25 +23,7 @@ FaultInjector::FaultInjector(EventQueue &eq, Interconnect &fabric,
 FaultInjector::~FaultInjector()
 {
     if (_armed)
-        disarm();
-}
-
-void
-FaultInjector::addDmaEngine(int gpu_id, DmaEngine &dma)
-{
-    _dmas.emplace_back(gpu_id, &dma);
-}
-
-void
-FaultInjector::addDeviceDownListener(DeviceDownListener listener)
-{
-    _deviceDownListeners.push_back(std::move(listener));
-}
-
-void
-FaultInjector::addDeviceUpListener(DeviceUpListener listener)
-{
-    _deviceUpListeners.push_back(std::move(listener));
+        _fabric.setFaultFilter(nullptr);
 }
 
 template <typename Fn>
@@ -79,18 +60,23 @@ FaultInjector::applyRateScales()
 
     // Recompute from scratch so ended windows restore cleanly and
     // overlapping windows compose (most severe wins).
-    std::map<Channel *, double> scales;
+    std::unordered_map<Channel *, double> scales;
     for (const FaultEpisode &ep : _plan.episodes) {
         if (ep.kind != FaultKind::LinkDegrade)
             continue;
         forEachTargetChannel(ep, [&](Channel &ch) {
-            auto [it, inserted] = scales.emplace(&ch, 1.0);
+            auto [it, inserted] = scales.try_emplace(&ch, 1.0);
             if (ep.active(now))
                 it->second = std::min(it->second, 1.0 - ep.severity);
         });
     }
-    for (const auto &[ch, scale] : scales)
-        ch->setRateScale(scale);
+    // Under rebooking each rate change re-times live flights, so the
+    // order of the changes orders the moved completions: apply them
+    // in the fabric's channel order, never in heap-address order.
+    _fabric.forEachChannel([&scales](Channel &ch) {
+        if (const auto it = scales.find(&ch); it != scales.end())
+            ch.setRateScale(it->second);
+    });
 }
 
 void
@@ -105,8 +91,7 @@ FaultInjector::indexLinkEpisodes()
         for (std::size_t i = 0; i < _plan.episodes.size(); ++i) {
             const FaultEpisode &ep = _plan.episodes[i];
             const bool filtered = ep.kind == FaultKind::LinkDown
-                || ep.kind == FaultKind::DeliveryDrop
-                || ep.kind == FaultKind::DeliveryDelay;
+                || ep.kind == FaultKind::DeliveryDrop;
             if (filtered && src != dst && ep.matchesLink(src, dst))
                 _linkEpisodes.push_back(static_cast<std::uint32_t>(i));
         }
@@ -124,10 +109,9 @@ FaultInjector::arm()
     _armed = true;
     indexLinkEpisodes();
 
-    _fabric.setFaultFilter(
-        [this](const Interconnect::Request &req, Tick delivered) {
-            return onTransfer(req, delivered);
-        });
+    _fabric.setFaultFilter([this](const Interconnect::Request &req) {
+        return onTransfer(req);
+    });
 
     for (const FaultEpisode &ep : _plan.episodes) {
         // Windows already open when the plan is armed take effect
@@ -159,8 +143,6 @@ void
 FaultInjector::beginEpisode(const FaultEpisode &ep)
 {
     _stats.inc("faults.injected");
-    if (ep.group >= 0 && _begunGroups.insert(ep.group).second)
-        _stats.inc("faults.correlated_groups");
     if (_trace) {
         _trace->record(_eq.curTick(),
                        ep.end == maxTick ? _eq.curTick() : ep.end,
@@ -174,28 +156,16 @@ FaultInjector::beginEpisode(const FaultEpisode &ep)
       case FaultKind::LinkDown:
         _stats.inc("faults.down_windows");
         break;
-      case FaultKind::DmaStall:
-        _stats.inc("faults.stall_windows");
-        for (auto &[gpu_id, dma] : _dmas) {
-            if (ep.gpu < 0 || ep.gpu == gpu_id)
-                dma->stall(ep.end);
-        }
-        break;
       case FaultKind::GpuDown:
         _stats.inc("faults.device_down");
         // The fabric refuses everything touching the device from this
-        // tick on (reliable fallbacks included — a dead GPU protects
-        // nothing); its DMA engine stalls for the window.
+        // tick on (reliable fallbacks and DMA copies included — a
+        // dead GPU protects nothing).
         _fabric.setDeviceDown(ep.gpu, true);
-        for (auto &[gpu_id, dma] : _dmas) {
-            if (ep.gpu == gpu_id)
-                dma->stall(ep.end);
-        }
-        for (const DeviceDownListener &l : _deviceDownListeners)
-            l(ep.gpu, ep.end);
+        if (_deviceListener)
+            _deviceListener();
         break;
       case FaultKind::DeliveryDrop:
-      case FaultKind::DeliveryDelay:
         // Applied per delivery by the fault filter.
         break;
     }
@@ -214,30 +184,21 @@ FaultInjector::endGpuDown(int gpu)
         }
     }
     _fabric.setDeviceDown(gpu, false);
-    for (const DeviceUpListener &l : _deviceUpListeners)
-        l(gpu);
+    if (_deviceListener)
+        _deviceListener();
 }
 
-void
-FaultInjector::disarm()
-{
-    _fabric.setFaultFilter(nullptr);
-    _armed = false;
-}
-
-Interconnect::FaultVerdict
-FaultInjector::onTransfer(const Interconnect::Request &req,
-                          Tick /*delivered*/)
+bool
+FaultInjector::onTransfer(const Interconnect::Request &req)
 {
     // Episodes judge a transfer at its submission tick — the
     // cut-through booking model decides the whole path up front, so
     // the wire state "now" is what the transfer experiences.
     // Only the episodes indexed under this directed link can match
     // it; the fabric validated the endpoints before asking. Degrade
-    // windows and DMA stalls act through arm()'s events, and device
-    // death through the fabric's refuse path before the filter runs.
+    // windows act through arm()'s events, and device death through
+    // the fabric's refuse path before the filter runs.
     const Tick now = _eq.curTick();
-    Interconnect::FaultVerdict verdict;
 
     const auto link = static_cast<std::size_t>(req.src)
             * static_cast<std::size_t>(_fabric.numGpus())
@@ -247,33 +208,16 @@ FaultInjector::onTransfer(const Interconnect::Request &req,
         const FaultEpisode &ep = _plan.episodes[_linkEpisodes[k]];
         if (!ep.active(now))
             continue;
-        switch (ep.kind) {
-          case FaultKind::LinkDown:
-            verdict.drop = true;
-            break;
-          case FaultKind::DeliveryDrop:
-            if (!verdict.drop && _rng.uniform() < ep.severity)
-                verdict.drop = true;
-            break;
-          case FaultKind::DeliveryDelay:
-            verdict.extraDelay += ep.delay;
-            break;
-          case FaultKind::LinkDegrade:
-          case FaultKind::DmaStall:
-          case FaultKind::GpuDown:
-            break; // Never indexed.
+        // The first episode that drops decides: later ones in plan
+        // order draw nothing, as in a scan of the whole plan.
+        if (ep.kind == FaultKind::LinkDown
+            || _rng.uniform() < ep.severity) {
+            _stats.inc("faults.injected");
+            _stats.inc("faults.dropped");
+            return true;
         }
     }
-
-    if (verdict.drop) {
-        _stats.inc("faults.injected");
-        _stats.inc("faults.dropped");
-        verdict.extraDelay = 0;
-    } else if (verdict.extraDelay > 0) {
-        _stats.inc("faults.injected");
-        _stats.inc("faults.delayed");
-    }
-    return verdict;
+    return false;
 }
 
 } // namespace proact

@@ -4,8 +4,8 @@
  *
  * The injector turns the declarative plan into simulator behaviour:
  * link-degradation windows become scheduled rate-scale changes on the
- * fabric's channels, DMA-stall windows become engine stalls, and
- * drop/delay/down episodes become a fault filter consulted by
+ * fabric's channels, GPU-down windows mark devices down in the
+ * fabric, and drop/down episodes become a fault filter consulted by
  * Interconnect::transfer() for every non-reliable delivery. All
  * probabilistic decisions come from one Rng seeded by the plan, and
  * decisions are made in event order, so identical (plan, workload)
@@ -24,25 +24,20 @@
 
 #include <cstdint>
 #include <functional>
-#include <set>
+#include <utility>
 #include <vector>
 
 namespace proact {
 
-class DmaEngine;
-
 /**
- * Applies a FaultPlan to one fabric (and optionally DMA engines).
+ * Applies a FaultPlan to one fabric.
  *
  * Stats (read via stats()):
  *  - faults.injected:        every applied fault action
  *  - faults.dropped:         deliveries lost (drop + down episodes)
- *  - faults.delayed:         deliveries that took a delay spike
  *  - faults.degrade_windows: degradation windows that began
- *  - faults.stall_windows:   DMA-stall windows that began
+ *  - faults.down_windows:    LinkDown windows that began
  *  - faults.device_down:     GpuDown windows that began
- *  - faults.correlated_groups: correlated groups that began (counted
- *    once per group, not per member episode)
  *
  * Trace spans (when attached): category "fault", one span per
  * episode window plus an instant span per dropped delivery (the
@@ -58,26 +53,17 @@ class FaultInjector
      */
     FaultInjector(EventQueue &eq, Interconnect &fabric, FaultPlan plan);
 
+    /** Removes the fault filter if arm() installed it. */
     ~FaultInjector();
 
     FaultInjector(const FaultInjector &) = delete;
     FaultInjector &operator=(const FaultInjector &) = delete;
-
-    /** Register a DMA engine as a DmaStall target (its GPU's id). */
-    void addDmaEngine(int gpu_id, DmaEngine &dma);
 
     /**
      * Install the fault filter and schedule every episode boundary.
      * Must be called before the run; calling twice is an error.
      */
     void arm();
-
-    /** Remove the fault filter (future transfers are fault-free). */
-    void disarm();
-
-    bool armed() const { return _armed; }
-
-    const FaultPlan &plan() const { return _plan; }
 
     /** Injector statistics. */
     const StatSet &stats() const { return _stats; }
@@ -86,18 +72,16 @@ class FaultInjector
     void setTrace(Trace *trace) { _trace = trace; }
 
     /**
-     * @{ @name Device-loss notification
-     *
-     * GpuDown episodes kill the device in the fabric directly (every
-     * transfer touching it is refused, its DMA stalls); listeners let
-     * the owning system layer react — watchdog discovery, quiesce,
-     * placement — without the injector knowing about it.
+     * Called after a GpuDown window opens and after a device comes
+     * back up. GpuDown episodes kill the device in the fabric directly
+     * (every transfer touching it is refused); the listener lets the
+     * owning system wake its watchdog without the injector knowing
+     * about it.
      */
-    using DeviceDownListener = std::function<void(int gpu, Tick until)>;
-    using DeviceUpListener = std::function<void(int gpu)>;
-    void addDeviceDownListener(DeviceDownListener listener);
-    void addDeviceUpListener(DeviceUpListener listener);
-    /** @} */
+    void setDeviceListener(std::function<void()> listener)
+    {
+        _deviceListener = std::move(listener);
+    }
 
   private:
     EventQueue &_eq;
@@ -106,15 +90,12 @@ class FaultInjector
     Rng _rng;
     StatSet _stats;
     Trace *_trace = nullptr;
-    std::vector<std::pair<int, DmaEngine *>> _dmas;
-    std::vector<DeviceDownListener> _deviceDownListeners;
-    std::vector<DeviceUpListener> _deviceUpListeners;
-    std::set<int> _begunGroups;
+    std::function<void()> _deviceListener;
     bool _armed = false;
 
     /**
      * Per-directed-link index of the episodes the fault filter acts
-     * on (LinkDown, DeliveryDrop, DeliveryDelay), built by arm() in
+     * on (LinkDown, DeliveryDrop), built by arm() in
      * CSR form: link src * n + dst owns
      * _linkEpisodes[_linkOffsets[link], _linkOffsets[link + 1]),
      * plan indices in plan order, so drop draws happen in the order
@@ -126,8 +107,8 @@ class FaultInjector
     /** Build _linkOffsets/_linkEpisodes from the plan. */
     void indexLinkEpisodes();
 
-    Interconnect::FaultVerdict onTransfer(
-        const Interconnect::Request &req, Tick delivered);
+    /** The fault filter: whether @p req's delivery is lost. */
+    bool onTransfer(const Interconnect::Request &req);
 
     /** Apply an episode's start-of-window effects. */
     void beginEpisode(const FaultEpisode &ep);

@@ -5,7 +5,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 #include <sstream>
 
 namespace proact {
@@ -20,10 +19,6 @@ faultKindName(FaultKind kind)
         return "down";
       case FaultKind::DeliveryDrop:
         return "drop";
-      case FaultKind::DeliveryDelay:
-        return "delay";
-      case FaultKind::DmaStall:
-        return "dma-stall";
       case FaultKind::GpuDown:
         return "gpu-down";
     }
@@ -45,23 +40,12 @@ FaultEpisode::describe() const
 {
     std::ostringstream oss;
     oss << faultKindName(kind);
-    switch (kind) {
-      case FaultKind::LinkDegrade:
-      case FaultKind::DeliveryDrop:
+    if (kind == FaultKind::LinkDegrade || kind == FaultKind::DeliveryDrop)
         oss << " p=" << severity;
-        break;
-      case FaultKind::DeliveryDelay:
-        oss << " +" << delay << "t";
-        break;
-      default:
-        break;
-    }
-    if (kind == FaultKind::DmaStall || kind == FaultKind::GpuDown)
+    if (kind == FaultKind::GpuDown)
         oss << " gpu" << endpoint(gpu);
     else
         oss << " gpu" << endpoint(src) << "->gpu" << endpoint(dst);
-    if (group >= 0)
-        oss << " [group " << group << "]";
     return oss.str();
 }
 
@@ -95,12 +79,7 @@ FaultPlan::validate(int num_gpus) const
                 fatalError("FaultPlan: drop probability must be in "
                            "(0, 1], got ", ep.severity);
             break;
-          case FaultKind::DeliveryDelay:
-            if (ep.delay == 0)
-                fatalError("FaultPlan: zero delay spike");
-            break;
           case FaultKind::LinkDown:
-          case FaultKind::DmaStall:
             break;
           case FaultKind::GpuDown:
             // A whole-device loss needs a concrete victim; a wildcard
@@ -109,22 +88,6 @@ FaultPlan::validate(int num_gpus) const
                 fatalError("FaultPlan: GpuDown requires a concrete "
                            "gpu target, got wildcard");
             break;
-        }
-    }
-
-    // Correlated episodes model ONE physical event; a group whose
-    // members disagree on the window would be two events wearing one
-    // id, which breaks replay reasoning.
-    std::map<int, std::pair<Tick, Tick>> windows;
-    for (const FaultEpisode &ep : episodes) {
-        if (ep.group < 0)
-            continue;
-        auto [it, inserted] = windows.emplace(
-            ep.group, std::make_pair(ep.start, ep.end));
-        if (!inserted && (it->second.first != ep.start ||
-                          it->second.second != ep.end)) {
-            fatalError("FaultPlan: group ", ep.group,
-                       " episodes disagree on the fault window");
         }
     }
 }
@@ -173,33 +136,6 @@ FaultPlan::dropDeliveries(Tick start, Tick end, double probability,
 }
 
 FaultPlan &
-FaultPlan::delayDeliveries(Tick start, Tick end, Tick delay, int src,
-                           int dst)
-{
-    FaultEpisode ep;
-    ep.kind = FaultKind::DeliveryDelay;
-    ep.start = start;
-    ep.end = end;
-    ep.delay = delay;
-    ep.src = src;
-    ep.dst = dst;
-    episodes.push_back(ep);
-    return *this;
-}
-
-FaultPlan &
-FaultPlan::stallDma(Tick start, Tick end, int gpu)
-{
-    FaultEpisode ep;
-    ep.kind = FaultKind::DmaStall;
-    ep.start = start;
-    ep.end = end;
-    ep.gpu = gpu;
-    episodes.push_back(ep);
-    return *this;
-}
-
-FaultPlan &
 FaultPlan::downGpu(Tick start, Tick end, int gpu)
 {
     FaultEpisode ep;
@@ -211,24 +147,29 @@ FaultPlan::downGpu(Tick start, Tick end, int gpu)
     return *this;
 }
 
+namespace {
+
+/** Expand one plane event to an episode per directed pair. */
 FaultPlan &
-FaultPlan::addPlane(FaultEpisode proto, const std::vector<int> &gpus)
+addPlane(FaultPlan &plan, FaultEpisode proto,
+         const std::vector<int> &gpus)
 {
     if (gpus.size() < 2)
         fatalError("FaultPlan: a plane needs at least 2 GPUs, got ",
                    gpus.size());
-    proto.group = _nextGroup++;
     for (int s : gpus) {
         for (int d : gpus) {
             if (s == d)
                 continue;
             proto.src = s;
             proto.dst = d;
-            episodes.push_back(proto);
+            plan.episodes.push_back(proto);
         }
     }
-    return *this;
+    return plan;
 }
+
+} // namespace
 
 FaultPlan &
 FaultPlan::downPlane(Tick start, Tick end, const std::vector<int> &gpus)
@@ -237,7 +178,7 @@ FaultPlan::downPlane(Tick start, Tick end, const std::vector<int> &gpus)
     proto.kind = FaultKind::LinkDown;
     proto.start = start;
     proto.end = end;
-    return addPlane(proto, gpus);
+    return addPlane(*this, proto, gpus);
 }
 
 FaultPlan &
@@ -249,7 +190,7 @@ FaultPlan::degradePlane(Tick start, Tick end, double fraction,
     proto.start = start;
     proto.end = end;
     proto.severity = fraction;
-    return addPlane(proto, gpus);
+    return addPlane(*this, proto, gpus);
 }
 
 FaultPlan &
@@ -415,7 +356,7 @@ randomFaultPlan(std::uint64_t seed, int num_gpus,
         draw_window(start, end);
 
         if (rng.uniform() < options.planeProbability && num_gpus > 2) {
-            // Correlated plane: a distinct random subset of GPUs.
+            // Plane: a distinct random subset of GPUs.
             const int size = std::clamp(options.planeSize, 2, num_gpus);
             std::vector<int> gpus(num_gpus);
             for (int g = 0; g < num_gpus; ++g)

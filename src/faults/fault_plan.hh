@@ -4,7 +4,7 @@
  *
  * A FaultPlan is a reproducible description of everything that goes
  * wrong during a run: which links degrade or go down, when deliveries
- * are dropped or delayed, and which DMA engines stall. The plan is
+ * are dropped, and which GPUs die. The plan is
  * pure data — the FaultInjector arms it on a live system — so the
  * same plan can be replayed against different mechanisms and
  * platforms, and two runs with the same plan (and seed) are
@@ -34,16 +34,10 @@ enum class FaultKind
     /** Each matching delivery is lost with probability = severity. */
     DeliveryDrop,
 
-    /** Each matching delivery lands @c delay ticks late. */
-    DeliveryDelay,
-
-    /** The GPU's DMA engine accepts no new copies in the window. */
-    DmaStall,
-
     /**
      * The whole GPU dies: every transfer touching it (either
-     * endpoint, reliable or not) is refused and its DMA engine
-     * stalls. An episode ending at maxTick is a permanent loss.
+     * endpoint, reliable or not) is refused. An episode ending at
+     * maxTick is a permanent loss.
      */
     GpuDown,
 };
@@ -66,7 +60,7 @@ struct FaultEpisode
     int src = -1;
     int dst = -1;
 
-    /** DmaStall target GPU (-1 = every engine). */
+    /** GpuDown target GPU. */
     int gpu = -1;
 
     /**
@@ -74,16 +68,6 @@ struct FaultEpisode
      * DeliveryDrop: loss probability, in (0, 1].
      */
     double severity = 0.0;
-
-    /** DeliveryDelay: spike added to the delivery tick. */
-    Tick delay = 0;
-
-    /**
-     * Correlation group: episodes born from one physical event (an
-     * NVSwitch plane dying takes out every port pair riding it) share
-     * a group id and must share a window. -1 = independent episode.
-     */
-    int group = -1;
 
     bool active(Tick t) const { return t >= start && t < end; }
 
@@ -125,19 +109,16 @@ struct FaultPlan
                         int dst = -1);
     FaultPlan &dropDeliveries(Tick start, Tick end, double probability,
                               int src = -1, int dst = -1);
-    FaultPlan &delayDeliveries(Tick start, Tick end, Tick delay,
-                               int src = -1, int dst = -1);
-    FaultPlan &stallDma(Tick start, Tick end, int gpu = -1);
     FaultPlan &downGpu(Tick start, Tick end, int gpu);
     /** @} */
 
     /**
-     * @{ @name Correlated (grouped) episode builders
+     * @{ @name Plane episode builders
      *
      * A "plane" failure models one switch plane or backplane event
      * taking out every directed link among @p gpus at once: one
-     * episode per ordered pair, all sharing a fresh correlation
-     * group and the same [start, end) window.
+     * episode per ordered pair, all with the same [start, end)
+     * window.
      */
     FaultPlan &downPlane(Tick start, Tick end,
                          const std::vector<int> &gpus);
@@ -156,16 +137,6 @@ struct FaultPlan
      */
     FaultPlan &flapLink(std::uint64_t seed, int src, int dst,
                         const struct LinkLifecycleOptions &options);
-
-    /** Number of distinct correlation groups in the plan. */
-    int numGroups() const { return _nextGroup; }
-
-  private:
-    int _nextGroup = 0;
-
-    /** Expand one grouped plane event to all directed pairs. */
-    FaultPlan &addPlane(FaultEpisode proto,
-                        const std::vector<int> &gpus);
 };
 
 /**
@@ -252,7 +223,7 @@ struct RandomFaultOptions
     Tick minDuration = 10 * ticksPerMicrosecond;
     Tick maxDuration = 200 * ticksPerMicrosecond;
 
-    /** Probability an event is a correlated plane (vs one link). */
+    /** Probability an event is a plane (vs one link). */
     double planeProbability = 0.25;
 
     /** GPUs per generated plane (clamped to the system size). */

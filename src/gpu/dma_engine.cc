@@ -26,10 +26,10 @@ DmaEngine::copyToPeer(int dst_gpu, std::uint64_t bytes,
     req.writeGranularity = _fabric.packetModel().maxPayloadBytes;
     req.threads = 0;
     req.onComplete = std::move(on_complete);
-    req.notBefore = std::max({_eq.curTick(), not_before, _stalledUntil})
+    req.notBefore = std::max(_eq.curTick(), not_before)
         + _gpu.spec().dmaInitLatency;
     // Copy engines retry at the hardware level; a DMA delivery is
-    // never lost, only slowed (by stalls or degraded links).
+    // never lost, only slowed by degraded links.
     req.reliable = true;
     if (_rerouter) {
         return _rerouter->send(

@@ -53,13 +53,6 @@ class DmaEngine
     std::uint64_t numCopies() const { return _numCopies; }
     std::uint64_t bytesCopied() const { return _bytesCopied; }
 
-    /**
-     * Fault injection: the engine may not start new copies before
-     * @p until (in-flight copies are unaffected). Overlapping stalls
-     * keep the latest release tick.
-     */
-    void stall(Tick until) { _stalledUntil = std::max(_stalledUntil, until); }
-
   private:
     EventQueue &_eq;
     Gpu &_gpu;
@@ -67,7 +60,6 @@ class DmaEngine
     Rerouter *_rerouter = nullptr;
     std::uint64_t _numCopies = 0;
     std::uint64_t _bytesCopied = 0;
-    Tick _stalledUntil = 0;
 };
 
 } // namespace proact

@@ -60,7 +60,7 @@ Session::run(Workload &workload, Paradigm paradigm,
 
     if (!options.faults.empty())
         system.installFaults(options.faults);
-    if (options.health || options.reroute) {
+    if (options.reroute) {
         system.enableHealth();
         // Boundary-aware bookings: in-flight transfers follow
         // degradation windows instead of keeping their stale

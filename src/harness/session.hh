@@ -103,10 +103,10 @@ class Session
          * fabric). */
         FaultPlan faults{};
 
-        /** Link health monitoring (no transition holdoff). */
-        bool health = false;
-
-        /** Detours/splits around unhealthy links (implies health). */
+        /**
+         * Link health monitoring (no transition holdoff), rebooking
+         * and detours/splits around unhealthy links.
+         */
         bool reroute = false;
 
         /**

@@ -250,20 +250,8 @@ Tick
 Interconnect::finishDelivery(const Request &req, DeliverySample sample,
                              const Hops &hops, std::uint64_t tag)
 {
-    Tick delivered = sample.delivered;
-    bool dropped = false;
-    Tick extra_delay = 0;
-    if (_faultFilter && !req.reliable) {
-        const FaultVerdict verdict = _faultFilter(req, delivered);
-        dropped = verdict.drop;
-        extra_delay = verdict.extraDelay;
-        delivered += extra_delay;
-        // A delay spike is a wire symptom (retransmit, replay, lane
-        // retrain), not queueing behind a neighbor — charge it to the
-        // service component the monitor classifies DEGRADED from.
-        sample.delivered = delivered;
-        sample.serviceTime += extra_delay;
-    }
+    const Tick delivered = sample.delivered;
+    const bool dropped = _faultFilter && !req.reliable && _faultFilter(req);
     sample.dropped = dropped;
     const Tick start = sample.start;
     const auto slot = static_cast<std::uint32_t>(tag);
@@ -279,7 +267,6 @@ Interconnect::finishDelivery(const Request &req, DeliverySample sample,
         flight.src = req.src;
         flight.dst = req.dst;
         flight.hops = hops;
-        flight.extraDelay = extra_delay;
         flight.delivered = delivered;
         flight.onComplete = req.onComplete;
         flight.onRebook = req.onRebook;
@@ -480,8 +467,7 @@ Interconnect::onHopRebooked(Channel *channel, std::uint64_t tag,
         delivered = std::max(delivered,
                              hop.serviceEnd + hop.latencyAdd);
     }
-    delivered = std::max(delivered + flight.extraDelay,
-                         _eq.curTick());
+    delivered = std::max(delivered, _eq.curTick());
     if (delivered == flight.delivered)
         return;
 

@@ -83,9 +83,9 @@ class Interconnect
 
         /**
          * Hardware-reliable path (DMA engines, UM page migration,
-         * the retry layer's fallback): exempt from delivery drop and
-         * delay faults. Degraded link rates still apply — reliability
-         * buys guaranteed delivery, not nominal bandwidth.
+         * the retry layer's fallback): exempt from delivery drops.
+         * Degraded link rates still apply — reliability buys
+         * guaranteed delivery, not nominal bandwidth.
          */
         bool reliable = false;
 
@@ -98,20 +98,13 @@ class Interconnect
         RebookCallback onRebook = nullptr;
     };
 
-    /** What fault injection decided about one delivery. */
-    struct FaultVerdict
-    {
-        bool drop = false;    ///< Delivery is lost (callback never fires).
-        Tick extraDelay = 0;  ///< Added to the delivery tick.
-    };
-
     /**
-     * Hook consulted once per non-reliable transfer at submission,
-     * with the fault-free delivery tick. Installed by the
-     * FaultInjector (src/faults); nullptr means a perfect fabric.
+     * Hook consulted once per non-reliable transfer at submission;
+     * true drops the delivery (its callback never fires). Installed
+     * by the FaultInjector (src/faults); nullptr means a perfect
+     * fabric.
      */
-    using FaultFilter =
-        std::function<FaultVerdict(const Request &, Tick delivered)>;
+    using FaultFilter = std::function<bool(const Request &)>;
 
     /**
      * Timing breakdown of one delivery, split into two attributable
@@ -119,18 +112,18 @@ class Interconnect
      * behind *other* flows at shared ports (egress/core/ingress FIFO
      * backlogs); @c serviceTime is what the delivery would have taken
      * on an otherwise-idle fabric at the links' current (possibly
-     * fault-scaled) rates, plus any fault-injected delay spike. The
-     * two always satisfy enqueued + queueDelay + serviceTime ==
-     * delivered. The health layer classifies CONGESTED from the first
-     * component and DEGRADED/DOWN from the second only.
+     * fault-scaled) rates. The two always satisfy enqueued +
+     * queueDelay + serviceTime == delivered. The health layer
+     * classifies CONGESTED from the first component and
+     * DEGRADED/DOWN from the second only.
      */
     struct DeliverySample
     {
         Tick enqueued = 0;     ///< When the request entered the fabric.
         Tick start = 0;        ///< First hop's service-start tick.
-        Tick delivered = 0;    ///< Final (fault-delayed) delivery tick.
+        Tick delivered = 0;    ///< Delivery tick.
         Tick queueDelay = 0;   ///< Waiting behind other flows.
-        Tick serviceTime = 0;  ///< Idle-fabric wire time + fault delay.
+        Tick serviceTime = 0;  ///< Idle-fabric wire time.
         std::uint64_t wireBytes = 0; ///< Protocol bytes on the wire.
         bool dropped = false;  ///< Fault filter dropped the delivery.
     };
@@ -321,6 +314,12 @@ class Interconnect
     std::size_t numTrackedFlights() const { return _liveFlights; }
     /** @} */
 
+    /**
+     * Apply @p f to every channel of the fabric in a fixed order:
+     * every egress, every ingress, the core, then the pair links.
+     */
+    void forEachChannel(const std::function<void(Channel &)> &f);
+
   private:
     EventQueue &_eq;
     FabricSpec _spec;
@@ -390,7 +389,6 @@ class Interconnect
         int src = -1;                   ///< Endpoints, for quiesce.
         int dst = -1;
         Hops hops;
-        Tick extraDelay = 0;            ///< Fault-injected delay.
         Tick delivered = 0;             ///< Current delivery tick.
         EventId event = 0;              ///< Completion event (0=none).
         EventQueue::Callback onComplete;
@@ -438,9 +436,6 @@ class Interconnect
     void notifyObservers(const Request &req,
                          const DeliverySample &sample);
 
-    /** Apply @p f to every channel of the fabric. */
-    void forEachChannel(const std::function<void(Channel &)> &f);
-
     /** Channel rebook listener: move flight @p tag's delivery. */
     void onHopRebooked(Channel *channel, std::uint64_t tag,
                        Tick new_service_end);
@@ -451,13 +446,10 @@ class Interconnect
     /**
      * Consult the fault filter, schedule the completion callback
      * (unless the delivery was dropped), notify the delivery
-     * observer, and trace the span. @p sample carries the pre-fault
-     * timing split; fault delay spikes are charged to its service
-     * component (they are a wire symptom, not queueing). Under
-     * rebooking @p hops carries the channel bookings, tagged @p tag,
-     * so the completion can later move; the slot @p tag names is
-     * filled or freed here.
-     * @return The (possibly delayed) delivery tick.
+     * observer, and trace the span. Under rebooking @p hops carries
+     * the channel bookings, tagged @p tag, so the completion can
+     * later move; the slot @p tag names is filled or freed here.
+     * @return The delivery tick.
      */
     Tick finishDelivery(const Request &req, DeliverySample sample,
                         const Hops &hops, std::uint64_t tag);

@@ -43,8 +43,6 @@ MultiGpuSystem::installFaults(FaultPlan plan)
         fatalError("MultiGpuSystem: faults already installed");
     _faults = std::make_unique<FaultInjector>(_eq, *_fabric,
                                               std::move(plan));
-    for (int g = 0; g < numGpus(); ++g)
-        _faults->addDmaEngine(g, *_dmas[g]);
     _faults->setTrace(_trace);
     _faults->arm();
     wireDeviceWatchdog();
@@ -61,11 +59,7 @@ MultiGpuSystem::wireDeviceWatchdog()
     // boundary re-arms it directly so a GpuDown window that opens in
     // a quiet stretch is still discovered within the miss budget.
     DeviceHealthMonitor *watchdog = _deviceHealth.get();
-    _faults->addDeviceDownListener(
-        [watchdog](int, Tick) { watchdog->poke(); });
-    _faults->addDeviceUpListener([watchdog](int) {
-        watchdog->poke();
-    });
+    _faults->setDeviceListener([watchdog] { watchdog->poke(); });
 }
 
 DeviceHealthMonitor &

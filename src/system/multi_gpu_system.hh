@@ -92,11 +92,11 @@ class MultiGpuSystem
     void setFunctional(bool functional);
 
     /**
-     * Arm a fault schedule on this system: the injector registers
-     * every DMA engine, installs the fabric fault filter, and
-     * schedules the plan's episode boundaries. PROACT runs on a
-     * faulted system need retry enabled (TransferConfig::retry) or
-     * lost deliveries will be reported as missing at phase end.
+     * Arm a fault schedule on this system: the injector installs the
+     * fabric fault filter and schedules the plan's episode
+     * boundaries. PROACT runs on a faulted system need retry enabled
+     * (TransferConfig::retry) or lost deliveries will be reported as
+     * missing at phase end.
      *
      * @return The owned injector (for stats/trace access).
      */

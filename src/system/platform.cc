@@ -114,21 +114,4 @@ dgx2DownBaseboard(FaultPlan &plan, Tick start, Tick end, int board,
                           dgx2Baseboard(board, first_gpu));
 }
 
-FaultPlan &
-nodeDown(FaultPlan &plan, const PlatformSpec &platform, Tick start,
-         Tick end, int node)
-{
-    const FabricSpec &fabric = platform.fabric;
-    if (!fabric.multiNode())
-        fatalError("nodeDown: platform has a single-node fabric");
-    const int nodes = platform.numGpus / fabric.gpusPerNode;
-    if (node < 0 || node >= nodes) {
-        fatalError("nodeDown: node must be in [0, ", nodes - 1,
-                   "], got ", node);
-    }
-    for (int g = 0; g < fabric.gpusPerNode; ++g)
-        plan.downGpu(start, end, node * fabric.gpusPerNode + g);
-    return plan;
-}
-
 } // namespace proact

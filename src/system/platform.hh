@@ -99,31 +99,22 @@ std::vector<int> dgx2Baseboard(int board, int first_gpu = 0);
 /**
  * @p planes of the six NVSwitch planes die for [start, end):
  * every directed pair among the chassis' 16 GPUs (ids first_gpu ..
- * first_gpu+15) loses planes/6 of its bandwidth, as one correlated
- * plane group. @p planes in [1, 5] — all six dying is a chassis loss
- * no reroute can survive.
+ * first_gpu+15) loses planes/6 of its bandwidth at once. @p planes
+ * in [1, 5] — all six dying is a chassis loss no reroute can
+ * survive.
  */
 FaultPlan &dgx2DownSwitchPlanes(FaultPlan &plan, Tick start, Tick end,
                                 int planes = 1, int first_gpu = 0);
 
 /**
  * Baseboard @p board's switch complex dies for [start, end): all
- * intra-board directed pairs go DOWN as one correlated group.
+ * intra-board directed pairs go DOWN at once.
  * Cross-board pairs survive on the other board's switches, so
  * multi-relay routes through the healthy board remain plannable.
  * @p first_gpu addresses the chassis of one node (see dgx2Baseboard).
  */
 FaultPlan &dgx2DownBaseboard(FaultPlan &plan, Tick start, Tick end,
                              int board, int first_gpu = 0);
-
-/**
- * Node @p node of @p platform dies whole for [start, end): every GPU
- * in the node goes down as one correlated device group (the fabric
- * refuses its deliveries, the watchdog declares the devices LOST, and
- * every link touching the node follows). Requires a multiNode fabric.
- */
-FaultPlan &nodeDown(FaultPlan &plan, const PlatformSpec &platform,
-                    Tick start, Tick end, int node);
 /** @} */
 
 } // namespace proact

@@ -314,8 +314,8 @@ TEST_P(CongestionFuzz, DeliveryAttributionIdentityHolds)
 {
     // Every sample the fabric exports must satisfy
     //   enqueued + queueDelay + serviceTime == delivered
-    // with fault delay spikes charged to the service component —
-    // under random traffic, degradation windows and delay faults.
+    // under random traffic, degradation windows and delivery drops
+    // (a dropped delivery still occupied the wire).
     const std::uint64_t seed =
         deriveSeed(kCongestionCampaign, 100 + GetParam());
     Rng rng(seed);
@@ -325,9 +325,8 @@ TEST_P(CongestionFuzz, DeliveryAttributionIdentityHolds)
     plan.seed = seed;
     plan.degradeLink(100 * ticksPerMicrosecond,
                      400 * ticksPerMicrosecond, 0.5, 0, 1);
-    plan.delayDeliveries(50 * ticksPerMicrosecond,
-                         300 * ticksPerMicrosecond,
-                         5 * ticksPerMicrosecond, 2, 3);
+    plan.dropDeliveries(50 * ticksPerMicrosecond,
+                        300 * ticksPerMicrosecond, 0.5, 2, 3);
     system.installFaults(std::move(plan));
 
     int samples = 0;

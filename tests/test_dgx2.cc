@@ -245,15 +245,13 @@ TEST(Dgx2RerouteTest, ChainPlanDropsADeadInteriorHop)
 TEST(Dgx2FaultPlanTest, ChassisBuildersExpandCorrectly)
 {
     {
-        // Three of six planes: every directed pair degrades by 1/2,
-        // correlated as one group.
+        // Three of six planes: every directed pair degrades by 1/2.
         FaultPlan plan;
         dgx2DownSwitchPlanes(plan, 0, maxTick,
                              dgx2NumSwitchPlanes / 2);
         EXPECT_NO_THROW(plan.validate(numGpus));
         EXPECT_EQ(plan.episodes.size(),
                   static_cast<std::size_t>(numGpus * (numGpus - 1)));
-        EXPECT_EQ(plan.numGroups(), 1);
         for (const auto &e : plan.episodes) {
             EXPECT_EQ(e.kind, FaultKind::LinkDegrade);
             EXPECT_DOUBLE_EQ(e.severity, 0.5);
@@ -325,26 +323,6 @@ TEST(Dgx2FaultPlanTest, ChassisBuildersComposeWithNodeOffset)
             EXPECT_GE(e.dst, offset);
         }
     }
-}
-
-TEST(Dgx2FaultPlanTest, NodeDownBuilder)
-{
-    const PlatformSpec platform = multiNodePlatform(2, numGpus);
-    FaultPlan plan;
-    nodeDown(plan, platform, 0, maxTick, 1);
-    EXPECT_NO_THROW(plan.validate(platform.numGpus));
-    EXPECT_EQ(plan.episodes.size(), static_cast<std::size_t>(numGpus));
-    for (const auto &e : plan.episodes) {
-        EXPECT_EQ(e.kind, FaultKind::GpuDown);
-        EXPECT_GE(e.gpu, numGpus);
-        EXPECT_LT(e.gpu, 2 * numGpus);
-    }
-
-    FaultPlan bad;
-    EXPECT_THROW(nodeDown(bad, dgx2Platform(), 0, maxTick, 0),
-                 FatalError);
-    EXPECT_THROW(nodeDown(bad, platform, 0, maxTick, 2), FatalError);
-    EXPECT_THROW(nodeDown(bad, platform, 0, maxTick, -1), FatalError);
 }
 
 TEST(Dgx2RerouteTest, PlanCacheInvalidatesExactly)

@@ -90,48 +90,37 @@ class LinearScanFilter
     {
     }
 
-    Interconnect::FaultVerdict
-    operator()(const Interconnect::Request &req, Tick /*delivered*/)
+    bool
+    operator()(const Interconnect::Request &req)
     {
         const Tick now = _eq.curTick();
-        Interconnect::FaultVerdict verdict;
+        bool drop = false;
         for (const FaultEpisode &ep : _plan.episodes) {
             if (!ep.active(now))
                 continue;
             switch (ep.kind) {
               case FaultKind::LinkDown:
                 if (ep.matchesLink(req.src, req.dst))
-                    verdict.drop = true;
+                    drop = true;
                 break;
               case FaultKind::DeliveryDrop:
-                if (verdict.drop || !ep.matchesLink(req.src, req.dst))
+                if (drop || !ep.matchesLink(req.src, req.dst))
                     break;
                 ++draws;
                 if (_rng.uniform() < ep.severity)
-                    verdict.drop = true;
-                break;
-              case FaultKind::DeliveryDelay:
-                if (ep.matchesLink(req.src, req.dst))
-                    verdict.extraDelay += ep.delay;
+                    drop = true;
                 break;
               case FaultKind::LinkDegrade:
-              case FaultKind::DmaStall:
               case FaultKind::GpuDown:
                 break;
             }
         }
-        if (verdict.drop) {
-            ++dropped;
-            verdict.extraDelay = 0;
-        } else if (verdict.extraDelay > 0) {
-            ++delayed;
-        }
-        return verdict;
+        dropped += drop;
+        return drop;
     }
 
     std::uint64_t draws = 0;
     std::uint64_t dropped = 0;
-    std::uint64_t delayed = 0;
 
   private:
     const EventQueue &_eq;
@@ -142,9 +131,9 @@ class LinearScanFilter
 /**
  * A seeded plan exercising every filter path on @p num_gpus GPUs
  * within [0, horizon): overlapping drops on one hot link (so the
- * draw order matters), stacked concrete and wildcard delays, LinkDown
- * windows that open and close, and the degrade, DMA-stall and
- * device-loss episodes the filter must skip, in shuffled plan order.
+ * draw order matters), LinkDown windows that open and close, and the
+ * degrade and device-loss episodes the filter must skip, in shuffled
+ * plan order.
  */
 FaultPlan
 filterCoveragePlan(Rng &rng, int num_gpus, Tick horizon)
@@ -179,15 +168,6 @@ filterCoveragePlan(Rng &rng, int num_gpus, Tick horizon)
     window(start, end);
     plan.dropDeliveries(start, end, probability() / 4);
 
-    window(start, end);
-    plan.delayDeliveries(start, end, 1 + rng.below(ticksPerMicrosecond),
-                         hot_src, hot_dst);
-    window(start, end);
-    plan.delayDeliveries(start, end, 1 + rng.below(ticksPerMicrosecond),
-                         hot_src, -1);
-    window(start, end);
-    plan.delayDeliveries(start, end, 1 + rng.below(ticksPerMicrosecond));
-
     for (int i = 0; i < 2; ++i) {
         start = rng.below(horizon);
         const int src = i == 0 ? hot_src : gpu();
@@ -201,8 +181,6 @@ filterCoveragePlan(Rng &rng, int num_gpus, Tick horizon)
     plan.degradeLink(start, end, probability(), hot_src, hot_dst);
     window(start, end);
     plan.degradeLink(start, end, probability());
-    window(start, end);
-    plan.stallDma(start, end, gpu());
     start = rng.below(horizon);
     plan.downGpu(start, start + 1 + rng.below(horizon / 8), gpu());
 
@@ -211,22 +189,16 @@ filterCoveragePlan(Rng &rng, int num_gpus, Tick horizon)
     return plan;
 }
 
-/**
- * Everything one system saw of a seeded transfer stream. Not the
- * rebook count: a degrade boundary re-times the fabric's channels in
- * address order, and a multi-hop flight counts one move per hop whose
- * re-time changed its delivery, so the count depends on heap layout.
- * The delivery ticks do not.
- */
+/** Everything one system saw of a seeded transfer stream. */
 struct FilterOutcome
 {
     std::vector<Tick> predicted;
     std::vector<Tick> landed;  ///< maxTick when never delivered.
     std::vector<bool> dropped; ///< Per observed submission.
     std::uint64_t droppedDeliveries = 0;
-    /** Filter verdict counts: the injector's stats, or the scan's. */
+    std::uint64_t rebookedDeliveries = 0;
+    /** Filter drop count: the injector's stats, or the scan's. */
     std::uint64_t verdictDrops = 0;
-    std::uint64_t verdictDelays = 0;
     std::uint64_t draws = 0; ///< RNG draws (reference scan only).
 
     bool
@@ -235,17 +207,16 @@ struct FilterOutcome
         return predicted == o.predicted && landed == o.landed
             && dropped == o.dropped
             && droppedDeliveries == o.droppedDeliveries
-            && verdictDrops == o.verdictDrops
-            && verdictDelays == o.verdictDelays;
+            && rebookedDeliveries == o.rebookedDeliveries
+            && verdictDrops == o.verdictDrops;
     }
 };
 
 /**
  * Arm @p plan on a fresh @p platform system and push @p transfers
  * seeded transfers through its fabric at staggered ticks. With
- * @p linear_scan set, the injector still drives degrade windows, DMA
- * stalls and device loss, but a LinearScanFilter judges every
- * delivery.
+ * @p linear_scan set, the injector still drives degrade windows and
+ * device loss, but a LinearScanFilter judges every delivery.
  */
 FilterOutcome
 runFilterCase(const PlatformSpec &platform, const FaultPlan &plan,
@@ -262,8 +233,8 @@ runFilterCase(const PlatformSpec &platform, const FaultPlan &plan,
         reference = std::make_shared<LinearScanFilter>(
             system.eventQueue(), plan);
         fabric.setFaultFilter(
-            [reference](const Interconnect::Request &req, Tick t) {
-                return (*reference)(req, t);
+            [reference](const Interconnect::Request &req) {
+                return (*reference)(req);
             });
     }
 
@@ -299,15 +270,13 @@ runFilterCase(const PlatformSpec &platform, const FaultPlan &plan,
     system.run();
 
     out.droppedDeliveries = fabric.droppedDeliveries();
+    out.rebookedDeliveries = fabric.rebookedDeliveries();
     if (reference) {
         out.verdictDrops = reference->dropped;
-        out.verdictDelays = reference->delayed;
         out.draws = reference->draws;
     } else {
         out.verdictDrops = static_cast<std::uint64_t>(
             inj.stats().get("faults.dropped"));
-        out.verdictDelays = static_cast<std::uint64_t>(
-            inj.stats().get("faults.delayed"));
     }
     return out;
 }
@@ -341,11 +310,6 @@ TEST(FaultPlanTest, ValidateRejectsNonsense)
         plan.downLink(0, maxTick, 2, 2); // src == dst.
         EXPECT_THROW(plan.validate(4), FatalError);
     }
-    {
-        FaultPlan plan;
-        plan.delayDeliveries(0, maxTick, 0); // Zero spike.
-        EXPECT_THROW(plan.validate(4), FatalError);
-    }
     const double nan = std::numeric_limits<double>::quiet_NaN();
     {
         FaultPlan plan;
@@ -369,7 +333,7 @@ TEST(FaultPlanTest, ValidateRejectsNonsense)
     }
     {
         FaultPlan plan;
-        plan.stallDma(0, maxTick, -3);
+        plan.downGpu(0, maxTick, -3);
         EXPECT_THROW(plan.validate(4), FatalError);
     }
     {
@@ -377,7 +341,7 @@ TEST(FaultPlanTest, ValidateRejectsNonsense)
         plan.dropDeliveries(0, maxTick, 0.01)
             .degradeLink(ticksPerMicrosecond, 2 * ticksPerMicrosecond,
                          0.5, 0, 1)
-            .stallDma(0, 100, 3);
+            .downGpu(0, 100, 3);
         EXPECT_NO_THROW(plan.validate(4));
     }
 }
@@ -390,24 +354,22 @@ TEST(FaultPlanTest, DescribeAndKindNames)
     FaultPlan plan;
     plan.dropDeliveries(0, maxTick, 0.25, -1, 2);
     EXPECT_EQ(plan.episodes.at(0).describe(), "drop p=0.25 gpu*->gpu2");
-    plan.stallDma(0, 10, 1);
-    EXPECT_EQ(plan.episodes.at(1).describe(), "dma-stall gpu1");
+    plan.downGpu(0, 10, 1);
+    EXPECT_EQ(plan.episodes.at(1).describe(), "gpu-down gpu1");
 }
 
-TEST(FaultPlanTest, PlaneBuildersExpandToAllPairsInOneGroup)
+TEST(FaultPlanTest, PlaneBuildersExpandToAllPairs)
 {
     FaultPlan plan;
     plan.downPlane(10, 20, {0, 1, 2});
     plan.degradePlane(30, 40, 0.5, {1, 3});
 
-    // k GPUs -> k*(k-1) directed episodes, one fresh group per plane.
+    // k GPUs -> k*(k-1) directed episodes sharing the plane's window.
     ASSERT_EQ(plan.episodes.size(), 6u + 2u);
-    EXPECT_EQ(plan.numGroups(), 2);
 
     for (std::size_t i = 0; i < 6; ++i) {
         const FaultEpisode &ep = plan.episodes[i];
         EXPECT_EQ(ep.kind, FaultKind::LinkDown);
-        EXPECT_EQ(ep.group, 0);
         EXPECT_EQ(ep.start, 10u);
         EXPECT_EQ(ep.end, 20u);
         EXPECT_NE(ep.src, ep.dst);
@@ -417,7 +379,8 @@ TEST(FaultPlanTest, PlaneBuildersExpandToAllPairsInOneGroup)
     for (std::size_t i = 6; i < 8; ++i) {
         const FaultEpisode &ep = plan.episodes[i];
         EXPECT_EQ(ep.kind, FaultKind::LinkDegrade);
-        EXPECT_EQ(ep.group, 1);
+        EXPECT_EQ(ep.start, 30u);
+        EXPECT_EQ(ep.end, 40u);
         EXPECT_DOUBLE_EQ(ep.severity, 0.5);
     }
     // Every directed pair is distinct.
@@ -427,43 +390,22 @@ TEST(FaultPlanTest, PlaneBuildersExpandToAllPairsInOneGroup)
     EXPECT_EQ(pairs.size(), 6u);
 
     EXPECT_NO_THROW(plan.validate(4));
-    EXPECT_NE(plan.episodes[0].describe().find("[group 0]"),
-              std::string::npos);
-}
-
-TEST(FaultPlanTest, ValidateRejectsSplitGroupWindows)
-{
-    // A correlation group models ONE physical event; episodes that
-    // disagree on the window cannot be the same event.
-    FaultPlan plan;
-    plan.downPlane(10, 20, {0, 1});
-    FaultEpisode stray;
-    stray.kind = FaultKind::LinkDown;
-    stray.start = 15; // Same group, different window.
-    stray.end = 25;
-    stray.src = 2;
-    stray.dst = 3;
-    stray.group = 0;
-    plan.episodes.push_back(stray);
-    EXPECT_THROW(plan.validate(4), FatalError);
 
     EXPECT_THROW(FaultPlan{}.downPlane(0, 10, {2}).validate(4),
                  FatalError); // A plane needs >= 2 GPUs.
 }
 
-TEST(FaultInjectorTest, CorrelatedGroupsCountOncePerPlane)
+TEST(FaultInjectorTest, PlaneEpisodesOpenAtArmTime)
 {
     MultiGpuSystem system(voltaPlatform());
     FaultPlan plan;
     plan.downPlane(0, 10 * ticksPerMicrosecond, {0, 1, 2});
-    plan.downLink(0, ticksPerMicrosecond, 3, 0); // Independent.
+    plan.downLink(0, ticksPerMicrosecond, 3, 0);
     FaultInjector &inj = system.installFaults(std::move(plan));
 
-    // All windows opened at arm time: 6 plane episodes + 1 loner
-    // began, but only one correlated physical event happened.
+    // All windows opened at arm time: 6 plane episodes + 1 loner.
     EXPECT_DOUBLE_EQ(inj.stats().get("faults.injected"), 7.0);
     EXPECT_DOUBLE_EQ(inj.stats().get("faults.down_windows"), 7.0);
-    EXPECT_DOUBLE_EQ(inj.stats().get("faults.correlated_groups"), 1.0);
 }
 
 TEST(FaultPlanTest, RandomPlanIsDeterministicAndValid)
@@ -509,12 +451,10 @@ TEST(FaultPlanTest, RandomPlanEventMixFollowsOptions)
     options.planeProbability = 0.0; // Single-link events only.
     const FaultPlan singles = randomFaultPlan(7, 4, options);
     EXPECT_EQ(singles.episodes.size(), 5u);
-    EXPECT_EQ(singles.numGroups(), 0);
 
     options.planeProbability = 1.0; // Every event is a plane.
     options.planeSize = 3;
     const FaultPlan planes = randomFaultPlan(7, 4, options);
-    EXPECT_EQ(planes.numGroups(), 5);
     EXPECT_EQ(planes.episodes.size(), 5u * 6u); // 3 GPUs -> 6 pairs.
 }
 
@@ -648,47 +588,37 @@ TEST(FaultInjectorTest, FallbackSurvivesAPermanentlyDeadLink)
                      static_cast<double>(h.peers()));
 }
 
-TEST(FaultInjectorTest, DelaySpikesShiftDeliveryExactly)
+TEST(FaultInjectorTest, TransientGpuDownRefusesCopiesInsideItsWindow)
 {
-    const Tick spike = 10 * ticksPerMicrosecond;
-
-    auto last_delivery = [&](bool delayed) {
-        FaultHarness h;
-        if (delayed) {
-            FaultPlan plan;
-            plan.delayDeliveries(0, maxTick, spike);
-            h.system.installFaults(std::move(plan));
-        }
-        HardwareAgent agent(h.context(TransferMechanism::Hardware));
-        agent.chunkReady(0, 4 * KiB);
-        h.system.run();
-        EXPECT_EQ(h.deliveries, h.peers());
-        return h.lastDelivery;
-    };
-
-    EXPECT_EQ(last_delivery(true), last_delivery(false) + spike);
-}
-
-TEST(FaultInjectorTest, DmaStallHoldsCopiesUntilWindowEnds)
-{
+    const Tick window_start = 10 * ticksPerMicrosecond;
     const Tick window_end = 50 * ticksPerMicrosecond;
 
     MultiGpuSystem system(voltaPlatform());
     FaultPlan plan;
-    plan.stallDma(0, window_end, 0);
+    plan.downGpu(window_start, window_end, 0);
     FaultInjector &inj = system.installFaults(std::move(plan));
+    Interconnect &fabric = system.fabric();
 
-    Tick stalled_done = 0;
-    Tick free_done = 0;
+    // Inside the window the fabric refuses the copy at submission:
+    // one refusal, and its callback never fires.
+    bool refused_fired = false;
+    system.runTimelineTo(window_start);
+    ASSERT_TRUE(fabric.deviceDown(0));
+    system.dma(0).copyToPeer(1, 4 * KiB, [&] { refused_fired = true; });
+    EXPECT_EQ(fabric.refusedDeliveries(), 1u);
+
+    // Once the window closes the device is back, and a copy delivers.
+    Tick delivered = 0;
+    system.runTimelineTo(window_end);
+    ASSERT_FALSE(fabric.deviceDown(0));
     system.dma(0).copyToPeer(1, 4 * KiB,
-                             [&] { stalled_done = system.now(); });
-    system.dma(1).copyToPeer(0, 4 * KiB,
-                             [&] { free_done = system.now(); });
+                             [&] { delivered = system.now(); });
     system.run();
 
-    EXPECT_GE(stalled_done, window_end);
-    EXPECT_LT(free_done, window_end);
-    EXPECT_DOUBLE_EQ(inj.stats().get("faults.stall_windows"), 1.0);
+    EXPECT_FALSE(refused_fired);
+    EXPECT_GT(delivered, window_end);
+    EXPECT_EQ(fabric.refusedDeliveries(), 1u);
+    EXPECT_DOUBLE_EQ(inj.stats().get("faults.device_down"), 1.0);
 }
 
 TEST(FaultInjectorTest, ReliablePathIsExemptFromLoss)
@@ -710,8 +640,9 @@ TEST(FaultInjectorTest, ReliablePathIsExemptFromLoss)
 TEST(FaultInjectorTest, VerdictsMatchLinearScanReference)
 {
     // The injector's filter must return, transfer for transfer, what
-    // a linear scan over the whole plan returns: same drops, same
-    // delays, same RNG draws in the same order.
+    // a linear scan over the whole plan returns: same drops, same RNG
+    // draws in the same order. Degrade boundaries re-time channels in
+    // the fabric's order, so both systems rebook the same flights.
     const Tick horizon = 60 * ticksPerMicrosecond;
     const int transfers = 96;
     const std::pair<PlatformSpec, int> platforms[] = {
@@ -721,7 +652,7 @@ TEST(FaultInjectorTest, VerdictsMatchLinearScanReference)
 
     std::uint64_t draws = 0;
     std::uint64_t drops = 0;
-    std::uint64_t delays = 0;
+    std::uint64_t rebooks = 0;
     std::uint64_t landed = 0;
     for (const auto &[platform, cases] : platforms) {
         for (int c = 0; c < cases; ++c) {
@@ -739,7 +670,7 @@ TEST(FaultInjectorTest, VerdictsMatchLinearScanReference)
 
             draws += scanned.draws;
             drops += scanned.verdictDrops;
-            delays += scanned.verdictDelays;
+            rebooks += scanned.rebookedDeliveries;
             for (const Tick t : indexed.landed)
                 landed += t != maxTick;
         }
@@ -747,7 +678,7 @@ TEST(FaultInjectorTest, VerdictsMatchLinearScanReference)
     // Not vacuous: every filter path fired somewhere.
     EXPECT_GT(draws, 2000u);
     EXPECT_GT(drops, 1000u);
-    EXPECT_GT(delays, 1000u);
+    EXPECT_GT(rebooks, 1000u);
     EXPECT_GT(landed, 10000u);
 }
 

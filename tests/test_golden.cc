@@ -111,7 +111,6 @@ addRecoveryRows(Rows &rows)
     options.config.retry.enabled = true;
     options.config.retry.maxAttempts = 6;
     options.config.retry.rerouteAfterAttempts = 2;
-    options.health = true;
     options.reroute = true;
     options.deviceHealth = true;
     options.checkpoint = true;
